@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CurvatureUnavailableError, DomainError, InapplicabilityError, RevspecError
+from .errors import DomainError, InapplicabilityError, RevspecError
 from .profile import (
     MetricProfile,
     curvature_sign_indicator,
@@ -29,7 +29,7 @@ from .profile import (
     integrate_moment,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from .slsolver import DEFAULT_SOLVER, SolverConfig, solver_grid
+from .slsolver import solver_grid
 
 
 @dataclass(frozen=True)
@@ -194,32 +194,30 @@ def bounds_table_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trial_residual(p: MetricProfile, m: int, cfg: SolverConfig = DEFAULT_SOLVER) -> ResidualDiagnostic:
+def trial_residual(p: MetricProfile, m: int, n: int = 256) -> ResidualDiagnostic:
     """Residual of the trial function u = f^(m/2) under the mode-m operator.
 
     The operator is applied in closed form via the product rule,
 
         L_m[f^(m/2)] = m^2 f^(m/2 - 1) (1 - f'^2/4) + m f^(m/2) K,
 
-    sampled on the n_initial-cell solver grid; rho is the discrete Rayleigh
-    quotient of the samples. Applying the assembled difference operator
-    instead would bury the diagnostic: the trial function of odd m has
-    square-root endpoint behaviour the stencil cannot differentiate, leaving
-    an O(1) boundary artifact in the norm at every grid size, whereas the
-    closed form is exact where the evaluators are. The note reports the
-    residual on a doubled grid: a residual that shrinks with the grid is
-    discretization error (round sphere); one that persists certifies that u
-    is genuinely not an eigenfunction.
+    sampled on the n-cell grid ``solver_grid(n)``; rho is the discrete
+    Rayleigh quotient of the samples. Applying a difference operator instead
+    would bury the diagnostic: the trial function of odd m has square-root
+    endpoint behaviour a stencil cannot differentiate, leaving an O(1)
+    boundary artifact in the norm at every grid size, whereas the closed
+    form is exact where the evaluators are. The note reports the residual on
+    a doubled grid: a residual that shrinks with the grid is sampling error
+    (round sphere); one that persists certifies that u is genuinely not an
+    eigenfunction.
     """
     if m < 1:
         raise DomainError("eigenvalue index m must be >= 1")
-    if p.d2f is None:
-        raise CurvatureUnavailableError(
-            f"profile kind {p.kind!r} has no second-derivative evaluator"
-        )
+    if n < 3:
+        raise DomainError("the sampling grid needs n >= 3 cells")
 
-    def norm_at(n):
-        nodes, h = solver_grid(n)
+    def norm_at(cells):
+        nodes, h = solver_grid(cells)
         f = np.asarray(p.f(nodes), dtype=float)
         if np.any(f <= 0.0):
             raise DomainError("profile must be positive on (-1, 1)")
@@ -231,14 +229,14 @@ def trial_residual(p: MetricProfile, m: int, cfg: SolverConfig = DEFAULT_SOLVER)
         resid = applied - rho * u
         return float(np.sqrt(h * np.sum(resid * resid))), rho
 
-    primary, rho = norm_at(cfg.n_initial)
-    refined, _ = norm_at(2 * cfg.n_initial)
+    primary, rho = norm_at(n)
+    refined, _ = norm_at(2 * n)
     if primary <= 10.0 * abs(primary - refined) or primary < 1e-10:
         interpretation = "residual tracks discretization error; u behaves like an eigenfunction"
     else:
         interpretation = "residual persists under refinement; u is not an eigenfunction"
     note = (
-        f"rho={rho:.12g}; grid {cfg.n_initial}: {primary:.6e}; "
-        f"grid {2 * cfg.n_initial}: {refined:.6e}; {interpretation}"
+        f"rho={rho:.12g}; grid {n}: {primary:.6e}; "
+        f"grid {2 * n}: {refined:.6e}; {interpretation}"
     )
     return ResidualDiagnostic(m=m, residual_norm=primary, note=note)

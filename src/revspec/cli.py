@@ -29,24 +29,32 @@ from .profile import (
     validate_profile,
 )
 from .quadrature import QuadratureConfig
-from .slsolver import SolverConfig
+from .slsolver import DEFAULT_SOLVER, SolverConfig
 
 
-def _add_common(parser):
+#: Tuning flags, each offered only by the subcommands that read it.
+_TUNING_FLAGS = {
+    "--rel-tol": dict(type=float, default=1e-6,
+                      help="solver relative eigenvalue tolerance (default 1e-6)"),
+    "--merge-tol": dict(type=float, default=None,
+                        help="eigenvalue merge tolerance (default: adaptive, "
+                             "max(1e-6*ceiling, 10*worst error estimate))"),
+    "--quad-tol": dict(type=float, default=1e-10,
+                       help="quadrature absolute tolerance (default 1e-10)"),
+    "--grid-max": dict(type=int, default=DEFAULT_SOLVER.n_max,
+                       help=f"solver basis-size cap (default {DEFAULT_SOLVER.n_max})"),
+}
+
+
+def _add_flags(parser, *tuning):
+    """The flags every subcommand reads, plus the named tuning flags."""
     parser.add_argument("--profile", required=True,
                         help="builtin profile name (canonical, paper-example) or JSON file path")
     parser.add_argument("--format", choices=("csv", "json"), default="json",
                         help="report format (default json)")
     parser.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-    parser.add_argument("--rel-tol", type=float, default=1e-6,
-                        help="solver relative eigenvalue tolerance (default 1e-6)")
-    parser.add_argument("--merge-tol", type=float, default=None,
-                        help="eigenvalue merge tolerance (default: adaptive, "
-                             "max(1e-6*ceiling, 10*worst error estimate))")
-    parser.add_argument("--quad-tol", type=float, default=1e-10,
-                        help="quadrature absolute tolerance (default 1e-10)")
-    parser.add_argument("--grid-max", type=int, default=65536,
-                        help="solver grid-size cap (default 65536)")
+    for flag in tuning:
+        parser.add_argument(flag, **_TUNING_FLAGS[flag])
 
 
 def build_parser():
@@ -58,34 +66,34 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("validate", help="check profile admissibility")
-    _add_common(sp)
+    _add_flags(sp)
 
     sp = sub.add_parser("curvature", help="sample the Gauss curvature K = -f''/2")
-    _add_common(sp)
+    _add_flags(sp, "--quad-tol")
     sp.add_argument("--count", type=int, default=201, help="number of sample points (default 201)")
 
     sp = sub.add_parser("sl", help="lowest eigenvalues of one mode operator")
-    _add_common(sp)
+    _add_flags(sp, "--rel-tol", "--grid-max")
     sp.add_argument("--k", type=int, default=0, help="Fourier mode (default 0)")
     sp.add_argument("--count", type=int, default=8, help="how many eigenvalues (default 8)")
 
     sp = sub.add_parser("spectrum", help="assemble the distinct eigenvalues with multiplicities")
-    _add_common(sp)
+    _add_flags(sp, "--rel-tol", "--merge-tol", "--grid-max")
     sp.add_argument("--m-max", type=int, default=6, help="deepest distinct index (default 6)")
 
     sp = sub.add_parser("bounds", help="closed-form upper-bound table")
-    _add_common(sp)
+    _add_flags(sp, "--rel-tol", "--merge-tol", "--quad-tol", "--grid-max")
     sp.add_argument("--m-max", type=int, default=6, help="deepest index (default 6)")
     sp.add_argument("--l-set", default="", help="comma-separated extra trial exponents "
                                                 "(1 and m are always included)")
 
     sp = sub.add_parser("trace", help="reciprocal-eigenvalue sum against 1/k")
-    _add_common(sp)
+    _add_flags(sp, "--grid-max")
     sp.add_argument("--k", type=int, default=1, help="Fourier mode, nonzero (default 1)")
     sp.add_argument("--terms", type=int, default=100, help="series terms (default 100)")
 
     sp = sub.add_parser("verify", help="run the verification suite")
-    _add_common(sp)
+    _add_flags(sp, "--rel-tol", "--merge-tol", "--quad-tol", "--grid-max")
     sp.add_argument("--m-max", type=int, default=5, help="spectrum depth (default 5)")
 
     return parser
@@ -121,8 +129,7 @@ def _csv_text(header, records):
 
 
 def _solver_config(args):
-    n_initial = min(256, args.grid_max)
-    return SolverConfig(n_initial=max(3, n_initial), n_max=args.grid_max, rel_tol=args.rel_tol)
+    return SolverConfig(n_max=args.grid_max, rel_tol=args.rel_tol)
 
 
 def _quad_config(args):
@@ -212,7 +219,7 @@ def _cmd_bounds(args, profile):
 def _cmd_trace(args, profile):
     if args.terms < 1:
         raise ProfileError("--terms must be >= 1")
-    report = slsolver.trace_check(profile, args.k, args.terms, _solver_config(args))
+    report = slsolver.trace_check(profile, args.k, args.terms, SolverConfig(n_max=args.grid_max))
     if args.format == "json":
         return _json_text(report.to_json_dict()), 0
     record = [report.k, report.terms_used, report.partial_sum,

@@ -29,11 +29,6 @@ class QuadratureAccuracyError(RevspecError, ArithmeticError):
         self.error_estimate = error_estimate
 
 
-class CurvatureUnavailableError(RevspecError, ValueError):
-    """The profile has no usable second-derivative evaluator, so curvature
-    dependent operations cannot run."""
-
-
 class AssemblyError(RevspecError, RuntimeError):
     """Global spectrum assembly failed (solver could not deliver the needed
     accuracy for some mode, or the ceiling never became complete)."""

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
-from .errors import CurvatureUnavailableError, DomainError, ProfileError
+from .errors import DomainError, ProfileError
 from .quadrature import (
     DEFAULT_QUADRATURE,
     GAUSS_JACOBI,
@@ -44,8 +44,6 @@ ENDPOINT_TOL = 1e-9
 PROFILE_KINDS = ("canonical", "paper-example", "polynomial-factor", "rational", "sampled")
 
 BUILTIN_NAMES = ("canonical", "paper-example")
-
-_CHART_NOTE = "(x, theta) in (-1, 1) x [0, 2*pi); g = (1/f) dx^2 + f dtheta^2; sqrt(det g) = 1"
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,16 @@ class MetricProfile:
     """Profile evaluators; immutable and safe to share between workers.
 
     f, df, d2f evaluate the profile and its first two derivatives anywhere
-    in [-1, 1] and accept scalars or arrays. d2f may be None for profile
-    kinds without a usable second derivative, in which case curvature
-    dependent operations raise CurvatureUnavailableError.
+    in [-1, 1] and accept scalars or arrays. ``breaks`` are the end points
+    of the pieces on which f is smooth: the spline knots of a sampled
+    profile, (-1, 1) for every other kind.
     """
 
     spec: ProfileSpec
     f: Callable
     df: Callable
-    d2f: Optional[Callable]
-    chart: str = _CHART_NOTE
+    d2f: Callable
+    breaks: tuple = (-1.0, 1.0)
 
     @property
     def kind(self):
@@ -252,6 +250,7 @@ def _build_sampled(params):
         _wrap_scalar(lambda t: spline(t)),
         _wrap_scalar(lambda t: spline(t, 1)),
         _wrap_scalar(lambda t: spline(t, 2)),
+        tuple(float(v) for v in x),
     )
 
 
@@ -263,6 +262,7 @@ def build_profile(spec: ProfileSpec) -> MetricProfile:
     endpoint values and slopes) is *not* enforced here -- it is reported by
     validate_profile so that inadmissible profiles can still be examined.
     """
+    breaks = (-1.0, 1.0)
     if spec.kind == "canonical":
         f, df, d2f = _build_canonical()
     elif spec.kind == "paper-example":
@@ -272,10 +272,10 @@ def build_profile(spec: ProfileSpec) -> MetricProfile:
     elif spec.kind == "rational":
         f, df, d2f = _build_rational(spec.params)
     elif spec.kind == "sampled":
-        f, df, d2f = _build_sampled(spec.params)
+        f, df, d2f, breaks = _build_sampled(spec.params)
     else:
         raise ProfileError(f"unknown profile kind {spec.kind!r}; expected one of {PROFILE_KINDS}")
-    return MetricProfile(spec=spec, f=f, df=df, d2f=d2f)
+    return MetricProfile(spec=spec, f=f, df=df, d2f=d2f, breaks=breaks)
 
 
 def builtin_profile(name: str) -> MetricProfile:
@@ -341,12 +341,7 @@ def validate_profile(p: MetricProfile, grid_size: int = 2001) -> ValidationRepor
     if abs(df_hi + 2.0) > ENDPOINT_TOL:
         messages.append(f"f'(1) = {df_hi:.12g}, expected -2")
 
-    try:
-        curv_integral = integrate_curvature_moment(p, 0, DEFAULT_QUADRATURE)
-    except CurvatureUnavailableError:
-        curv_integral = math.nan
-        messages.append("curvature integral unavailable: no second-derivative evaluator")
-
+    curv_integral = integrate_curvature_moment(p, 0, DEFAULT_QUADRATURE)
     return ValidationReport(
         passed=not messages,
         endpoint_values=(f_lo, f_hi),
@@ -363,10 +358,6 @@ def curvature_at(p: MetricProfile, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -1.0) or np.any(arr > 1.0):
         raise DomainError(f"x must lie in [-1, 1], got {x!r}")
-    if p.d2f is None:
-        raise CurvatureUnavailableError(
-            f"profile kind {p.kind!r} has no second-derivative evaluator"
-        )
     out = -0.5 * np.asarray(p.d2f(arr), dtype=float)
     if np.ndim(x) == 0:
         return float(out)
@@ -429,10 +420,6 @@ def integrate_curvature_moment(
     """
     if l < 0:
         raise DomainError("moment exponent l must be >= 0")
-    if p.d2f is None:
-        raise CurvatureUnavailableError(
-            f"profile kind {p.kind!r} has no second-derivative evaluator"
-        )
     return _integrate(p, l, q, extra=lambda x: -0.5 * np.asarray(p.d2f(x), dtype=float))
 
 
@@ -446,16 +433,13 @@ def curvature_sign_indicator(
     the realized gap is reported for auditing.
     """
     f_int = integrate_moment(p, 1, q)
-    if p.d2f is None:
-        raise CurvatureUnavailableError(
-            f"profile kind {p.kind!r} has no second-derivative evaluator"
-        )
-    x2k = adaptive_gauss(
-        lambda x: -0.5 * x * x * np.asarray(p.d2f(x), dtype=float),
-        -1.0,
-        1.0,
-        q.abs_tol,
-        q.max_subdivisions,
+    # K' jumps at spline knots, where the panel error estimate cannot see it,
+    # so each smooth piece is integrated alone with its share of the tolerance.
+    pieces = len(p.breaks) - 1
+    x2k = sum(
+        adaptive_gauss(lambda x: -0.5 * x * x * np.asarray(p.d2f(x), dtype=float),
+                       a, b, q.abs_tol / pieces, q.max_subdivisions)
+        for a, b in zip(p.breaks[:-1], p.breaks[1:])
     )
     return CurvatureSignIndicator(
         f_integral=f_int,

@@ -6,53 +6,64 @@ family of singular Sturm-Liouville operators
     L_k u = -(f u')' + (k^2 / f) u        on (-1, 1),
 
 whose spectra are simple. Modes +-k share a spectrum, so only k >= 0 is ever
-solved. The discretization is a self-adjoint flux form on a uniform grid of
-cell centers x_i = -1 + (i - 1/2) h, h = 2/n: the flux coefficient f is
-evaluated at the cell faces and the potential k^2/f at the centers. Because
-f vanishes at the domain endpoints, the boundary-face fluxes drop out of the
-assembly on their own; for k = 0 that leaves the natural (no-flux) operator
-whose kernel is the constants, and for k >= 1 the blowing-up potential pins
-the eigenfunctions to zero at the boundary, which is the intrinsic behaviour
-of the degenerate problem. All matrix entries stay finite because only
-interior points are ever evaluated.
+solved, by Rayleigh-Ritz in a Jacobi-Galerkin basis. With w = 1 - x^2 and
+q = f/w the trial functions are u = w^(k/2) v, v a polynomial of degree < N
+expanded in the orthonormal Jacobi polynomials P_j^(k,k) (weight w^k). The
+factor w^(k/2) is the intrinsic pole behaviour of mode k, so no boundary
+condition is imposed, and the quadratic forms become
 
-Eigenvalues come from bisection on Sturm sequences (LAPACK stebz), which is
-robust for the lowest part of the spectrum of a symmetric tridiagonal
-matrix. Grids double from n_initial with Richardson extrapolation at the
-empirically observed convergence order; the reported error estimate is the
-disagreement between successive extrapolants, floored by the bisection
-noise level. Eigenfunctions of modes k >= 1 vanish like (1 -+ x)^(k/2),
-which degrades the uniform-grid order for odd k (observed order ~1 for
-k = 1); the error estimates reflect that honestly.
+    stiffness = int w^(k-1) [q (w v' - k x v)^2 + k^2 v^2 / q] dx,
+    mass      = int w^k v^2 dx,
+
+integrated by Gauss-Legendre on each of the profile's smooth pieces
+(MetricProfile.breaks), exactly for every polynomial factor. The paper's
+trial functions f^(m/2) are a one-term Ritz space of this kind, and on the
+round sphere the basis holds the exact eigenfunctions.
+
+The basis size doubles from max(16, count + 8) until two sizes agree within
+rel_tol. The error estimate is that difference, floored at 1e-10 relative:
+below that both sizes sit at roundoff and the difference stops bounding the
+error. Smooth profiles converge spectrally, splines algebraically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh
+from scipy.special import roots_legendre
 
 from .errors import DomainError
 from .profile import MetricProfile, liouville_length
 from .quadrature import QuadratureConfig
 
-_EPS = float(np.finfo(float).eps)
+_MIN_BASIS = 16
+#: Basis functions kept beyond the eigenvalues asked for.
+_BASIS_MARGIN = 8
+#: Relative floor of the reported error estimates (see module docstring).
+_ERROR_FLOOR = 1e-10
+#: Gauss nodes per smooth piece beyond the N + k that the polynomial factors
+#: need, for the non-polynomial factors q and 1/q.
+_EXTRA_NODES = 24
+#: Entries per basis table in one assembly block: nodes are processed in
+#: blocks of _BLOCK_ENTRIES // N, so assembly memory stays O(N^2).
+_BLOCK_ENTRIES = 16384
+#: Cells of the grid eigenfunctions are sampled on.
+_SAMPLE_CELLS = 256
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid refinement policy for the mode solver."""
+    """Basis-size policy for the mode solver: tolerance and cap on N."""
 
-    n_initial: int = 256
-    n_max: int = 65536
+    n_max: int = 1024
     rel_tol: float = 1e-6
-    use_richardson: bool = True
 
     def __post_init__(self):
-        if not (3 <= self.n_initial <= self.n_max):
-            raise ValueError("need 3 <= n_initial <= n_max")
+        if self.n_max < _MIN_BASIS:
+            raise ValueError(f"n_max must be >= {_MIN_BASIS}")
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
 
@@ -65,8 +76,9 @@ class SLSpectrumSlice:
     """The lowest eigenvalues of one mode operator, with error estimates.
 
     ``eigenvalues`` is strictly increasing (the mode spectra are simple);
-    ``error_estimates`` are absolute, per eigenvalue. ``converged`` records
-    whether every estimate met rel_tol before the grid cap.
+    ``error_estimates`` are absolute, per eigenvalue. ``grid_used`` is the
+    final basis size N; ``converged`` records whether every estimate met
+    rel_tol before the basis cap.
     """
 
     k: int
@@ -137,7 +149,8 @@ class TraceReport:
 
 @dataclass(frozen=True)
 class EigenfunctionSamples:
-    """Grid samples of one mode eigenfunction, unit discrete L2 norm."""
+    """Samples of one mode eigenfunction on the ``grid_used``-cell sample
+    grid, with unit discrete L2 norm."""
 
     k: int
     j: int
@@ -148,110 +161,102 @@ class EigenfunctionSamples:
 
 
 def solver_grid(n: int):
-    """Cell centers and spacing of the n-cell solver grid on [-1, 1]."""
+    """Cell centers and spacing of the n-cell sample grid on [-1, 1]."""
     h = 2.0 / n
     return -1.0 + h * (np.arange(n) + 0.5), h
 
 
-def _tridiag_arrays(p: MetricProfile, k: int, n: int):
-    """Assemble the flux-form tridiagonal (diagonal, off-diagonal) pair."""
-    h = 2.0 / n
-    faces = -1.0 + h * np.arange(n + 1)
-    ff = np.asarray(p.f(faces), dtype=float)
-    # Admissible profiles vanish at the endpoints; clamping the boundary
-    # faces to exactly zero removes roundoff so the k = 0 rows sum to zero
-    # (constants are then exact discrete eigenfunctions).
-    ff[0] = 0.0
-    ff[-1] = 0.0
-    if np.any(ff[1:-1] <= 0.0) or not np.all(np.isfinite(ff)):
-        raise DomainError("profile must be positive on (-1, 1) to assemble a mode operator")
-    diag = (ff[:-1] + ff[1:]) / (h * h)
-    if k != 0:
-        nodes, _ = solver_grid(n)
-        fn = np.asarray(p.f(nodes), dtype=float)
-        if np.any(fn <= 0.0):
-            raise DomainError("profile must be positive on (-1, 1) to assemble a mode operator")
-        diag = diag + (k * k) / fn
-    off = -ff[1:-1] / (h * h)
-    return diag, off
+def _jacobi_rows(n, k, x, scale):
+    """scale * P_j^(k,k)(x) and scale * P_j^(k,k)'(x) for j < n, orthonormal.
 
-
-def _low_eigs(diag, off, count):
-    return eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), lapack_driver="stebz"
-    )
-
-
-def _extrapolation_step(d_prev, d_curr):
-    """Richardson step from consecutive grid-doubling differences.
-
-    The order is measured per eigenvalue as log2(|d_prev/d_curr|) and
-    clipped to [0.5, 4]; entries whose differences have collapsed to zero
-    get a zero step.
+    The three-term recurrence is linear, so it runs on the scaled values
+    directly; a scale that cancels the growth of P_j^(k,k) toward the poles
+    keeps every entry finite for any k.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        order = np.log2(np.abs(d_prev) / np.abs(d_curr))
-    order = np.where(np.isfinite(order), order, 2.0)
-    order = np.clip(order, 0.5, 4.0)
-    step = np.where(d_curr == 0.0, 0.0, d_curr / (2.0 ** order - 1.0))
-    return step
+    j = np.arange(n, dtype=float)
+    b = np.sqrt(j * (j + 2 * k) / ((2 * j + 2 * k + 1) * (2 * j + 2 * k - 1)))  # b[0] = 0
+    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.5))
+    # Row 0 holds P_(-1) = 0, so one update covers every degree.
+    val = np.zeros((n + 1, x.size))
+    der = np.zeros((n + 1, x.size))
+    val[1] = scale / math.sqrt(mu0)
+    for i in range(n - 1):
+        val[i + 2] = (x * val[i + 1] - b[i] * val[i]) / b[i + 1]
+        der[i + 2] = (val[i + 1] + x * der[i + 1] - b[i] * der[i]) / b[i + 1]
+    return val[1:], der[1:]
+
+
+def _galerkin_matrices(p: MetricProfile, k: int, n: int):
+    """Stiffness and mass matrices of mode k in the n-term Jacobi basis.
+
+    With H_j = w^((k-1)/2) P_j and G_j = w^((k-1)/2) (w P_j' - k x P_j), the
+    forms are sum(q G G) + k^2 sum(H H / q) and sum(w H H) over the
+    quadrature, accumulated block by block over the nodes.
+    """
+    t, c = roots_legendre(n + k + _EXTRA_NODES)
+    a, b = np.asarray(p.breaks[:-1])[:, None], np.asarray(p.breaks[1:])[:, None]
+    x = (0.5 * (a + b) + 0.5 * (b - a) * t).ravel()
+    wts = (0.5 * (b - a) * c).ravel()
+    w = (1.0 - x) * (1.0 + x)
+    f = np.asarray(p.f(x), dtype=float)
+    if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
+        raise DomainError("profile must be positive on (-1, 1) to assemble a mode operator")
+    q = f / w
+    stiff = np.zeros((n, n))
+    mass = np.zeros((n, n))
+    block = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, x.size, block):
+        sl = slice(lo, lo + block)
+        xb, wb, qb, cb = x[sl], w[sl], q[sl], wts[sl]
+        h, d = _jacobi_rows(n, k, xb, wb ** (0.5 * (k - 1)))
+        g = wb * d - k * xb * h
+        stiff += (g * (cb * qb)) @ g.T
+        if k:
+            stiff += (k * k) * ((h * (cb / qb)) @ h.T)
+        mass += (h * (cb * wb)) @ h.T
+    return stiff, mass
 
 
 def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> SLSpectrumSlice:
     """First ``count`` eigenvalues of the mode-k operator.
 
-    Negative k is folded to |k| (conjugate modes have equal spectra). Grids
-    double from n_initial until every per-eigenvalue error estimate drops
-    below rel_tol * max(|lambda|, 1) or n_max is reached; in the latter case
-    the best slice is returned flagged unconverged rather than raising.
+    Negative k is folded to |k| (conjugate modes have equal spectra). The
+    basis size doubles from max(16, count + 8) until two sizes agree within
+    rel_tol * max(|lambda|, 1) for every eigenvalue or the next size would
+    pass n_max; in the latter case the largest-basis slice is returned
+    flagged unconverged rather than raising. A slice from a single basis
+    size has infinite error estimates.
     """
     k = abs(int(k))
     count = int(count)
     if count < 1:
         raise DomainError("count must be >= 1")
-    n = cfg.n_initial
-    while n < 4 * count:
-        n *= 2
+    n = max(_MIN_BASIS, count + _BASIS_MARGIN)
     if n > cfg.n_max:
-        raise DomainError(f"count={count} needs a grid larger than n_max={cfg.n_max}")
+        raise DomainError(f"count={count} needs a basis larger than n_max={cfg.n_max}")
 
-    raws = []
-    estimates = []
+    prev = None
+    err = np.full(count, np.inf)
     while True:
-        diag, off = _tridiag_arrays(p, k, n)
-        raw = _low_eigs(diag, off, count)
-        raws.append(raw)
-        if not cfg.use_richardson or len(raws) == 1:
-            est = raw
-        elif len(raws) == 2:
-            est = raw + (raw - raws[-2]) / 3.0
-        else:
-            est = raw + _extrapolation_step(raws[-2] - raws[-3], raw - raws[-2])
-        estimates.append(est)
-
-        noise = 4.0 * _EPS * float(np.max(np.abs(diag)))
-        if len(estimates) >= 2:
-            err = np.maximum(np.abs(estimates[-1] - estimates[-2]), noise)
-        else:
-            err = np.full(count, np.inf)
-        converged = bool(np.all(err <= cfg.rel_tol * np.maximum(np.abs(est), 1.0)))
-        if converged or 2 * n > cfg.n_max:
+        stiff, mass = _galerkin_matrices(p, k, n)
+        values = eigh(stiff, mass, eigvals_only=True)[:count]
+        scale = np.maximum(np.abs(values), 1.0)
+        if prev is not None:
+            raw = np.abs(values - prev)
+            err = np.maximum(raw, _ERROR_FLOOR * scale)
+            if np.all(raw <= cfg.rel_tol * scale):
+                break
+        if 2 * n > cfg.n_max:
             break
+        prev = values
         n *= 2
 
-    values = estimates[-1]
-    if np.any(np.diff(values) <= 0.0):
-        # Extrapolation must not disturb the ordering the matrix guarantees;
-        # fall back to the raw finest-grid values if it ever does.
-        values = raws[-1]
-        if len(raws) >= 2:
-            err = np.maximum(np.abs(raws[-1] - raws[-2]), noise)
     return SLSpectrumSlice(
         k=k,
         eigenvalues=tuple(float(v) for v in values),
         error_estimates=tuple(float(e) for e in err),
         grid_used=n,
-        converged=converged,
+        converged=bool(np.all(err <= cfg.rel_tol * scale)),
     )
 
 
@@ -263,25 +268,23 @@ def first_eigenvalue(p: MetricProfile, k: int, cfg: SolverConfig = DEFAULT_SOLVE
 def trace_check(p: MetricProfile, k: int, terms: int, cfg: SolverConfig = DEFAULT_SOLVER) -> TraceReport:
     """Check the reciprocal-eigenvalue identity sum_j 1/lambda_k^j = 1/|k|.
 
-    Defined for k != 0 only. The slice is solved on a short fixed ladder of
-    three grid doublings sized to the number of terms: the deviation budget
-    is dominated by the 1/terms tail, so chasing rel_tol on the highest
-    eigenvalues would cost much and change nothing.
+    Defined for k != 0 only. The slice comes from one solve at basis size
+    1.25 * terms + 8, which must not exceed n_max, rather than a convergence
+    chase: the reciprocal sum is dominated by the low eigenvalues, which that
+    size resolves to near roundoff, and the deviation budget is dominated by
+    the 1/terms tail anyway.
     """
     k = abs(int(k))
     if k == 0:
         raise DomainError("the reciprocal-eigenvalue identity is defined for k != 0 only")
     if terms < 1:
         raise DomainError("terms must be >= 1")
+    n = int(1.25 * terms) + _BASIS_MARGIN
+    if n > cfg.n_max:
+        raise DomainError(f"terms={terms} needs a basis larger than n_max={cfg.n_max}")
 
-    n1 = cfg.n_initial
-    while n1 < 8 * terms:
-        n1 *= 2
-    n1 = min(n1, cfg.n_max)
-    ladder = replace(cfg, n_initial=n1, n_max=min(4 * n1, cfg.n_max))
-    slc = eigenvalues(p, k, terms, ladder)
-
-    lam = np.asarray(slc.eigenvalues)
+    stiff, mass = _galerkin_matrices(p, k, n)
+    lam = eigh(stiff, mass, eigvals_only=True)[:terms]
     if np.any(lam <= 0.0):
         raise DomainError("mode eigenvalues must be positive to sum reciprocals")
     partial = float(np.sum(1.0 / lam))
@@ -299,30 +302,32 @@ def trace_check(p: MetricProfile, k: int, terms: int, cfg: SolverConfig = DEFAUL
 
 
 def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_SOLVER) -> EigenfunctionSamples:
-    """Samples of the j-th eigenfunction of mode k on the solver grid.
+    """Samples of the j-th eigenfunction of mode k on the 256-cell sample grid.
 
-    Normalized to unit discrete L2 norm (sqrt(h * sum u_i^2) = 1) with the
-    sign fixed so the first nonzero sample from the left is positive.
+    The Ritz vector comes from the basis size at which ``eigenvalues``
+    settles. Samples are normalized to unit discrete L2 norm
+    (sqrt(h * sum u_i^2) = 1) with the sign fixed so the first nonzero
+    sample from the left is positive.
     """
     k = abs(int(k))
     if j < 1:
         raise DomainError("eigenfunction index j must be >= 1")
     slc = eigenvalues(p, k, j, cfg)
     n = slc.grid_used
-    diag, off = _tridiag_arrays(p, k, n)
-    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(j - 1, j - 1))
-    u = vec[:, 0]
-    _, h = solver_grid(n)
+    stiff, mass = _galerkin_matrices(p, k, n)
+    vec = eigh(stiff, mass)[1][:, j - 1]
+    nodes, h = solver_grid(_SAMPLE_CELLS)
+    rows, _ = _jacobi_rows(n, k, nodes, ((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))
+    u = vec @ rows
     u = u / (math.sqrt(h) * float(np.linalg.norm(u)))
     nz = np.flatnonzero(np.abs(u) > 1e-8 * float(np.max(np.abs(u))))
     if nz.size and u[nz[0]] < 0.0:
         u = -u
-    nodes, _ = solver_grid(n)
     return EigenfunctionSamples(
         k=k,
         j=j,
         x=tuple(float(v) for v in nodes),
         values=tuple(float(v) for v in u),
         eigenvalue=slc.eigenvalues[j - 1],
-        grid_used=n,
+        grid_used=_SAMPLE_CELLS,
     )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from revspec import ProfileSpec, assemble_spectrum, build_profile, builtin_profile
@@ -23,6 +24,19 @@ def bump():
         )
 
     return make
+
+
+@pytest.fixture(scope="session")
+def sampled_bump():
+    """The bump f = (1 - x^2)(1 + 2(1 - x^2)) as a 25-knot spline: jittered
+    Chebyshev knots, alternating +-1e-3 relative noise on interior samples."""
+    i = np.arange(25)
+    t = -np.cos(np.pi * i / 24)
+    x = t + 0.2 * np.sin(7.0 * i) * np.gradient(t)
+    x[0], x[-1] = -1.0, 1.0
+    f = (1.0 - x * x) * (1.0 + 2.0 * (1.0 - x * x)) * (1.0 + 1e-3 * (-1.0) ** i)
+    f[0] = f[-1] = 0.0
+    return build_profile(ProfileSpec("sampled", {"x": x.tolist(), "f": f.tolist()}))
 
 
 @pytest.fixture(scope="session")

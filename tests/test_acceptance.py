@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 
 from revspec import (
     QuadratureConfig,
-    SolverConfig,
     assemble_spectrum,
     curvature_at,
     curvature_sign_indicator,
@@ -191,14 +190,14 @@ def test_criterion_10_rigidity_diagnostics(canonical, paper, capsys):
     worst_can = 0.0
     for m in range(1, 5):
         res = trial_residual(canonical, m).residual_norm
-        refined = trial_residual(canonical, m, SolverConfig(n_initial=512)).residual_norm
+        refined = trial_residual(canonical, m, 512).residual_norm
         estimate = abs(res - refined) + 1e-13  # two-grid estimate, floored at roundoff
         worst_can = max(worst_can, res)
         ok = ok and res <= 10.0 * estimate
     ratios = []
     for n in (1024, 2048, 4096):
-        res = trial_residual(paper, 1, SolverConfig(n_initial=n)).residual_norm
-        refined = trial_residual(paper, 1, SolverConfig(n_initial=2 * n)).residual_norm
+        res = trial_residual(paper, 1, n).residual_norm
+        refined = trial_residual(paper, 1, 2 * n).residual_norm
         estimate = abs(res - refined) + 1e-13
         ratios.append(res / (10.0 * estimate))
         ok = ok and res > 10.0 * estimate

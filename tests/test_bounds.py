@@ -7,7 +7,6 @@ from revspec import (
     DomainError,
     InapplicabilityError,
     QuadratureConfig,
-    SolverConfig,
     assemble_spectrum,
     bounds_table,
     bounds_table_csv,
@@ -170,7 +169,7 @@ def test_trial_residual_canonical_tiny(canonical):
 def test_trial_residual_paper_persists(paper):
     values = []
     for n in (1024, 2048, 4096):
-        diag = trial_residual(paper, 1, SolverConfig(n_initial=n))
+        diag = trial_residual(paper, 1, n)
         values.append(diag.residual_norm)
         assert "not an eigenfunction" in diag.note
     # converges to the continuum residual norm rather than to zero

@@ -73,6 +73,13 @@ def test_unknown_flag_exits_2(capsys):
     assert run_capture(["validate", "--profile", "canonical", "--bogus"], capsys)[0] == 2
 
 
+def test_flag_the_subcommand_does_not_read_exits_2(capsys):
+    # each tuning flag is offered only where it is read
+    assert run_capture(["validate", "--profile", "canonical", "--quad-tol", "1e-8"], capsys)[0] == 2
+    assert run_capture(["sl", "--profile", "canonical", "--merge-tol", "1e-3"], capsys)[0] == 2
+    assert run_capture(["trace", "--profile", "canonical", "--rel-tol", "1e-8"], capsys)[0] == 2
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_capture(["frobnicate", "--profile", "canonical"], capsys)[0] == 2
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicSpline
 
 from revspec import (
     DomainError,
@@ -266,6 +267,15 @@ def test_sign_indicator_boundary(bump):
     assert ind.implies_negative_curvature == (ind.f_integral >= 2.0)
     assert curvature_sign_indicator(bump(0.7), QUAD).implies_negative_curvature
     assert not curvature_sign_indicator(bump(0.5), QUAD).implies_negative_curvature
+
+
+def test_sign_indicator_sampled_integrates_across_knots(sampled_bump):
+    # K' jumps at the knots; piecewise integration makes int x^2 K exact for
+    # the spline, which by parts (f(+-1) = 0, f'(+-1) = -+2) is 2 - int f
+    spline = CubicSpline(sampled_bump.spec.params["x"], sampled_bump.spec.params["f"],
+                         bc_type=((1, 2.0), (1, -2.0)))
+    ind = curvature_sign_indicator(sampled_bump, QUAD)
+    assert ind.x2K_integral == pytest.approx(2.0 - spline.integrate(-1.0, 1.0), abs=1e-13)
 
 
 def test_parts_identity_across_family(bump, paper):

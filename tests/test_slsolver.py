@@ -8,11 +8,14 @@ from numpy.testing import assert_allclose
 from revspec import (
     DomainError,
     SolverConfig,
+    assemble_spectrum,
+    builtin_profile,
     eigenfunction,
     eigenvalues,
     first_eigenvalue,
     trace_check,
 )
+from revspec.cli import run
 
 from oracles import oracle_mode_eigenvalues, sphere_mode_eigenvalue
 
@@ -30,9 +33,9 @@ PAPER_FROZEN = [
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(n_initial=2)
+        SolverConfig(n_max=2)
     with pytest.raises(ValueError):
-        SolverConfig(n_initial=512, n_max=256)
+        SolverConfig(n_max=15)  # below the smallest basis size, 16
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=0.0)
 
@@ -100,7 +103,7 @@ def test_first_eigenvalue_monotone_in_k(paper, bump):
 
 
 def test_unconverged_slice_is_flagged(paper):
-    cfg = SolverConfig(n_initial=16, n_max=32, rel_tol=1e-12)
+    cfg = SolverConfig(n_max=32, rel_tol=1e-12)
     slc = eigenvalues(paper, 1, 3, cfg)
     assert not slc.converged
     assert slc.grid_used == 32
@@ -108,43 +111,86 @@ def test_unconverged_slice_is_flagged(paper):
 
 
 def test_single_solve_has_no_error_estimate(paper):
-    # n_max == n_initial leaves no second grid to estimate against
-    slc = eigenvalues(paper, 1, 3, SolverConfig(n_initial=64, n_max=64))
+    # n_max == the starting basis size leaves no second size to estimate against
+    slc = eigenvalues(paper, 1, 3, SolverConfig(n_max=16))
     assert not slc.converged
     assert all(math.isinf(err) for err in slc.error_estimates)
 
 
 def test_count_too_large_for_grid_cap(canonical):
     with pytest.raises(DomainError):
-        eigenvalues(canonical, 0, 100, SolverConfig(n_initial=16, n_max=64))
+        eigenvalues(canonical, 0, 100, SolverConfig(n_max=64))
     with pytest.raises(DomainError):
         eigenvalues(canonical, 0, 0)
 
 
 def test_raw_estimates_converge_and_richardson_accelerates(paper):
-    """Grid-doubled estimates converge; extrapolation gains at least 2x/rung.
+    """Ritz values converge in the basis size N down to the error floor.
 
-    The canonical k = 0 eigenvalues are reproduced at machine accuracy on
-    every grid (the h^2 error term of the flux scheme vanishes identically
-    for polynomial eigenfunctions), so the shrink ratio is measured on the
-    non-polynomial example profile and the canonical case asserts the floor.
+    The name is older than the Galerkin solver: the estimates it guards are
+    now the raw Ritz values, which converge spectrally, with no extrapolation
+    on top. The N = 16 -> 32 step gains at least 2x, and from N = 32 on the
+    values sit within the 1e-10 relative floor of an N = 128 solve.
     """
-    frozen = np.array([3.3114976, 8.3049624])
+    ref = np.array(eigenvalues(paper, 0, 8, SolverConfig(n_max=128, rel_tol=1e-30)).eigenvalues)
     errors = []
     for n in (16, 32, 64):
-        cfg = SolverConfig(n_initial=n, n_max=2 * n, rel_tol=1e-30)
-        slc = eigenvalues(paper, 0, 3, cfg)
-        errors.append(np.max(np.abs(np.array(slc.eigenvalues[1:]) - frozen)))
+        slc = eigenvalues(paper, 0, 8, SolverConfig(n_max=n, rel_tol=1e-30))
+        assert slc.grid_used == n
+        errors.append(np.max(np.abs(np.array(slc.eigenvalues) - ref) / np.maximum(ref, 1.0)))
     assert errors[0] / errors[1] >= 2.0
-    assert errors[1] / errors[2] >= 2.0
+    assert max(errors[1:]) <= 1e-10
 
 
 def test_canonical_k0_richardson_floor(canonical):
+    """Every basis size reproduces the round-sphere k = 0 values (j-1)j.
+
+    The basis holds the exact eigenfunctions, so the only error left is
+    roundoff, below 1e-10 at every size.
+    """
     exact = np.array([sphere_mode_eigenvalue(0, j) for j in range(1, 5)])
-    for n in (32, 64, 128):
-        cfg = SolverConfig(n_initial=n, n_max=2 * n, rel_tol=1e-30)
-        slc = eigenvalues(canonical, 0, 4, cfg)
+    for n in (16, 32, 64):
+        slc = eigenvalues(canonical, 0, 4, SolverConfig(n_max=n, rel_tol=1e-30))
         assert np.max(np.abs(np.array(slc.eigenvalues) - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper-example"])
+def test_default_tolerance_converges_up_to_k12(name):
+    prof = builtin_profile(name)
+    for k in range(13):
+        slc = eigenvalues(prof, k, 8)
+        assert slc.converged, k
+        if name == "canonical":
+            exact = np.array([sphere_mode_eigenvalue(k, j) for j in range(1, 9)])
+            assert np.all(np.abs(np.array(slc.eigenvalues) - exact) <= slc.error_estimates), k
+
+
+def test_paper_lambda1_agrees_across_entry_points(paper, capsys):
+    """sl --k 1, assemble_spectrum(3) and assemble_spectrum(10) agree on lambda_1."""
+    assert run(["sl", "--profile", "paper-example", "--k", "1", "--count", "3"]) == 0
+    slc = json.loads(capsys.readouterr().out)
+    stated = [(slc["eigenvalues"][0], slc["error_estimates"][0])]
+    for m_target in (3, 10):
+        entry = assemble_spectrum(paper, m_target).entries[1]
+        assert entry.modes == frozenset({1})
+        (_, _, value, err), = entry.members
+        assert entry.value == value
+        stated.append((value, err))
+    for a, err_a in stated:
+        for b, err_b in stated:
+            assert abs(a - b) <= err_a + err_b
+
+
+def test_sampled_estimates_bound_distance_to_tight_solve(sampled_bump):
+    prof = sampled_bump
+    assert len(prof.breaks) == 25
+    tight_cfg = SolverConfig(n_max=128, rel_tol=1e-12)
+    for k in range(4):
+        loose = eigenvalues(prof, k, 8)
+        tight = eigenvalues(prof, k, 8, tight_cfg)
+        assert loose.converged, k
+        distance = np.abs(np.array(loose.eigenvalues) - np.array(tight.eigenvalues))
+        assert np.all(distance <= loose.error_estimates), k
 
 
 def test_oracle_cross_check_on_paper_example(paper):

@@ -172,7 +172,7 @@ def test_assembly_consistent_with_slices(paper, paper_spectrum6):
     entry = paper_spectrum6.entries[1]
     assert entry.modes == frozenset({1})
     direct = eigenvalues(paper, 1, 1)
-    # the two ladders refine differently; agreement within solver error
+    # different counts settle at different basis sizes; agreement within solver error
     assert entry.value == pytest.approx(direct.eigenvalues[0], rel=2e-6)
 
 
