@@ -21,12 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InapplicabilityError, RevspecError
+from .errors import DomainError, InapplicabilityError
 from .profile import (
     MetricProfile,
     curvature_sign_indicator,
     integrate_curvature_moment,
     integrate_moment,
+    moment_table,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .slsolver import solver_grid
@@ -96,9 +97,11 @@ def ray_bound(p: MetricProfile, m: int, l: int, q: QuadratureConfig = DEFAULT_QU
         raise DomainError("eigenvalue index m must be >= 1")
     if l < 1:
         raise DomainError("trial exponent l must be >= 1")
-    moment_lo = integrate_moment(p, l - 1, q)
-    moment_hi = integrate_moment(p, l, q)
-    curv = integrate_curvature_moment(p, l, q)
+    return _ray(m, l, integrate_moment(p, l - 1, q), integrate_moment(p, l, q),
+                integrate_curvature_moment(p, l, q))
+
+
+def _ray(m, l, moment_lo, moment_hi, curv):
     return m * m * moment_lo / moment_hi + l * curv / (2.0 * moment_hi)
 
 
@@ -141,41 +144,33 @@ def bounds_table(
     q: QuadratureConfig = DEFAULT_QUADRATURE,
     spectrum=None,
 ) -> list:
-    """One BoundsRow per m = 1..m_max.
+    """One BoundsRow per m = 1..m_max, all from one moment table.
 
     The tested exponents are l_set plus {1, m} so that the sharp and rough
-    columns always exist. Cells whose computation fails (inapplicable
-    hypothesis, quadrature budget) are left absent rather than failing the
-    table. ``spectrum`` may be an assembled GlobalSpectrum; its values fill
-    the computed_lambda column where deep enough.
+    columns always exist; every cell is filled, and a moment table that
+    cannot meet q raises QuadratureAccuracyError. ``neg_curv`` is None
+    exactly when int f < 2. ``spectrum`` may be an assembled GlobalSpectrum;
+    its values fill the computed_lambda column where deep enough.
     """
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
     extra = [int(l) for l in l_set]
     if any(l < 1 for l in extra):
         raise DomainError("trial exponents must be >= 1")
+    I, C = moment_table(p, max([m_max, *extra]), q)
     rows = []
     for m in range(1, m_max + 1):
-        ray = {}
-        for l in sorted({1, m, *extra}):
-            try:
-                ray[l] = ray_bound(p, m, l, q)
-            except RevspecError:
-                pass
-        try:
-            neg = negative_curvature_bound(p, m, q)
-        except RevspecError:
-            neg = None
+        ray = {l: float(_ray(m, l, I[l - 1], I[l], C[l])) for l in sorted({1, m, *extra})}
         computed = None
         if spectrum is not None and m < len(spectrum.entries):
             computed = spectrum.entries[m].value
         rows.append(
             BoundsRow(
                 m=m,
-                sharp=ray.get(m),
+                sharp=ray[m],
                 ray=ray,
-                rough=ray.get(1),
-                neg_curv=neg,
+                rough=ray[1],
+                neg_curv=float(m * m + C[1] / (2.0 * I[1])) if I[1] >= 2.0 else None,
                 canonical=float(m * m + m),
                 computed_lambda=computed,
             )

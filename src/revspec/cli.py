@@ -8,7 +8,8 @@ identical inputs.
 
 Exit codes: 0 success (and, for verify, all checks passed); 1 a verification
 check failed; 2 usage error (bad flags, unreadable or malformed profile,
-out-of-range options); 3 numerical non-convergence.
+out-of-range options); 3 numerical non-convergence (a bound table whose
+moments do not converge included).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _TUNING_FLAGS = {
                         help="eigenvalue merge tolerance (default: adaptive, "
                              "max(1e-6*ceiling, 10*worst error estimate))"),
     "--quad-tol": dict(type=float, default=1e-10,
-                       help="quadrature absolute tolerance (default 1e-10)"),
+                       help="quadrature tolerance, relative to max(|integral|, 1) (default 1e-10)"),
     "--grid-max": dict(type=int, default=DEFAULT_SOLVER.n_max,
                        help=f"solver basis-size cap (default {DEFAULT_SOLVER.n_max})"),
 }

@@ -20,8 +20,9 @@ class DomainError(RevspecError, ValueError):
 
 
 class QuadratureAccuracyError(RevspecError, ArithmeticError):
-    """Adaptive quadrature exhausted its subdivision budget before reaching
-    the requested absolute tolerance. Carries the best estimate found."""
+    """A quadrature rule exhausted its node-doubling budget before reaching
+    the requested tolerance. Carries the best estimate found and, where the
+    rule has one, its error estimate."""
 
     def __init__(self, message, best_estimate, error_estimate=None):
         super().__init__(message)

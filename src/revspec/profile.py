@@ -27,13 +27,7 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ProfileError
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    GAUSS_JACOBI,
-    QuadratureConfig,
-    adaptive_gauss,
-    gauss_jacobi_sqrt_weight,
-)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_gauss, gauss_jacobi_sqrt_weight
 
 #: Absolute tolerance for the endpoint value/slope admissibility checks.
 #: Built-in and polynomial profiles satisfy the conditions exactly; the
@@ -364,63 +358,46 @@ def curvature_at(p: MetricProfile, x):
     return out
 
 
-def _power_integrand(p: MetricProfile, l: int, extra=None):
-    """Integrand f^l * extra, assembled in log space where f > 0.
+def moment_table(p: MetricProfile, l_max: int, q: QuadratureConfig = DEFAULT_QUADRATURE):
+    """All profile moments up to l_max from one quadrature: arrays (I, C).
 
-    High moments underflow pointwise where f is small; exp(l*log f) keeps
-    them positive and avoids 0**l artifacts where roundoff makes f <= 0
-    right at the endpoints (the integrand is extended by 0 there).
+    I[l] is the integral of f^l and C[l] that of f^l K over [-1, 1], each
+    within q.abs_tol relative to max(|integral|, 1). The powers are a
+    running product, so high ones underflow gracefully to 0 where f is
+    small; the integrand is 0 where f <= 0 (roundoff right at the
+    endpoints).
     """
+    if l_max < 0:
+        raise DomainError("moment exponent l must be >= 0")
 
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
+    def rows(x):
         fx = np.asarray(p.f(x), dtype=float)
-        out = np.zeros_like(fx)
-        pos = fx > 0.0
-        if l == 0:
-            out[pos] = 1.0
-        else:
-            out[pos] = np.exp(l * np.log(fx[pos]))
-        if extra is not None:
-            out = out * np.asarray(extra(x), dtype=float)
-        return out
+        powers = np.empty((l_max + 1, x.size))
+        powers[0] = fx > 0.0
+        fx = np.maximum(fx, 0.0)
+        for l in range(1, l_max + 1):
+            powers[l] = powers[l - 1] * fx
+        curv = -0.5 * np.asarray(p.d2f(x), dtype=float)
+        return np.concatenate([powers, powers * curv])
 
-    return integrand
-
-
-def _integrate(p, l, q, extra=None):
-    integrand = _power_integrand(p, l, extra)
-    if q.rule == GAUSS_JACOBI:
-        return gauss_jacobi_sqrt_weight(
-            lambda x: np.sqrt(1.0 - x * x) * integrand(x), q.abs_tol, _jacobi_doublings(q)
-        )
-    return adaptive_gauss(integrand, -1.0, 1.0, q.abs_tol, q.max_subdivisions)
-
-
-def _jacobi_doublings(q):
-    # Node counts double from 16; eight doublings (4096 nodes) is already far
-    # beyond what any admissible profile needs.
-    return min(q.max_subdivisions, 8)
+    table = adaptive_gauss(rows, p.breaks, q.abs_tol)
+    return table[: l_max + 1], table[l_max + 1:]
 
 
 def integrate_moment(p: MetricProfile, l: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Profile moment: integral of f^l over [-1, 1], within q.abs_tol."""
-    if l < 0:
-        raise DomainError("moment exponent l must be >= 0")
-    return _integrate(p, l, q)
+    """Profile moment: integral of f^l over [-1, 1] (see moment_table)."""
+    return float(moment_table(p, l, q)[0][l])
 
 
 def integrate_curvature_moment(
     p: MetricProfile, l: int, q: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Curvature moment: integral of f^l K over [-1, 1], within q.abs_tol.
+    """Curvature moment: integral of f^l K over [-1, 1] (see moment_table).
 
     For l = 0 this is the chart's total-curvature identity: it equals 2 for
     every admissible profile (the surface integral of K is then 4*pi).
     """
-    if l < 0:
-        raise DomainError("moment exponent l must be >= 0")
-    return _integrate(p, l, q, extra=lambda x: -0.5 * np.asarray(p.d2f(x), dtype=float))
+    return float(moment_table(p, l, q)[1][l])
 
 
 def curvature_sign_indicator(
@@ -433,14 +410,8 @@ def curvature_sign_indicator(
     the realized gap is reported for auditing.
     """
     f_int = integrate_moment(p, 1, q)
-    # K' jumps at spline knots, where the panel error estimate cannot see it,
-    # so each smooth piece is integrated alone with its share of the tolerance.
-    pieces = len(p.breaks) - 1
-    x2k = sum(
-        adaptive_gauss(lambda x: -0.5 * x * x * np.asarray(p.d2f(x), dtype=float),
-                       a, b, q.abs_tol / pieces, q.max_subdivisions)
-        for a, b in zip(p.breaks[:-1], p.breaks[1:])
-    )
+    x2k = adaptive_gauss(lambda x: -0.5 * x * x * np.asarray(p.d2f(x), dtype=float),
+                         p.breaks, q.abs_tol)
     return CurvatureSignIndicator(
         f_integral=f_int,
         x2K_integral=x2k,
@@ -463,4 +434,4 @@ def liouville_length(p: MetricProfile, q: QuadratureConfig = DEFAULT_QUADRATURE)
             raise DomainError("profile must be positive on (-1, 1) to have a Liouville length")
         return np.sqrt((1.0 - x * x) / fx)
 
-    return gauss_jacobi_sqrt_weight(g, q.abs_tol, _jacobi_doublings(q))
+    return gauss_jacobi_sqrt_weight(g, q.abs_tol)

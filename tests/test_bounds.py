@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -156,6 +157,61 @@ def test_bounds_table_csv_shape(paper):
     # absent computed_lambda serializes as an empty cell
     assert lines[1].endswith(",")
     assert text.endswith("\n")
+
+
+def _paper_moments_mpmath(l_max):
+    """I(l) and C(l) of f = 2(1-x^2)/(1+x^2) in closed form, at 30 digits.
+
+    With x = tan(phi/2), f = 2 cos(phi), K = (2 cos(phi) - 1)(1 + cos(phi))^2
+    and dx = dphi / (1 + cos(phi)) on |phi| <= pi/2, so both moments reduce
+    to the Wallis integrals W(n) = int cos^n: C(l) = 2^l (2 W(l+2) + W(l+1)
+    - W(l)) and I(l) = 2^l J(l) with J(l) = W(l-1) - J(l-1), J(0) = 2.
+    """
+    with mp.workdps(30):
+        W = [mp.pi, mp.mpf(2)]
+        for n in range(2, l_max + 3):
+            W.append(W[n - 2] * (n - 1) / n)
+        J = [mp.mpf(2)]
+        for l in range(1, l_max + 1):
+            J.append(W[l - 1] - J[l - 1])
+        moments = [2**l * J[l] for l in range(l_max + 1)]
+        curvature = [2**l * (2 * W[l + 2] + W[l + 1] - W[l]) for l in range(l_max + 1)]
+        # the reduction itself, checked against mpmath quadrature at the top
+        f = lambda x: 2 * (1 - x * x) / (1 + x * x)
+        K = lambda x: 4 * (1 - 3 * x * x) / (1 + x * x) ** 3
+        assert mp.almosteq(moments[l_max], mp.quad(lambda x: f(x) ** l_max, [-1, 0, 1]), 1e-25)
+        assert mp.almosteq(curvature[l_max], mp.quad(lambda x: f(x) ** l_max * K(x), [-1, 0, 1]), 1e-25)
+    return moments, curvature
+
+
+def test_bounds_table_paper_deep_cells_match_mpmath(paper):
+    # every cell to depth 50 comes back, including l >= 20 where the moments
+    # reach 1e14, and sits within 1e-12 of the 30-digit reference
+    I, C = _paper_moments_mpmath(50)
+    rows = bounds_table(paper, 50, (2, 3, 5), QUAD)
+    for row in rows[19:]:
+        m = row.m
+        assert set(row.ray) == {1, 2, 3, 5, m}
+        for l, value in row.ray.items():
+            ref = float(m * m * I[l - 1] / I[l] + l * C[l] / (2 * I[l]))
+            assert value == pytest.approx(ref, rel=1e-12, abs=0), (m, l)
+        assert row.sharp == row.ray[m] and row.rough == row.ray[1]
+        assert row.neg_curv == pytest.approx(float(m * m + C[1] / (2 * I[1])), rel=1e-12, abs=0)
+
+
+def test_bounds_table_canonical_sharp_to_depth_50(canonical):
+    for row in bounds_table(canonical, 50, (1,), QUAD):
+        assert row.sharp == pytest.approx(row.m * (row.m + 1.0), rel=1e-13, abs=0)
+
+
+def test_bounds_table_raises_when_moments_cannot_converge():
+    # f drops from about 2 to 0 within 1e-6 of x = 1, far below the finest panel
+    from revspec import ProfileSpec, QuadratureAccuracyError, build_profile
+
+    prof = build_profile(ProfileSpec("rational", {"numerator": [1, 0, -1],
+                                                  "denominator": [1.000001, -1]}))
+    with pytest.raises(QuadratureAccuracyError):
+        bounds_table(prof, 5, (1,), QUAD)
 
 
 # ------------------------------------------------------------- residuals

@@ -52,6 +52,28 @@ def test_bounds_bad_l_set_exits_2(capsys):
     assert "l-set" in err
 
 
+def test_bounds_deep_csv_has_no_blank_bound(capsys):
+    status, out, _ = run_capture(
+        ["bounds", "--profile", "paper-example", "--m-max", "50", "--format", "csv"], capsys
+    )
+    assert status == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 51
+    for line in lines[1:]:
+        m, sharp, rough = line.split(",")[:3]
+        assert sharp and rough, m
+
+
+def test_bounds_unconvergeable_moments_exit_3(tmp_path, capsys):
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"kind": "rational", "params": {
+        "numerator": [1, 0, -1], "denominator": [1.000001, -1]}}))
+    status, out, err = run_capture(["bounds", "--profile", str(path), "--m-max", "5"], capsys)
+    assert status == 3
+    assert out == ""
+    assert "error:" in err
+
+
 def test_trace_rejects_invariant_mode(capsys):
     status, _, err = run_capture(["trace", "--profile", "canonical", "--k", "0"], capsys)
     assert status == 2

@@ -237,11 +237,6 @@ def test_total_curvature_across_family(canonical, paper, bump):
         assert integrate_curvature_moment(prof, 0, QUAD) == pytest.approx(2.0, abs=1e-9)
 
 
-def test_jacobi_rule_moment_agrees(paper):
-    jacobi = QuadratureConfig(rule="Gauss-Jacobi-endpoint-weighted", abs_tol=1e-12)
-    assert integrate_moment(paper, 1, jacobi) == pytest.approx(2.0 * math.pi - 4.0, abs=1e-10)
-
-
 # ------------------------------------------------------- sign indicator
 
 def test_sign_indicator_canonical(canonical):
