@@ -79,7 +79,7 @@ def build_parser():
     sp.add_argument("--count", type=int, default=8, help="how many eigenvalues (default 8)")
 
     sp = sub.add_parser("spectrum", help="assemble the distinct eigenvalues with multiplicities")
-    _add_flags(sp, "--rel-tol", "--merge-tol", "--grid-max")
+    _add_flags(sp, "--rel-tol", "--merge-tol", "--quad-tol", "--grid-max")
     sp.add_argument("--m-max", type=int, default=6, help="deepest distinct index (default 6)")
 
     sp = sub.add_parser("bounds", help="closed-form upper-bound table")
@@ -186,7 +186,7 @@ def _cmd_spectrum(args, profile):
     if args.m_max < 0:
         raise ProfileError("--m-max must be >= 0")
     spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args),
-                                          merge_tol=args.merge_tol)
+                                          args.merge_tol, _quad_config(args))
     if args.format == "json":
         return _json_text(spec.to_json_dict()), 0
     return spec.to_csv(), 0
@@ -207,7 +207,7 @@ def _cmd_bounds(args, profile):
     l_set = _parse_l_set(args.l_set)
     try:
         spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args),
-                                              merge_tol=args.merge_tol)
+                                              args.merge_tol, _quad_config(args))
     except RevspecError as exc:
         print(f"note: computed eigenvalues unavailable ({exc})", file=sys.stderr)
         spec = None
@@ -242,7 +242,7 @@ def _cmd_verify(args, profile):
         lhs=float(report.passed), rhs=1.0, passed=report.passed,
     ))
 
-    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg, merge_tol=args.merge_tol)
+    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg, args.merge_tol, quad)
     checks.extend(spectrum_mod.verify_multiplicity_bound(spec).checks)
     checks.extend(spectrum_mod.verify_monotonicity(profile, max(2, min(5, args.m_max + 1)), cfg).checks)
     half = max(1, args.m_max // 2)

@@ -13,31 +13,37 @@ Two rules cover everything the package integrates:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_legendre
 
 from .errors import QuadratureAccuracyError
 
 
-def _gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule.
+@lru_cache(maxsize=64)
+def gauss_legendre(n, steps=1, start=roots_legendre):
+    """Nodes and weights of the n-point Gauss-Legendre rule, cached read-only.
 
-    leggauss's weights are off by up to 1e-13 relative at n = 25; two
-    Newton steps on the three-term recurrence and the closed-form weights
-    2 / ((1 - x^2) P_n'(x)^2) bring them to about 1e-14.
+    The nodes of ``start(n)`` get ``steps`` Newton steps on the three-term
+    recurrence and the weights are the closed form 2 / ((1 - x^2) P_n'(x)^2):
+    library weights are off by up to 1e-13 relative (leggauss at n = 25) to
+    1e-11 (roots_legendre at n = 1000), these by about 1e-14.
     """
-    x = leggauss(n)[0]
-    for _ in range(2):
+    x = start(n)[0]
+    for _ in range(steps):
         p0, p1 = np.ones_like(x), x
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         dp = n * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False  # the cache shares them
+    return x, w
 
 
-_GL25 = _gauss_legendre(25)
+_GL25 = gauss_legendre(25, 2, leggauss)
 
 #: Relative agreement below which two panel counts sit at roundoff, so a
 #: smaller tolerance could never be met.

@@ -16,9 +16,12 @@ condition is imposed, and the quadratic forms become
     mass      = int w^k v^2 dx,
 
 integrated by Gauss-Legendre on each of the profile's smooth pieces
-(MetricProfile.breaks), exactly for every polynomial factor. The paper's
-trial functions f^(m/2) are a one-term Ritz space of this kind, and on the
-round sphere the basis holds the exact eigenfunctions.
+(MetricProfile.breaks), exactly for every polynomial factor. The basis is
+orthonormal under the mass form, so its matrix is the identity to roundoff
+(1e-13 at N = 1024) and is never formed: a standard symmetric eigensolve of
+the stiffness matrix gives the Ritz values. The paper's trial functions
+f^(m/2) are a one-term Ritz space of this kind, and on the round sphere the
+basis holds the exact eigenfunctions.
 
 The basis size doubles from max(16, count + 8) until two sizes agree within
 rel_tol. The error estimate is that difference, floored at 1e-10 relative:
@@ -29,15 +32,15 @@ error. Smooth profiles converge spectrally, splines algebraically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import roots_legendre
+from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError
 from .profile import MetricProfile, liouville_length
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, gauss_legendre
 
 _MIN_BASIS = 16
 #: Basis functions kept beyond the eigenvalues asked for.
@@ -47,9 +50,9 @@ _ERROR_FLOOR = 1e-10
 #: Gauss nodes per smooth piece beyond the N + k that the polynomial factors
 #: need, for the non-polynomial factors q and 1/q.
 _EXTRA_NODES = 24
-#: Entries per basis table in one assembly block: nodes are processed in
-#: blocks of _BLOCK_ENTRIES // N, so assembly memory stays O(N^2).
-_BLOCK_ENTRIES = 16384
+#: Entries per basis table in one assembly block of _BLOCK_ENTRIES // N
+#: nodes, one rank update each: tables near 256 kB, assembly memory O(N^2).
+_BLOCK_ENTRIES = 32768
 #: Cells of the grid eigenfunctions are sampled on.
 _SAMPLE_CELLS = 256
 
@@ -88,13 +91,8 @@ class SLSpectrumSlice:
     converged: bool
 
     def to_json_dict(self):
-        return {
-            "k": self.k,
-            "eigenvalues": list(self.eigenvalues),
-            "error_estimates": list(self.error_estimates),
-            "grid_used": self.grid_used,
-            "converged": self.converged,
-        }
+        return {**asdict(self), "eigenvalues": list(self.eigenvalues),
+                "error_estimates": list(self.error_estimates)}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -126,25 +124,11 @@ class TraceReport:
     deviation: float
 
     def to_json_dict(self):
-        return {
-            "k": self.k,
-            "terms_used": self.terms_used,
-            "partial_sum": self.partial_sum,
-            "tail_estimate": self.tail_estimate,
-            "target": self.target,
-            "deviation": self.deviation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(
-            k=int(data["k"]),
-            terms_used=int(data["terms_used"]),
-            partial_sum=data["partial_sum"],
-            tail_estimate=data["tail_estimate"],
-            target=data["target"],
-            deviation=data["deviation"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -167,7 +151,7 @@ def solver_grid(n: int):
 
 
 def _jacobi_rows(n, k, x, scale):
-    """scale * P_j^(k,k)(x) and scale * P_j^(k,k)'(x) for j < n, orthonormal.
+    """scale * P_j^(k,k)(x) for j < n, orthonormal under the weight w^k.
 
     The three-term recurrence is linear, so it runs on the scaled values
     directly; a scale that cancels the growth of P_j^(k,k) toward the poles
@@ -178,22 +162,22 @@ def _jacobi_rows(n, k, x, scale):
     mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.5))
     # Row 0 holds P_(-1) = 0, so one update covers every degree.
     val = np.zeros((n + 1, x.size))
-    der = np.zeros((n + 1, x.size))
     val[1] = scale / math.sqrt(mu0)
     for i in range(n - 1):
         val[i + 2] = (x * val[i + 1] - b[i] * val[i]) / b[i + 1]
-        der[i + 2] = (val[i + 1] + x * der[i + 1] - b[i] * der[i]) / b[i + 1]
-    return val[1:], der[1:]
+    return val[1:]
 
 
-def _galerkin_matrices(p: MetricProfile, k: int, n: int):
-    """Stiffness and mass matrices of mode k in the n-term Jacobi basis.
+def _stiffness(p: MetricProfile, k: int, n: int):
+    """Stiffness matrix of mode k in the n-term Jacobi basis.
 
     With H_j = w^((k-1)/2) P_j and G_j = w^((k-1)/2) (w P_j' - k x P_j), the
-    forms are sum(q G G) + k^2 sum(H H / q) and sum(w H H) over the
-    quadrature, accumulated block by block over the nodes.
+    form is sum(q G G) + k^2 sum(H H / q) over the quadrature. The Gegenbauer
+    identity w P_j' = -j x P_j + (2j+2k+1) b_j P_(j-1) gives G from the value
+    rows, and each node block adds one rank update R R^T with
+    R = [G sqrt(c q), k H sqrt(c / q)].
     """
-    t, c = roots_legendre(n + k + _EXTRA_NODES)
+    t, c = gauss_legendre(n + k + _EXTRA_NODES)
     a, b = np.asarray(p.breaks[:-1])[:, None], np.asarray(p.breaks[1:])[:, None]
     x = (0.5 * (a + b) + 0.5 * (b - a) * t).ravel()
     wts = (0.5 * (b - a) * c).ravel()
@@ -202,31 +186,33 @@ def _galerkin_matrices(p: MetricProfile, k: int, n: int):
     if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
         raise DomainError("profile must be positive on (-1, 1) to assemble a mode operator")
     q = f / w
-    stiff = np.zeros((n, n))
-    mass = np.zeros((n, n))
+    j = np.arange(n, dtype=float)[:, None]
+    sub = np.sqrt(j * (j + 2 * k) * (2 * j + 2 * k + 1) / (2 * j + 2 * k - 1))[1:]  # (2j+2k+1) b_j
+    stiff = np.zeros((n, n), order="F")
     block = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, x.size, block):
         sl = slice(lo, lo + block)
-        xb, wb, qb, cb = x[sl], w[sl], q[sl], wts[sl]
-        h, d = _jacobi_rows(n, k, xb, wb ** (0.5 * (k - 1)))
-        g = wb * d - k * xb * h
-        stiff += (g * (cb * qb)) @ g.T
-        if k:
-            stiff += (k * k) * ((h * (cb / qb)) @ h.T)
-        mass += (h * (cb * wb)) @ h.T
-    return stiff, mass
+        xb, qb, cb = x[sl], q[sl], wts[sl]
+        h = _jacobi_rows(n, k, xb, w[sl] ** (0.5 * (k - 1)))
+        g = -(j + k) * xb * h
+        g[1:] += sub * h[:-1]
+        g *= np.sqrt(cb * qb)
+        r = np.hstack((g, (k * h) * np.sqrt(cb / qb))) if k else g
+        # R R^T from R^T, a Fortran view of the C-ordered R: no copy.
+        stiff = dsyrk(1.0, r.T, beta=1.0, c=stiff, trans=1, overwrite_c=1)
+    return np.triu(stiff) + np.triu(stiff, 1).T
 
 
-def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> SLSpectrumSlice:
-    """First ``count`` eigenvalues of the mode-k operator.
+def _ritz(p: MetricProfile, k: int, n: int, vectors: bool = False):
+    """Ritz values of mode k in the n-term basis, ascending, and their
+    coefficient vectors if asked (else None); the mass matrix is I."""
+    out = eigh(_stiffness(p, k, n), eigvals_only=not vectors, overwrite_a=True, check_finite=False)
+    return out if vectors else (out, None)
 
-    Negative k is folded to |k| (conjugate modes have equal spectra). The
-    basis size doubles from max(16, count + 8) until two sizes agree within
-    rel_tol * max(|lambda|, 1) for every eigenvalue or the next size would
-    pass n_max; in the latter case the largest-basis slice is returned
-    flagged unconverged rather than raising. A slice from a single basis
-    size has infinite error estimates.
-    """
+
+def _converge(p: MetricProfile, k: int, count: int, cfg: SolverConfig, vectors: bool = False):
+    """The doubling ladder behind ``eigenvalues``: the slice, and the Ritz
+    vectors of its final solve when ``vectors`` is set (else None)."""
     k = abs(int(k))
     count = int(count)
     if count < 1:
@@ -238,8 +224,8 @@ def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAUL
     prev = None
     err = np.full(count, np.inf)
     while True:
-        stiff, mass = _galerkin_matrices(p, k, n)
-        values = eigh(stiff, mass, eigvals_only=True)[:count]
+        values, vecs = _ritz(p, k, n, vectors)
+        values = values[:count]
         scale = np.maximum(np.abs(values), 1.0)
         if prev is not None:
             raw = np.abs(values - prev)
@@ -257,7 +243,20 @@ def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAUL
         error_estimates=tuple(float(e) for e in err),
         grid_used=n,
         converged=bool(np.all(err <= cfg.rel_tol * scale)),
-    )
+    ), vecs
+
+
+def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> SLSpectrumSlice:
+    """First ``count`` eigenvalues of the mode-k operator.
+
+    Negative k is folded to |k| (conjugate modes have equal spectra). The
+    basis size doubles from max(16, count + 8) until two sizes agree within
+    rel_tol * max(|lambda|, 1) for every eigenvalue or the next size would
+    pass n_max; in the latter case the largest-basis slice is returned
+    flagged unconverged rather than raising. A slice from a single basis
+    size has infinite error estimates.
+    """
+    return _converge(p, k, count, cfg)[0]
 
 
 def first_eigenvalue(p: MetricProfile, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
@@ -283,8 +282,7 @@ def trace_check(p: MetricProfile, k: int, terms: int, cfg: SolverConfig = DEFAUL
     if n > cfg.n_max:
         raise DomainError(f"terms={terms} needs a basis larger than n_max={cfg.n_max}")
 
-    stiff, mass = _galerkin_matrices(p, k, n)
-    lam = eigh(stiff, mass, eigvals_only=True)[:terms]
+    lam = _ritz(p, k, n)[0][:terms]
     if np.any(lam <= 0.0):
         raise DomainError("mode eigenvalues must be positive to sum reciprocals")
     partial = float(np.sum(1.0 / lam))
@@ -304,21 +302,17 @@ def trace_check(p: MetricProfile, k: int, terms: int, cfg: SolverConfig = DEFAUL
 def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_SOLVER) -> EigenfunctionSamples:
     """Samples of the j-th eigenfunction of mode k on the 256-cell sample grid.
 
-    The Ritz vector comes from the basis size at which ``eigenvalues``
-    settles. Samples are normalized to unit discrete L2 norm
-    (sqrt(h * sum u_i^2) = 1) with the sign fixed so the first nonzero
-    sample from the left is positive.
+    The Ritz vector comes from the final solve of the ``eigenvalues`` ladder.
+    Samples are normalized to unit discrete L2 norm (sqrt(h * sum u_i^2) = 1)
+    with the sign fixed so the first nonzero sample from the left is positive.
     """
     k = abs(int(k))
     if j < 1:
         raise DomainError("eigenfunction index j must be >= 1")
-    slc = eigenvalues(p, k, j, cfg)
-    n = slc.grid_used
-    stiff, mass = _galerkin_matrices(p, k, n)
-    vec = eigh(stiff, mass)[1][:, j - 1]
+    slc, vecs = _converge(p, k, j, cfg, vectors=True)
     nodes, h = solver_grid(_SAMPLE_CELLS)
-    rows, _ = _jacobi_rows(n, k, nodes, ((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))
-    u = vec @ rows
+    rows = _jacobi_rows(slc.grid_used, k, nodes, ((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))
+    u = vecs[:, j - 1] @ rows
     u = u / (math.sqrt(h) * float(np.linalg.norm(u)))
     nz = np.flatnonzero(np.abs(u) > 1e-8 * float(np.max(np.abs(u))))
     if nz.size and u[nz[0]] < 0.0:

@@ -26,7 +26,7 @@ from typing import Optional
 from .bounds import rough_bound
 from .errors import AssemblyError, DomainError
 from .profile import MetricProfile, liouville_length
-from .quadrature import DEFAULT_QUADRATURE
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .slsolver import DEFAULT_SOLVER, SolverConfig, eigenvalues, first_eigenvalue
 
 _MAX_CEILING_GROWTHS = 24
@@ -270,6 +270,7 @@ def assemble_spectrum(
     m_target: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
     merge_tol: Optional[float] = None,
+    q: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> GlobalSpectrum:
     """Enumerate the distinct eigenvalues up to at least index m_target.
 
@@ -301,8 +302,8 @@ def assemble_spectrum(
             per_mode_slices={0: slc},
         )
 
-    ceiling = rough_bound(p, m_target, DEFAULT_QUADRATURE)
-    length = liouville_length(p, DEFAULT_QUADRATURE)
+    ceiling = rough_bound(p, m_target, q)
+    length = liouville_length(p, q)
     for _ in range(_MAX_CEILING_GROWTHS):
         spectrum = _try_assemble(p, m_target, cfg, merge_tol, ceiling, length)
         if spectrum is not None:

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import revspec
+from revspec import spectrum as spectrum_mod
 from revspec.cli import run
 
 
@@ -100,6 +103,37 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys):
     assert run_capture(["validate", "--profile", "canonical", "--quad-tol", "1e-8"], capsys)[0] == 2
     assert run_capture(["sl", "--profile", "canonical", "--merge-tol", "1e-3"], capsys)[0] == 2
     assert run_capture(["trace", "--profile", "canonical", "--rel-tol", "1e-8"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--m-max", "4"], ["bounds", "--m-max", "4"],
+                                  ["verify", "--m-max", "3"]])
+def test_default_quad_tol_leaves_reports_unchanged(argv, capsys):
+    argv = argv + ["--profile", "paper-example"]
+    default = run_capture(argv, capsys)
+    explicit = run_capture(argv + ["--quad-tol", "1e-10"], capsys)
+    assert default[0] == 0
+    assert explicit == default
+
+
+def test_spectrum_reads_quad_tol(capsys, monkeypatch):
+    tolerances = []
+    rough_bound = spectrum_mod.rough_bound
+
+    def recording(p, m, q):
+        tolerances.append(q.abs_tol)
+        return rough_bound(p, m, q)
+
+    monkeypatch.setattr(spectrum_mod, "rough_bound", recording)
+    argv = ["spectrum", "--profile", "paper-example", "--m-max", "4"]
+    status, out, _ = run_capture(argv + ["--quad-tol", "1e-12"], capsys)
+    assert status == 0
+    assert tolerances == [1e-12]
+    tight = json.loads(out)
+    default = json.loads(run_capture(argv, capsys)[1])
+    assert tolerances == [1e-12, 1e-10]
+    for a, b in zip(tight["entries"], default["entries"]):
+        assert a["multiplicity"] == b["multiplicity"]
+        assert a["value"] == pytest.approx(b["value"], rel=1e-12)
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -232,9 +266,12 @@ def test_json_reports_reparse_into_types(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the revspec under test, however pytest found it
+    src = os.path.dirname(os.path.dirname(revspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "revspec", "validate", "--profile", "canonical"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

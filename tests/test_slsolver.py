@@ -1,9 +1,12 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
+from scipy.special import eval_jacobi, gammaln
 
 from revspec import (
     DomainError,
@@ -15,7 +18,9 @@ from revspec import (
     first_eigenvalue,
     trace_check,
 )
+from revspec import slsolver
 from revspec.cli import run
+from revspec.quadrature import gauss_legendre
 
 from oracles import oracle_mode_eigenvalues, sphere_mode_eigenvalue
 
@@ -201,6 +206,90 @@ def test_oracle_cross_check_on_paper_example(paper):
         assert_allclose(ours.eigenvalues, ref, rtol=5e-5)
 
 
+# ---------------------------------------------------------------- assembly
+
+@functools.lru_cache(maxsize=None)
+def _quadrature_mass_deviation(breaks, k, n, stride):
+    """max |M - I| of the solver's rule for the basis w^(k/2) P_j^(k,k), j < n.
+
+    Checks the whole diagonal and every ``stride``-th row of M. The rule
+    depends on the profile only through its breaks, so profiles that share
+    them share the result.
+    """
+    t, c = gauss_legendre(n + k + slsolver._EXTRA_NODES)
+    picked = np.arange(0, n, stride)
+    rows = -np.eye(n)[picked]
+    diag = -np.ones(n)
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * t
+        h = slsolver._jacobi_rows(n, k, x, ((1.0 - x) * (1.0 + x)) ** (0.5 * k))
+        hc = h * (0.5 * (b - a) * c)
+        rows += h[picked] @ hc.T
+        diag += np.einsum("ij,ij->i", h, hc)
+    return max(np.max(np.abs(rows)), np.max(np.abs(diag)))
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump"])
+def test_quadrature_mass_matrix_is_identity(name, request):
+    """The rule integrates w^k P_i P_j exactly, so the solver takes M = I.
+
+    Every entry is checked up to N = 256; at N = 1024 the diagonal and every
+    64th row.
+    """
+    prof = request.getfixturevalue("sampled_bump") if name == "sampled_bump" else builtin_profile(name)
+    for n, stride in ((16, 1), (64, 1), (256, 1), (1024, 64)):
+        for k in (0, 1, 2, 5, 12, 40):
+            assert _quadrature_mass_deviation(prof.breaks, k, n, stride) <= 1e-12, (n, k)
+
+
+def _reference_stiffness(p, k, n):
+    """The mode-k stiffness matrix from scipy's Jacobi polynomials.
+
+    P_j' comes from d/dx P_j^(a,b) = (j+a+b+1)/2 P_(j-1)^(a+1,b+1), the
+    orthonormal scaling from the closed-form norms, and the integrals from
+    numpy's Gauss-Legendre rule with 2N + k + 60 nodes per piece.
+    """
+    t, c = leggauss(2 * n + k + 60)
+    j = np.arange(n)
+    log_norm = ((2 * k + 1) * np.log(2.0) - np.log(2 * j + 2 * k + 1)
+                + 2 * gammaln(j + k + 1) - gammaln(j + 2 * k + 1) - gammaln(j + 1))
+    inv_norm = np.exp(-0.5 * log_norm)[:, None]
+    stiff = np.zeros((n, n))
+    for a, b in zip(p.breaks[:-1], p.breaks[1:]):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * t
+        wts = 0.5 * (b - a) * c
+        w = (1.0 - x) * (1.0 + x)
+        q = p.f(x) / w
+        val = eval_jacobi(j[:, None], k, k, x) * inv_norm
+        der = np.zeros_like(val)
+        der[1:] = 0.5 * (j[1:, None] + 2 * k + 1) * eval_jacobi(j[1:, None] - 1, k + 1, k + 1, x) * inv_norm[1:]
+        g = w * der - k * x * val
+        weight = wts * w ** (k - 1.0)
+        stiff += (g * (weight * q)) @ g.T + (k * k) * ((val * (weight / q)) @ val.T)
+    return stiff
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump"])
+def test_stiffness_matches_independent_assembly(name, request):
+    prof = request.getfixturevalue("sampled_bump") if name == "sampled_bump" else builtin_profile(name)
+    for n in (16, 32):
+        for k in (0, 1, 2, 5):
+            ref = _reference_stiffness(prof, k, n)
+            got = slsolver._stiffness(prof, k, n)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, k)
+
+
+def test_block_size_does_not_change_eigenvalues(paper, sampled_bump, monkeypatch):
+    cfg = SolverConfig(n_max=32)
+    cases = [(prof, k) for prof in (paper, sampled_bump) for k in (0, 1, 3)]
+    default = [eigenvalues(prof, k, 8, cfg) for prof, k in cases]
+    monkeypatch.setattr(slsolver, "_BLOCK_ENTRIES", 1)  # one node per block
+    for (prof, k), ref in zip(cases, default):
+        slc = eigenvalues(prof, k, 8, cfg)
+        assert slc.grid_used == ref.grid_used
+        assert_allclose(slc.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=1e-12)
+
+
 # ------------------------------------------------------------------ trace
 
 def test_trace_canonical_k1_telescopes(canonical):
@@ -271,6 +360,52 @@ def test_eigenfunction_unit_discrete_norm(paper):
     ef = eigenfunction(paper, 2, 1)
     h = 2.0 / ef.grid_used
     assert h * float(np.sum(np.square(ef.values))) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, j, shape", [
+    (0, 2, lambda x: x),
+    (0, 3, lambda x: 3.0 * x * x - 1.0),
+    (1, 1, lambda x: np.sqrt(1.0 - x * x)),
+    (1, 2, lambda x: x * np.sqrt(1.0 - x * x)),
+    (2, 1, lambda x: 1.0 - x * x),
+])
+def test_eigenfunction_round_sphere_closed_forms(canonical, k, j, shape):
+    """Mode k, index j of the round sphere is the Legendre function P_(k+j-1)^k."""
+    ef = eigenfunction(canonical, k, j)
+    x = np.array(ef.x)
+    ref = shape(x)
+    ref /= math.sqrt(2.0 / ef.grid_used * float(np.sum(ref * ref)))
+    if ref[0] < 0.0:  # the sign rule: first nonzero sample positive
+        ref = -ref
+    assert_allclose(ef.values, ref, rtol=0.0, atol=1e-10)
+    assert ef.eigenvalue == pytest.approx(sphere_mode_eigenvalue(k, j), rel=1e-12)
+
+
+def test_eigenfunction_norm_and_sign_rule(paper, sampled_bump):
+    for prof in (paper, sampled_bump):
+        for k, j in ((0, 1), (0, 4), (1, 2), (3, 3)):
+            ef = eigenfunction(prof, k, j)
+            u = np.array(ef.values)
+            assert 2.0 / ef.grid_used * float(np.sum(u * u)) == pytest.approx(1.0, rel=1e-12)
+            first = np.flatnonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0]
+            assert u[first] > 0.0, (k, j)
+
+
+def test_eigenfunction_reuses_the_final_solve(paper, monkeypatch):
+    assembled = []
+    stiffness = slsolver._stiffness
+
+    def counting(p, k, n):
+        assembled.append(n)
+        return stiffness(p, k, n)
+
+    monkeypatch.setattr(slsolver, "_stiffness", counting)
+    slc = eigenvalues(paper, 2, 3)
+    ladder = list(assembled)
+    assembled.clear()
+    ef = eigenfunction(paper, 2, 3)
+    assert assembled == ladder  # the ladder's sizes, none assembled again
+    assert ef.eigenvalue == pytest.approx(slc.eigenvalues[2], rel=1e-13)
 
 
 # ------------------------------------------------------------ serialization
