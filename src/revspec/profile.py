@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ProfileError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_gauss, gauss_jacobi_sqrt_weight
@@ -239,13 +238,58 @@ def _build_sampled(params):
     # Clamped C^2 cubic with the admissible endpoint slopes baked in; the
     # slope condition is a hard constraint, so it is part of reconstruction
     # rather than left to the data.
-    spline = CubicSpline(x, fv, bc_type=((1, 2.0), (1, -2.0)))
+    table = _clamped_spline(x, fv, 2.0, -2.0)
+    d1 = table[:-1] * np.array([[3.0], [2.0], [1.0]])
+    d2 = d1[:-1] * np.array([[2.0], [1.0]])
     return (
-        _wrap_scalar(lambda t: spline(t)),
-        _wrap_scalar(lambda t: spline(t, 1)),
-        _wrap_scalar(lambda t: spline(t, 2)),
+        _piecewise_polynomial(x, table),
+        _piecewise_polynomial(x, d1),
+        _piecewise_polynomial(x, d2),
         tuple(float(v) for v in x),
     )
+
+
+def _clamped_spline(x, y, slope_lo, slope_hi):
+    """Coefficients of the clamped C^2 cubic through (x, y): a (4, n - 1)
+    table, highest power first, in powers of (t - x_i) on piece i.
+
+    One tridiagonal solve gives the knot moments M_i = s''(x_i); the system
+    is strictly diagonally dominant, so elimination needs no pivoting.
+    """
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    diag = np.concatenate([[2.0 * h[0]], 2.0 * (h[:-1] + h[1:]), [2.0 * h[-1]]])
+    rhs = 6.0 * np.diff(np.concatenate([[slope_lo], slope, [slope_hi]]))
+    # Thomas algorithm: the sub- and superdiagonal are both h
+    for i in range(1, x.size):
+        ratio = h[i - 1] / diag[i - 1]
+        diag[i] -= ratio * h[i - 1]
+        rhs[i] -= ratio * rhs[i - 1]
+    moments = rhs
+    moments[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        moments[i] = (moments[i] - h[i] * moments[i + 1]) / diag[i]
+    lo, hi = moments[:-1], moments[1:]
+    return np.array([(hi - lo) / (6.0 * h), 0.5 * lo, slope - h * (2.0 * lo + hi) / 6.0, y[:-1]])
+
+
+def _piecewise_polynomial(breaks, table):
+    """Evaluator of the piecewise polynomial with coefficient rows ``table``
+    (highest power first, in powers of t - breaks[i] on piece i); points
+    outside [breaks[0], breaks[-1]] extend the end pieces."""
+    interior = breaks[1:-1]
+
+    def evaluate(t):
+        piece = interior.searchsorted(t, "right")  # piece i holds [breaks[i], breaks[i + 1])
+        s = t - breaks.take(piece)
+        coef = table.take(piece, axis=1)
+        out = coef[0]
+        for row in coef[1:]:
+            out *= s
+            out += row
+        return out
+
+    return _wrap_scalar(evaluate)
 
 
 def build_profile(spec: ProfileSpec) -> MetricProfile:

@@ -19,9 +19,11 @@ integrated by Gauss-Legendre on each of the profile's smooth pieces
 (MetricProfile.breaks), exactly for every polynomial factor. The basis is
 orthonormal under the mass form, so its matrix is the identity to roundoff
 (1e-13 at N = 1024) and is never formed: a standard symmetric eigensolve of
-the stiffness matrix gives the Ritz values. The paper's trial functions
-f^(m/2) are a one-term Ritz space of this kind, and on the round sphere the
-basis holds the exact eigenfunctions.
+the stiffness matrix (numpy.linalg) gives the Ritz values. The stiffness
+matrix is summed over blocks of 512 quadrature nodes, one symmetric rank
+update each. The paper's trial functions f^(m/2) are a one-term Ritz space
+of this kind, and on the round sphere the basis holds the exact
+eigenfunctions.
 
 The basis size doubles from max(16, count + 8) until two sizes agree within
 rel_tol. The error estimate is that difference, floored at 1e-10 relative:
@@ -35,8 +37,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError
 from .profile import MetricProfile, liouville_length
@@ -50,9 +50,11 @@ _ERROR_FLOOR = 1e-10
 #: Gauss nodes per smooth piece beyond the N + k that the polynomial factors
 #: need, for the non-polynomial factors q and 1/q.
 _EXTRA_NODES = 24
-#: Entries per basis table in one assembly block of _BLOCK_ENTRIES // N
-#: nodes, one rank update each: tables near 256 kB, assembly memory O(N^2).
-_BLOCK_ENTRIES = 32768
+#: Quadrature nodes per assembly block, one rank update each. The recurrence
+#: takes N Python-level steps per block, so wide blocks keep those steps few
+#: (a single-piece profile is one block up to N + k = 488); a block's rows
+#: hold 2 N * _BLOCK_NODES entries, so assembly memory stays O(N^2).
+_BLOCK_NODES = 512
 #: Cells of the grid eigenfunctions are sampled on.
 _SAMPLE_CELLS = 256
 
@@ -175,7 +177,7 @@ def _stiffness(p: MetricProfile, k: int, n: int):
     form is sum(q G G) + k^2 sum(H H / q) over the quadrature. The Gegenbauer
     identity w P_j' = -j x P_j + (2j+2k+1) b_j P_(j-1) gives G from the value
     rows, and each node block adds one rank update R R^T with
-    R = [G sqrt(c q), k H sqrt(c / q)].
+    R = [G sqrt(c q), k H sqrt(c / q)], written into one buffer per solve.
     """
     t, c = gauss_legendre(n + k + _EXTRA_NODES)
     a, b = np.asarray(p.breaks[:-1])[:, None], np.asarray(p.breaks[1:])[:, None]
@@ -188,26 +190,34 @@ def _stiffness(p: MetricProfile, k: int, n: int):
     q = f / w
     j = np.arange(n, dtype=float)[:, None]
     sub = np.sqrt(j * (j + 2 * k) * (2 * j + 2 * k + 1) / (2 * j + 2 * k - 1))[1:]  # (2j+2k+1) b_j
-    stiff = np.zeros((n, n), order="F")
-    block = max(1, _BLOCK_ENTRIES // n)
+    block = min(_BLOCK_NODES, x.size)
+    rows = np.empty((n, 2 * block if k else block))
+    stiff = np.zeros((n, n))
+    update = np.empty((n, n))
     for lo in range(0, x.size, block):
         sl = slice(lo, lo + block)
         xb, qb, cb = x[sl], q[sl], wts[sl]
+        m = xb.size
         h = _jacobi_rows(n, k, xb, w[sl] ** (0.5 * (k - 1)))
-        g = -(j + k) * xb * h
+        g = rows[:, :m]
+        np.multiply(h, xb, out=g)
+        g *= -(j + k)
         g[1:] += sub * h[:-1]
         g *= np.sqrt(cb * qb)
-        r = np.hstack((g, (k * h) * np.sqrt(cb / qb))) if k else g
-        # R R^T from R^T, a Fortran view of the C-ordered R: no copy.
-        stiff = dsyrk(1.0, r.T, beta=1.0, c=stiff, trans=1, overwrite_c=1)
-    return np.triu(stiff) + np.triu(stiff, 1).T
+        if k:
+            np.multiply(h, k * np.sqrt(cb / qb), out=rows[:, m:2 * m])
+        r = rows[:, :2 * m if k else m]
+        # R @ R.T on one buffer: numpy computes it as a symmetric rank update
+        np.matmul(r, r.T, out=update)
+        stiff += update
+    return stiff
 
 
 def _ritz(p: MetricProfile, k: int, n: int, vectors: bool = False):
     """Ritz values of mode k in the n-term basis, ascending, and their
     coefficient vectors if asked (else None); the mass matrix is I."""
-    out = eigh(_stiffness(p, k, n), eigvals_only=not vectors, overwrite_a=True, check_finite=False)
-    return out if vectors else (out, None)
+    stiff = _stiffness(p, k, n)
+    return np.linalg.eigh(stiff) if vectors else (np.linalg.eigvalsh(stiff), None)
 
 
 def _converge(p: MetricProfile, k: int, count: int, cfg: SolverConfig, vectors: bool = False):

@@ -173,11 +173,23 @@ class CanonicalComparison:
         }
 
 
+def _converged_slice(p, k, count, cfg):
+    """The mode-k slice; AssemblyError if it missed rel_tol, so that no
+    unconverged eigenvalue enters a spectrum."""
+    slc = eigenvalues(p, k, count, cfg)
+    if not slc.converged:
+        raise AssemblyError(
+            f"mode k={slc.k} did not converge to rel_tol={cfg.rel_tol:.3e} by basis size "
+            f"N={slc.grid_used} (worst error estimate {max(slc.error_estimates):.3e})"
+        )
+    return slc
+
+
 def _mode_slice_below(p, k, lam_hi, count_hint, cfg):
     """Solve mode k until its slice provably covers everything below lam_hi."""
     count = count_hint
     while True:
-        slc = eigenvalues(p, k, count, cfg)
+        slc = _converged_slice(p, k, count, cfg)
         if slc.eigenvalues[-1] > lam_hi:
             return slc
         if count >= _MAX_MODE_COUNT:
@@ -279,12 +291,13 @@ def assemble_spectrum(
     it. With merge_tol=None the tolerance is max(1e-6 * ceiling, 10 * worst
     per-eigenvalue error estimate); an explicit merge_tol that fails to
     dominate the solver errors raises AssemblyError naming the offending
-    mode eigenvalue.
+    mode eigenvalue, and so does a mode slice that misses rel_tol by the
+    basis cap (naming k, the basis size and the worst error estimate).
     """
     if m_target < 0:
         raise DomainError("m_target must be >= 0")
     if m_target == 0:
-        slc = eigenvalues(p, 0, 1, cfg)
+        slc = _converged_slice(p, 0, 1, cfg)
         err = slc.error_estimates[0]
         tol = float(merge_tol) if merge_tol is not None else max(1e-8, 10.0 * err)
         value = slc.eigenvalues[0]

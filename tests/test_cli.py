@@ -77,6 +77,16 @@ def test_bounds_unconvergeable_moments_exit_3(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("cmd", ["spectrum", "verify"])
+def test_unconverged_mode_slice_exits_3(cmd, capsys):
+    # a basis capped at its smallest size gets one solve, so no slice converges
+    argv = [cmd, "--profile", "paper-example", "--m-max", "2", "--grid-max", "16", "--rel-tol", "1e-12"]
+    status, out, err = run_capture(argv, capsys)
+    assert status == 3
+    assert out == ""
+    assert "k=0" in err and "N=16" in err and "error estimate inf" in err
+
+
 def test_trace_rejects_invariant_mode(capsys):
     status, _, err = run_capture(["trace", "--profile", "canonical", "--k", "0"], capsys)
     assert status == 2
@@ -265,13 +275,38 @@ def test_json_reports_reparse_into_types(capsys):
     assert spec.entries[2].multiplicity == 5
 
 
-def test_module_entry_point():
-    # the child imports the revspec under test, however pytest found it
+def _child_env():
+    """Environment in which a child imports the revspec under test, however
+    pytest found it."""
     src = os.path.dirname(os.path.dirname(revspec.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "revspec", "validate", "--profile", "canonical"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only oracle: importing revspec and running a mode
+    # solve from the command line must not load it
+    child = (
+        "import runpy, sys\n"
+        "import revspec\n"
+        "sys.argv = ['revspec', 'sl', '--profile', 'canonical', '--k', '1']\n"
+        "try:\n"
+        "    runpy.run_module('revspec', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    *report, loaded = proc.stdout.splitlines()
+    assert json.loads("\n".join(report))["converged"] is True
+    assert loaded == "[]"

@@ -82,6 +82,34 @@ def test_sampled_profile_reconstruction(canonical):
     assert validate_profile(prof).passed
 
 
+def _nonuniform_97():
+    """97 knots clustered toward the poles and jittered, with noisy samples."""
+    i = np.arange(97)
+    t = np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 97))
+    x = t + 0.3 * np.sin(5.0 * i) * np.gradient(t)
+    x[0], x[-1] = -1.0, 1.0
+    return x, (1.0 - x * x) * (1.0 + 0.5 * np.sin(3.0 * x) + 1e-3 * (-1.0) ** i)
+
+
+@pytest.mark.parametrize("case", ["sampled_bump", "nonuniform_97", "two_samples"])
+def test_sampled_spline_matches_scipy(case, sampled_bump):
+    if case == "sampled_bump":
+        x, fv = (np.asarray(sampled_bump.spec.params[key]) for key in ("x", "f"))
+    elif case == "nonuniform_97":
+        x, fv = _nonuniform_97()
+    else:
+        x, fv = np.array([-1.0, 1.0]), np.zeros(2)
+    prof = build_profile(ProfileSpec("sampled", {"x": x.tolist(), "f": fv.tolist()}))
+    oracle = CubicSpline(x, fv, bc_type=((1, 2.0), (1, -2.0)))
+    pts = np.concatenate([x, np.linspace(-1.0, 1.0, 2001), [-1.0, 1.0, 0.3]])  # the knots exactly
+    for nu, (fn, rtol) in enumerate(((prof.f, 1e-14), (prof.df, 1e-13), (prof.d2f, 1e-13))):
+        values, expected = fn(pts), oracle(pts, nu)
+        assert_allclose(values, expected, rtol=0, atol=rtol * float(np.max(np.abs(expected))))
+        assert type(fn(0.3)) is float and fn(0.3) == values[-1]
+    if case == "two_samples":  # the clamped cubic through two samples is 1 - x^2
+        assert_allclose(prof.f(pts), 1.0 - pts * pts, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "spec, fragment",
     [

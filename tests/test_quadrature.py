@@ -1,10 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+from scipy.special import roots_legendre
 
 from revspec import QuadratureAccuracyError, QuadratureConfig
-from revspec.quadrature import adaptive_gauss, gauss_jacobi_sqrt_weight
+from revspec.quadrature import adaptive_gauss, gauss_jacobi_sqrt_weight, gauss_legendre
 
 
 def test_config_validation():
@@ -60,3 +63,31 @@ def test_jacobi_polynomial_factor():
     # integral of x^2 / sqrt(1-x^2) = pi/2
     val = gauss_jacobi_sqrt_weight(lambda x: x * x, 1e-13)
     assert val == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+def _legendre_node_and_weight(n, x0):
+    """The Gauss-Legendre node nearest x0 and its weight, to 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(x0)
+        for _ in range(3):  # Newton from a double-precision node; the last step only rounds
+            p0, p1 = mp.mpf(1), x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 40, 133, 283, 1072, 2048])
+def test_gauss_legendre_matches_references(n):
+    x, w = gauss_legendre(n)
+    assert_allclose(x, roots_legendre(n)[0], rtol=0, atol=1e-15)
+    # roots_legendre's weights are off by up to 1e-7 relative near n = 2048,
+    # so the weights are checked against 40 digits. At a Gauss node
+    # d(log w)/dx = 2x / (1 - x^2): a node right to a few ulps moves the
+    # weight by about 2e-15 / (1 - x^2) relative, which is most near the poles.
+    idx = range(n) if n <= 40 else sorted({0, 1, 2, 3, 5, 10, 20, n // 4, n // 2})
+    for i in idx:
+        node, weight = _legendre_node_and_weight(n, x[i])
+        assert abs(x[i] - node) <= 1e-15
+        assert abs(w[i] / weight - 1) <= 1e-13 + 2e-15 / (1.0 - x[i] ** 2)

@@ -283,11 +283,15 @@ def test_block_size_does_not_change_eigenvalues(paper, sampled_bump, monkeypatch
     cfg = SolverConfig(n_max=32)
     cases = [(prof, k) for prof in (paper, sampled_bump) for k in (0, 1, 3)]
     default = [eigenvalues(prof, k, 8, cfg) for prof, k in cases]
-    monkeypatch.setattr(slsolver, "_BLOCK_ENTRIES", 1)  # one node per block
+    # N = 258 on 25 pieces: 7125 nodes, several full blocks and a partial one
+    wide = slsolver._ritz(sampled_bump, 3, 258)[0]
+    monkeypatch.setattr(slsolver, "_BLOCK_NODES", 1)  # one node per block
     for (prof, k), ref in zip(cases, default):
         slc = eigenvalues(prof, k, 8, cfg)
         assert slc.grid_used == ref.grid_used
         assert_allclose(slc.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=1e-12)
+    monkeypatch.setattr(slsolver, "_BLOCK_NODES", 10**6)  # every node in one block
+    assert_allclose(slsolver._ritz(sampled_bump, 3, 258)[0], wide, rtol=1e-12, atol=1e-12)
 
 
 # ------------------------------------------------------------------ trace
