@@ -26,7 +26,7 @@ from .profile import (
     MetricProfile,
     curvature_sign_indicator,
     integrate_curvature_moment,
-    integrate_moment,
+    integrate_moment,  # unused here, but bench/tracing.py rebinds bounds.integrate_moment
     moment_table,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -97,8 +97,8 @@ def ray_bound(p: MetricProfile, m: int, l: int, q: QuadratureConfig = DEFAULT_QU
         raise DomainError("eigenvalue index m must be >= 1")
     if l < 1:
         raise DomainError("trial exponent l must be >= 1")
-    return _ray(m, l, integrate_moment(p, l - 1, q), integrate_moment(p, l, q),
-                integrate_curvature_moment(p, l, q))
+    I, C = moment_table(p, l, q)
+    return float(_ray(m, l, I[l - 1], I[l], C[l]))
 
 
 def _ray(m, l, moment_lo, moment_hi, curv):

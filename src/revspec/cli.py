@@ -244,16 +244,16 @@ def _cmd_verify(args, profile):
 
     spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg, args.merge_tol, quad)
     checks.extend(spectrum_mod.verify_multiplicity_bound(spec).checks)
-    checks.extend(spectrum_mod.verify_monotonicity(profile, max(2, min(5, args.m_max + 1)), cfg).checks)
+    k_max = max(2, min(5, args.m_max + 1))
+    checks.extend(spectrum_mod.verify_monotonicity(profile, k_max, cfg, spectrum=spec).checks)
     half = max(1, args.m_max // 2)
     checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec).checks)
 
-    for m in range(1, args.m_max + 1):
-        lam = spec.entries[m].value
-        for name, bound in (("sharp_bound", bounds_mod.sharp_bound(profile, m, quad)),
-                            ("rough_bound", bounds_mod.rough_bound(profile, m, quad))):
+    for row in bounds_mod.bounds_table(profile, args.m_max, (), quad):
+        lam = spec.entries[row.m].value
+        for name, bound in (("sharp_bound", row.sharp), ("rough_bound", row.rough)):
             checks.append(spectrum_mod.Check(
-                name=name, location=f"m={m}", lhs=lam, rhs=bound,
+                name=name, location=f"m={row.m}", lhs=lam, rhs=bound,
                 passed=lam <= bound + 1e-3 * max(abs(bound), 1.0),
             ))
 

@@ -69,7 +69,12 @@ class DistinctEigenvalue:
 
 @dataclass(frozen=True)
 class GlobalSpectrum:
-    """Distinct eigenvalues up to a truncation ceiling, with audit data."""
+    """Distinct eigenvalues up to a truncation ceiling, with audit data.
+
+    ``per_mode_slices`` maps each solved k to its mode slice: every mode
+    that reaches below the ceiling, and the first one that does not (its
+    lowest eigenvalue, which stopped the enumeration, is solved anyway).
+    """
 
     entries: tuple
     merge_tolerance: float
@@ -209,9 +214,9 @@ def _try_assemble(p, m_target, cfg, merge_tol, ceiling, length):
     k = 0
     while True:
         slc = _mode_slice_below(p, k, lam_hi, count_hint, cfg)
+        slices[k] = slc
         if k >= 1 and slc.eigenvalues[0] > lam_hi:
             break  # monotonicity: no higher mode reaches below the ceiling
-        slices[k] = slc
         for j, (value, err) in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1):
             if value <= lam_hi:
                 members.append((value, k, j, err))
@@ -353,8 +358,10 @@ def verify_interlacing(
     """Check lambda_(k+j) <= lambda_k^(j+1) for 1 <= k <= k_max, 0 <= j <= j_max.
 
     The distinct eigenvalues come from an assembled spectrum of depth
-    k_max + j_max (assembled here unless one is supplied); the comparison
-    allows an error budget of budget_rel * max(rhs, 1).
+    k_max + j_max (assembled here unless one is supplied), and so do the
+    mode values wherever its slice of mode k holds j_max + 1 of them; the
+    other modes are solved here. The comparison allows an error budget of
+    budget_rel * max(rhs, 1).
     """
     if k_max < 1 or j_max < 1:
         raise DomainError("k_max and j_max must be >= 1")
@@ -362,7 +369,9 @@ def verify_interlacing(
         spectrum = assemble_spectrum(p, k_max + j_max, cfg)
     checks = []
     for k in range(1, k_max + 1):
-        slc = eigenvalues(p, k, j_max + 1, cfg)
+        slc = spectrum.per_mode_slices.get(k)
+        if slc is None or len(slc.eigenvalues) <= j_max:
+            slc = eigenvalues(p, k, j_max + 1, cfg)
         for j in range(0, j_max + 1):
             lhs = spectrum.entries[k + j].value
             rhs = slc.eigenvalues[j]
@@ -383,11 +392,19 @@ def verify_monotonicity(
     k_max: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
     budget_rel: float = 1e-3,
+    spectrum: Optional[GlobalSpectrum] = None,
 ) -> VerificationReport:
-    """Check that the first mode eigenvalue strictly increases over k = 1..k_max."""
+    """Check that the first mode eigenvalue strictly increases over k = 1..k_max.
+
+    The first eigenvalue of mode k is read from the mode slices of
+    ``spectrum`` where it holds one, and solved here otherwise. The
+    comparison allows an error budget of budget_rel * max(lhs, 1).
+    """
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
-    firsts = [first_eigenvalue(p, k, cfg) for k in range(1, k_max + 1)]
+    slices = spectrum.per_mode_slices if spectrum is not None else {}
+    firsts = [slices[k].eigenvalues[0] if k in slices else first_eigenvalue(p, k, cfg)
+              for k in range(1, k_max + 1)]
     checks = []
     for i in range(len(firsts) - 1):
         lhs, rhs = firsts[i], firsts[i + 1]

@@ -3,7 +3,8 @@
 None of this shares code with revspec: the closed-form round-sphere spectrum
 comes from classical special-function theory, and the finite-difference
 oracles use a vertex-centered grid with explicitly imposed boundary
-conditions (the package solver is cell-centered with implicit ones), so the
+conditions, while the package solver is Jacobi-Galerkin Rayleigh-Ritz with
+the pole factor (1 - x^2)^(k/2) in its basis and no boundary condition. The
 two discretizations agree only if both converge to the true spectrum.
 """
 

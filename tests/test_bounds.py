@@ -64,6 +64,24 @@ def test_sharp_equals_ray_lm_same_path(paper):
         assert sharp_bound(paper, m, QUAD) == ray_bound(paper, m, m, QUAD)
 
 
+def test_ray_bound_reads_one_moment_table(paper, monkeypatch):
+    from revspec import profile as profile_mod
+
+    tables = []
+    adaptive_gauss = profile_mod.adaptive_gauss
+
+    def counting(*args, **kwargs):
+        tables.append(1)
+        return adaptive_gauss(*args, **kwargs)
+
+    monkeypatch.setattr(profile_mod, "adaptive_gauss", counting)
+    for m, l in ((1, 1), (4, 3), (6, 6)):
+        tables.clear()
+        value = ray_bound(paper, m, l, QUAD)
+        assert len(tables) == 1
+        assert value == pytest.approx(bounds_table(paper, m, (l,), QUAD)[m - 1].ray[l], rel=1e-13)
+
+
 def test_domain_errors():
     from revspec import builtin_profile
 

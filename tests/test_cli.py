@@ -146,6 +146,46 @@ def test_spectrum_reads_quad_tol(capsys, monkeypatch):
         assert a["value"] == pytest.approx(b["value"], rel=1e-12)
 
 
+def test_verify_assembles_each_mode_once(capsys, monkeypatch):
+    from revspec import profile as profile_mod, slsolver
+
+    assembled, tables = [], []
+    stiffness, adaptive_gauss = slsolver._stiffness, profile_mod.adaptive_gauss
+
+    def counting_stiffness(p, k, n):
+        assembled.append((k, n))
+        return stiffness(p, k, n)
+
+    def counting_gauss(*args, **kwargs):
+        tables.append(1)
+        return adaptive_gauss(*args, **kwargs)
+
+    monkeypatch.setattr(slsolver, "_stiffness", counting_stiffness)
+    monkeypatch.setattr(profile_mod, "adaptive_gauss", counting_gauss)
+    status, out, _ = run_capture(["verify", "--profile", "paper-example", "--m-max", "4"], capsys)
+    monkeypatch.undo()
+    assert status == 0
+    # six mode slices (k = 0..5) and three trace solves, each assembled once;
+    # one moment table each for validate, the spectrum ceiling and the bounds
+    assert len(assembled) == 9 and len(set(assembled)) == 9
+    assert len(tables) <= 3
+
+    paper = revspec.builtin_profile("paper-example")
+    checks = json.loads(out)["checks"]
+    mono = [c for c in checks if c["name"] == "first_eigenvalue_monotonicity"]
+    assert [c["location"] for c in mono] == [f"k={k}->{k + 1}" for k in range(1, 5)]
+    for k, check in enumerate(mono, start=1):
+        assert check["lhs"] == pytest.approx(revspec.first_eigenvalue(paper, k), rel=1e-12)
+        assert check["rhs"] == pytest.approx(revspec.first_eigenvalue(paper, k + 1), rel=1e-12)
+    spec = revspec.assemble_spectrum(paper, 4)
+    inter = [c for c in checks if c["name"] == "interlacing"]
+    assert len(inter) == 6
+    for check in inter:
+        k, j = (int(part.split("=")[1]) for part in check["location"].split(","))
+        assert check["lhs"] == pytest.approx(spec.entries[k + j].value, rel=1e-12)
+        assert check["rhs"] == pytest.approx(revspec.eigenvalues(paper, k, 3).eigenvalues[j], rel=1e-12)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_capture(["frobnicate", "--profile", "canonical"], capsys)[0] == 2
 

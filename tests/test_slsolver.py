@@ -284,14 +284,44 @@ def test_block_size_does_not_change_eigenvalues(paper, sampled_bump, monkeypatch
     cases = [(prof, k) for prof in (paper, sampled_bump) for k in (0, 1, 3)]
     default = [eigenvalues(prof, k, 8, cfg) for prof, k in cases]
     # N = 258 on 25 pieces: 7125 nodes, several full blocks and a partial one
-    wide = slsolver._ritz(sampled_bump, 3, 258)[0]
+    wide = slsolver._ritz(sampled_bump, 3, 258)
     monkeypatch.setattr(slsolver, "_BLOCK_NODES", 1)  # one node per block
     for (prof, k), ref in zip(cases, default):
         slc = eigenvalues(prof, k, 8, cfg)
         assert slc.grid_used == ref.grid_used
         assert_allclose(slc.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=1e-12)
     monkeypatch.setattr(slsolver, "_BLOCK_NODES", 10**6)  # every node in one block
-    assert_allclose(slsolver._ritz(sampled_bump, 3, 258)[0], wide, rtol=1e-12, atol=1e-12)
+    assert_allclose(slsolver._ritz(sampled_bump, 3, 258), wide, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump"])
+def test_leading_block_is_the_smaller_ritz_matrix(name, request):
+    # the bases are nested, so the ladder reads its size-n Ritz values from
+    # the leading n-block of the 2n stiffness (a finer rule) instead of
+    # assembling size n
+    prof = request.getfixturevalue("sampled_bump") if name == "sampled_bump" else builtin_profile(name)
+    for n in (16, 32):
+        for k in (0, 1, 3):
+            block = np.linalg.eigvalsh(slsolver._stiffness(prof, k, 2 * n)[:n, :n])
+            ref = slsolver._ritz(prof, k, n)
+            assert np.all(np.abs(block - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), (n, k)
+
+
+def test_ladder_assembles_its_first_pair_once(paper, monkeypatch):
+    assembled = []
+    stiffness = slsolver._stiffness
+
+    def counting(p, k, n):
+        assembled.append((k, n))
+        return stiffness(p, k, n)
+
+    monkeypatch.setattr(slsolver, "_stiffness", counting)
+    slc = eigenvalues(paper, 0, 8)
+    assert assembled == [(0, 32)]
+    assert slc.converged and slc.grid_used == 32
+    monkeypatch.undo()
+    # the final size is the same solve as before
+    assert slc.eigenvalues == tuple(slsolver._ritz(paper, 0, 32)[:8])
 
 
 # ------------------------------------------------------------------ trace

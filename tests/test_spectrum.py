@@ -14,6 +14,7 @@ from revspec import (
     verify_monotonicity,
     verify_multiplicity_bound,
 )
+from revspec import spectrum as spectrum_mod
 
 def test_canonical_assembly_values_and_multiplicities(canonical):
     spec = assemble_spectrum(canonical, 3)
@@ -128,6 +129,33 @@ def test_monotonicity_reports(canonical, paper, bump):
     assert firsts == pytest.approx([2.0, 6.0, 12.0, 20.0, 30.0], rel=1e-5)
     assert verify_monotonicity(paper, 5).all_passed
     assert verify_monotonicity(bump(-0.5), 2).all_passed
+
+
+def test_verify_reads_mode_slices_from_the_spectrum(paper, paper_spectrum6, monkeypatch):
+    slices = paper_spectrum6.per_mode_slices
+    # the slice that stopped the enumeration is kept as well
+    top = max(slices)
+    assert slices[top].eigenvalues[0] > paper_spectrum6.truncation
+    plain_mono = verify_monotonicity(paper, 5)
+    plain_inter = verify_interlacing(paper, 3, 3, spectrum=paper_spectrum6)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a mode the spectrum covers was solved again")
+
+    monkeypatch.setattr(spectrum_mod, "eigenvalues", no_solve)
+    monkeypatch.setattr(spectrum_mod, "first_eigenvalue", no_solve)
+    mono = verify_monotonicity(paper, 5, spectrum=paper_spectrum6)
+    inter = verify_interlacing(paper, 3, 3, spectrum=paper_spectrum6)
+    for shared, plain in ((mono, plain_mono), (inter, plain_inter)):
+        assert shared.all_passed
+        assert [c.location for c in shared.checks] == [c.location for c in plain.checks]
+        for a, b in zip(shared.checks, plain.checks):
+            assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
+            assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+    # modes beyond the spectrum's slices are solved
+    monkeypatch.undo()
+    deep = verify_monotonicity(paper, top + 2, spectrum=paper_spectrum6)
+    assert deep.all_passed and len(deep.checks) == top + 1
 
 
 def test_canonical_comparison_equality_counts_as_below(canonical_spectrum6):
