@@ -30,11 +30,12 @@ from .profile import (
     moment_table,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .report import Report
 from .slsolver import solver_grid
 
 
 @dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(Report):
     """All applicable upper bounds for one eigenvalue index m.
 
     ``ray`` maps each tested trial exponent l to its bound; ``sharp`` is
@@ -45,34 +46,11 @@ class BoundsRow:
 
     m: int
     sharp: Optional[float]
-    ray: dict
+    ray: dict[int, float]
     rough: Optional[float]
     neg_curv: Optional[float]
     canonical: float
     computed_lambda: Optional[float]
-
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "sharp": self.sharp,
-            "ray": {str(l): v for l, v in sorted(self.ray.items())},
-            "rough": self.rough,
-            "neg_curv": self.neg_curv,
-            "canonical": self.canonical,
-            "computed_lambda": self.computed_lambda,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            m=int(data["m"]),
-            sharp=data["sharp"],
-            ray={int(l): v for l, v in data["ray"].items()},
-            rough=data["rough"],
-            neg_curv=data["neg_curv"],
-            canonical=data["canonical"],
-            computed_lambda=data["computed_lambda"],
-        )
 
 
 @dataclass(frozen=True)
@@ -176,17 +154,6 @@ def bounds_table(
             )
         )
     return rows
-
-
-def bounds_table_csv(rows) -> str:
-    """CSV with header m,sharp,rough,neg_curv,canonical,computed_lambda."""
-    lines = ["m,sharp,rough,neg_curv,canonical,computed_lambda"]
-    for row in rows:
-        cells = [str(row.m)]
-        for value in (row.sharp, row.rough, row.neg_curv, row.canonical, row.computed_lambda):
-            cells.append("" if value is None else repr(float(value)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def trial_residual(p: MetricProfile, m: int, n: int = 256) -> ResidualDiagnostic:

@@ -30,6 +30,7 @@ from .profile import (
     validate_profile,
 )
 from .quadrature import QuadratureConfig
+from .report import csv_text
 from .slsolver import DEFAULT_SOLVER, SolverConfig
 
 
@@ -112,23 +113,6 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header, records):
-    lines = [",".join(header)]
-    for record in records:
-        cells = []
-        for value in record:
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _solver_config(args):
     return SolverConfig(n_max=args.grid_max, rel_tol=args.rel_tol)
 
@@ -150,7 +134,7 @@ def _cmd_validate(args, profile):
     ]
     header = ["passed", "f_at_-1", "f_at_1", "df_at_-1", "df_at_1",
               "min_f_interior", "area", "curvature_integral", "messages"]
-    return _csv_text(header, [record]), 0
+    return csv_text(header, [record]), 0
 
 
 def _cmd_curvature(args, profile):
@@ -168,7 +152,7 @@ def _cmd_curvature(args, profile):
         }
         return _json_text(payload), 0
     records = [[float(x), float(f), float(k)] for x, f, k in zip(xs, fs, ks)]
-    return _csv_text(["x", "f", "K"], records), 0
+    return csv_text(["x", "f", "K"], records), 0
 
 
 def _cmd_sl(args, profile):
@@ -179,7 +163,7 @@ def _cmd_sl(args, profile):
         return _json_text(slc.to_json_dict()), 0
     records = [[j + 1, lam, err] for j, (lam, err)
                in enumerate(zip(slc.eigenvalues, slc.error_estimates))]
-    return _csv_text(["j", "eigenvalue", "error_estimate"], records), 0
+    return csv_text(["j", "eigenvalue", "error_estimate"], records), 0
 
 
 def _cmd_spectrum(args, profile):
@@ -189,7 +173,9 @@ def _cmd_spectrum(args, profile):
                                           args.merge_tol, _quad_config(args))
     if args.format == "json":
         return _json_text(spec.to_json_dict()), 0
-    return spec.to_csv(), 0
+    records = [[entry.m, entry.value, entry.multiplicity, ";".join(map(str, sorted(entry.modes)))]
+               for entry in spec.entries]
+    return csv_text(["m", "value", "multiplicity", "modes"], records), 0
 
 
 def _parse_l_set(text):
@@ -214,7 +200,10 @@ def _cmd_bounds(args, profile):
     rows = bounds_mod.bounds_table(profile, args.m_max, l_set, _quad_config(args), spec)
     if args.format == "json":
         return _json_text({"rows": [row.to_json_dict() for row in rows]}), 0
-    return bounds_mod.bounds_table_csv(rows), 0
+    records = [[row.m, row.sharp, row.rough, row.neg_curv, row.canonical, row.computed_lambda]
+               for row in rows]
+    header = ["m", "sharp", "rough", "neg_curv", "canonical", "computed_lambda"]
+    return csv_text(header, records), 0
 
 
 def _cmd_trace(args, profile):
@@ -226,7 +215,7 @@ def _cmd_trace(args, profile):
     record = [report.k, report.terms_used, report.partial_sum,
               report.tail_estimate, report.target, report.deviation]
     header = ["k", "terms_used", "partial_sum", "tail_estimate", "target", "deviation"]
-    return _csv_text(header, [record]), 0
+    return csv_text(header, [record]), 0
 
 
 def _cmd_verify(args, profile):
@@ -259,7 +248,7 @@ def _cmd_verify(args, profile):
 
     terms = 100
     for k in range(1, min(3, args.m_max) + 1):
-        trace = slsolver.trace_check(profile, k, terms, cfg)
+        trace = slsolver.trace_check(profile, k, terms, cfg, quad)
         checks.append(spectrum_mod.Check(
             name="trace_identity", location=f"k={k}",
             lhs=trace.partial_sum + trace.tail_estimate, rhs=trace.target,
@@ -285,7 +274,7 @@ def _cmd_verify(args, profile):
         payload["values"] = [entry.value for entry in spec.entries]
         return _json_text(payload), status
     records = [[c.name, c.location, c.lhs, c.rhs, c.passed] for c in checks]
-    return _csv_text(["name", "location", "lhs", "rhs", "passed"], records), status
+    return csv_text(["name", "location", "lhs", "rhs", "passed"], records), status
 
 
 _COMMANDS = {

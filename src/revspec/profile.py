@@ -27,6 +27,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import DomainError, ProfileError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_gauss, gauss_jacobi_sqrt_weight
+from .report import Report
 
 #: Absolute tolerance for the endpoint value/slope admissibility checks.
 #: Built-in and polynomial profiles satisfy the conditions exactly; the
@@ -80,43 +81,20 @@ class MetricProfile:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Report):
     """Outcome of the admissibility checks for one profile."""
 
     passed: bool
-    endpoint_values: tuple  # (f(-1), f(1))
-    endpoint_derivatives: tuple  # (f'(-1), f'(1))
+    endpoint_values: tuple[float, ...]  # (f(-1), f(1))
+    endpoint_derivatives: tuple[float, ...]  # (f'(-1), f'(1))
     min_f_interior: float
     area: float  # 4*pi identically: the chart volume element is dx dtheta
     curvature_integral: float  # integral of K dx; equals 2 for admissible f
-    messages: list
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "endpoint_values": list(self.endpoint_values),
-            "endpoint_derivatives": list(self.endpoint_derivatives),
-            "min_f_interior": self.min_f_interior,
-            "area": self.area,
-            "curvature_integral": self.curvature_integral,
-            "messages": list(self.messages),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            passed=bool(data["passed"]),
-            endpoint_values=tuple(data["endpoint_values"]),
-            endpoint_derivatives=tuple(data["endpoint_derivatives"]),
-            min_f_interior=data["min_f_interior"],
-            area=data["area"],
-            curvature_integral=data["curvature_integral"],
-            messages=list(data["messages"]),
-        )
+    messages: list[str]
 
 
 @dataclass(frozen=True)
-class CurvatureSignIndicator:
+class CurvatureSignIndicator(Report):
     """Integrals deciding whether the profile forces negative curvature.
 
     Integrating the profile by parts twice against the endpoint conditions
@@ -129,23 +107,6 @@ class CurvatureSignIndicator:
     x2K_integral: float
     implies_negative_curvature: bool
     identity_gap: float
-
-    def to_json_dict(self):
-        return {
-            "f_integral": self.f_integral,
-            "x2K_integral": self.x2K_integral,
-            "implies_negative_curvature": self.implies_negative_curvature,
-            "identity_gap": self.identity_gap,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            f_integral=data["f_integral"],
-            x2K_integral=data["x2K_integral"],
-            implies_negative_curvature=bool(data["implies_negative_curvature"]),
-            identity_gap=data["identity_gap"],
-        )
 
 
 def _as_float_array(values, name):

@@ -39,13 +39,14 @@ assembly, at 2n; only 4n, 8n, ... are assembled afresh.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .profile import MetricProfile, liouville_length
-from .quadrature import QuadratureConfig, gauss_legendre
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, gauss_legendre
+from .report import Report
 
 _MIN_BASIS = 16
 #: Basis functions kept beyond the eigenvalues asked for.
@@ -82,7 +83,7 @@ DEFAULT_SOLVER = SolverConfig()
 
 
 @dataclass(frozen=True)
-class SLSpectrumSlice:
+class SLSpectrumSlice(Report):
     """The lowest eigenvalues of one mode operator, with error estimates.
 
     ``eigenvalues`` is strictly increasing (the mode spectra are simple);
@@ -92,28 +93,14 @@ class SLSpectrumSlice:
     """
 
     k: int
-    eigenvalues: tuple
-    error_estimates: tuple
+    eigenvalues: tuple[float, ...]
+    error_estimates: tuple[float, ...]
     grid_used: int
     converged: bool
 
-    def to_json_dict(self):
-        return {**asdict(self), "eigenvalues": list(self.eigenvalues),
-                "error_estimates": list(self.error_estimates)}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            k=int(data["k"]),
-            eigenvalues=tuple(data["eigenvalues"]),
-            error_estimates=tuple(data["error_estimates"]),
-            grid_used=int(data["grid_used"]),
-            converged=bool(data["converged"]),
-        )
-
 
 @dataclass(frozen=True)
-class TraceReport:
+class TraceReport(Report):
     """Partial sum of reciprocal mode eigenvalues against the 1/k identity.
 
     For k != 0 the reciprocals of SpecL_k sum to exactly 1/|k| (the trace of
@@ -129,13 +116,6 @@ class TraceReport:
     tail_estimate: float
     target: float
     deviation: float
-
-    def to_json_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -293,14 +273,21 @@ def first_eigenvalue(p: MetricProfile, k: int, cfg: SolverConfig = DEFAULT_SOLVE
     return eigenvalues(p, k, 1, cfg).eigenvalues[0]
 
 
-def trace_check(p: MetricProfile, k: int, terms: int, cfg: SolverConfig = DEFAULT_SOLVER) -> TraceReport:
+def trace_check(
+    p: MetricProfile,
+    k: int,
+    terms: int,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    q: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> TraceReport:
     """Check the reciprocal-eigenvalue identity sum_j 1/lambda_k^j = 1/|k|.
 
     Defined for k != 0 only. The slice comes from one solve at basis size
     1.25 * terms + 8, which must not exceed n_max, rather than a convergence
     chase: the reciprocal sum is dominated by the low eigenvalues, which that
     size resolves to near roundoff, and the deviation budget is dominated by
-    the 1/terms tail anyway.
+    the 1/terms tail anyway. The tail's Liouville length is integrated
+    within q.
     """
     k = abs(int(k))
     if k == 0:
@@ -315,7 +302,7 @@ def trace_check(p: MetricProfile, k: int, terms: int, cfg: SolverConfig = DEFAUL
     if np.any(lam <= 0.0):
         raise DomainError("mode eigenvalues must be positive to sum reciprocals")
     partial = float(np.sum(1.0 / lam))
-    length = liouville_length(p, QuadratureConfig())
+    length = liouville_length(p, q)
     tail = (length / math.pi) ** 2 / terms
     target = 1.0 / k
     return TraceReport(

@@ -12,21 +12,20 @@ sphere. Assembly enumerates modes below an adaptive ceiling: since the
 first mode eigenvalue is strictly increasing in k, modes whose first
 eigenvalue clears the ceiling contribute nothing below it, and the ceiling
 grows until enough distinct values are complete. Eigenvalue copies landing
-within the merge tolerance are identified as one distinct eigenvalue; pairs
-of distinct values that come uncomfortably close to the tolerance are
-flagged as ambiguous rather than silently resolved.
+within the merge tolerance are identified as one distinct eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import rough_bound
 from .errors import AssemblyError, DomainError
 from .profile import MetricProfile, liouville_length
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .report import Report, local
 from .slsolver import DEFAULT_SOLVER, SolverConfig, eigenvalues, first_eigenvalue
 
 _MAX_CEILING_GROWTHS = 24
@@ -34,80 +33,39 @@ _MAX_MODE_COUNT = 4096
 
 
 @dataclass(frozen=True)
-class DistinctEigenvalue:
+class DistinctEigenvalue(Report):
     """One distinct Laplace eigenvalue with its contributing modes.
 
     ``members`` records the provenance as (k, j, value, error_estimate)
-    tuples, one per retained mode eigenvalue merged into this entry.
+    tuples, one per retained mode eigenvalue merged into this entry; it
+    stays off the wire.
     """
 
     m: int
     value: float
-    modes: frozenset
+    modes: frozenset[int]
     multiplicity: int
-    members: tuple
-
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "value": self.value,
-            "multiplicity": self.multiplicity,
-            "modes": sorted(self.modes),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        # wire format carries no provenance members
-        return cls(
-            m=int(data["m"]),
-            value=data["value"],
-            modes=frozenset(data["modes"]),
-            multiplicity=int(data["multiplicity"]),
-            members=(),
-        )
+    members: tuple = local(default=())
 
 
 @dataclass(frozen=True)
-class GlobalSpectrum:
+class GlobalSpectrum(Report):
     """Distinct eigenvalues up to a truncation ceiling, with audit data.
 
     ``per_mode_slices`` maps each solved k to its mode slice: every mode
     that reaches below the ceiling, and the first one that does not (its
     lowest eigenvalue, which stopped the enumeration, is solved anyway).
+    It stays off the wire.
     """
 
-    entries: tuple
+    entries: tuple[DistinctEigenvalue, ...]
     merge_tolerance: float
     truncation: float
-    per_mode_slices: dict = field(repr=False)
-    ambiguous_pairs: tuple = ()
-
-    def to_json_dict(self):
-        return {
-            "truncation": self.truncation,
-            "merge_tolerance": self.merge_tolerance,
-            "entries": [entry.to_json_dict() for entry in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            entries=tuple(DistinctEigenvalue.from_json_dict(e) for e in data["entries"]),
-            merge_tolerance=data["merge_tolerance"],
-            truncation=data["truncation"],
-            per_mode_slices={},
-        )
-
-    def to_csv(self):
-        lines = ["m,value,multiplicity,modes"]
-        for entry in self.entries:
-            modes = ";".join(str(k) for k in sorted(entry.modes))
-            lines.append(f"{entry.m},{entry.value!r},{entry.multiplicity},{modes}")
-        return "\n".join(lines) + "\n"
+    per_mode_slices: dict = local(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
-class Check:
+class Check(Report):
     """One verified inequality or identity."""
 
     name: str
@@ -116,26 +74,11 @@ class Check:
     rhs: float
     passed: bool
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "location": self.location,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
+class VerificationReport(Report):
+    checks: tuple[Check, ...]
     all_passed: bool
-
-    def to_json_dict(self):
-        return {
-            "all_passed": self.all_passed,
-            "checks": [check.to_json_dict() for check in self.checks],
-        }
 
 
 def _report(checks):
@@ -143,23 +86,15 @@ def _report(checks):
 
 
 @dataclass(frozen=True)
-class CanonicalRow:
+class CanonicalRow(Report):
     m: int
     value: float
     canonical_value: float
     below_canonical: bool
 
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "value": self.value,
-            "canonical_value": self.canonical_value,
-            "below_canonical": self.below_canonical,
-        }
-
 
 @dataclass(frozen=True)
-class CanonicalComparison:
+class CanonicalComparison(Report):
     """Per-index comparison against the round-sphere values m(m+1).
 
     ``witnesses`` maps each k to the smallest computed index m >= k whose
@@ -168,14 +103,8 @@ class CanonicalComparison:
     treated here one shows up at small index.
     """
 
-    rows: tuple
-    witnesses: dict
-
-    def to_json_dict(self):
-        return {
-            "rows": [row.to_json_dict() for row in self.rows],
-            "witnesses": {str(k): m for k, m in sorted(self.witnesses.items())},
-        }
+    rows: tuple[CanonicalRow, ...]
+    witnesses: dict[int, Optional[int]]
 
 
 def _converged_slice(p, k, count, cfg):
@@ -262,23 +191,11 @@ def _try_assemble(p, m_target, cfg, merge_tol, ceiling, length):
             )
         )
 
-    ambiguous = []
-    for m in range(len(entries) - 1):
-        if entries[m + 1].value - entries[m].value < 3.0 * tol:
-            ambiguous.append((m, m + 1))
-    for entry in entries:
-        by_mode = {}
-        for kk, j, _, _ in entry.members:
-            by_mode.setdefault(kk, []).append(j)
-        if any(len(js) > 1 for js in by_mode.values()):
-            ambiguous.append((entry.m, entry.m))
-
     return GlobalSpectrum(
         entries=tuple(entries),
         merge_tolerance=tol,
         truncation=ceiling,
         per_mode_slices=slices,
-        ambiguous_pairs=tuple(ambiguous),
     )
 
 

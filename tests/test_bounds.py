@@ -10,13 +10,13 @@ from revspec import (
     QuadratureConfig,
     assemble_spectrum,
     bounds_table,
-    bounds_table_csv,
     negative_curvature_bound,
     ray_bound,
     rough_bound,
     sharp_bound,
     trial_residual,
 )
+from revspec.cli import run
 
 QUAD = QuadratureConfig()
 
@@ -166,9 +166,14 @@ def test_bounds_table_includes_computed(canonical):
         assert row.computed_lambda <= row.rough + 1e-3 * row.computed_lambda
 
 
-def test_bounds_table_csv_shape(paper):
-    rows = bounds_table(paper, 2, (1,), QUAD)
-    text = bounds_table_csv(rows)
+def test_bounds_table_csv_shape(capsys):
+    # --grid-max 16 leaves the spectrum unassembled, so computed_lambda is absent
+    status = run(["bounds", "--profile", "paper-example", "--m-max", "2", "--l-set", "1",
+                  "--grid-max", "16", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert status == 0
+    assert "computed eigenvalues unavailable" in captured.err
+    text = captured.out
     lines = text.strip().split("\n")
     assert lines[0] == "m,sharp,rough,neg_curv,canonical,computed_lambda"
     assert len(lines) == 3

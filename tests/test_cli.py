@@ -296,23 +296,81 @@ def test_verify_csv(capsys):
 
 
 def test_json_reports_reparse_into_types(capsys):
-    from revspec import GlobalSpectrum, SLSpectrumSlice, TraceReport
+    from revspec import (
+        BoundsRow,
+        CurvatureSignIndicator,
+        GlobalSpectrum,
+        SLSpectrumSlice,
+        TraceReport,
+        ValidationReport,
+        VerificationReport,
+    )
+
+    def reparsed(report_type, payload):
+        report = report_type.from_json_dict(payload)
+        assert report.to_json_dict() == payload
+        return report
 
     status, out, _ = run_capture(["sl", "--profile", "canonical", "--k", "2", "--count", "2"], capsys)
     assert status == 0
-    slc = SLSpectrumSlice.from_json_dict(json.loads(out))
-    assert slc.to_json_dict() == json.loads(out)
+    reparsed(SLSpectrumSlice, json.loads(out))
+
+    # one basis size fits under --grid-max 64, so the estimates are Infinity
+    status, out, _ = run_capture(
+        ["sl", "--profile", "paper-example", "--count", "40", "--grid-max", "64"], capsys
+    )
+    assert status == 0
+    slc = reparsed(SLSpectrumSlice, json.loads(out))
+    assert not slc.converged and math.inf in slc.error_estimates
 
     status, out, _ = run_capture(["trace", "--profile", "canonical", "--k", "1", "--terms", "20"], capsys)
     assert status == 0
-    trace = TraceReport.from_json_dict(json.loads(out))
-    assert trace.to_json_dict() == json.loads(out)
+    reparsed(TraceReport, json.loads(out))
 
     status, out, _ = run_capture(["spectrum", "--profile", "canonical", "--m-max", "2"], capsys)
     assert status == 0
-    spec = GlobalSpectrum.from_json_dict(json.loads(out))
-    assert spec.to_json_dict() == json.loads(out)
+    spec = reparsed(GlobalSpectrum, json.loads(out))
     assert spec.entries[2].multiplicity == 5
+
+    status, out, _ = run_capture(["validate", "--profile", "paper-example"], capsys)
+    assert status == 0
+    assert reparsed(ValidationReport, json.loads(out)).passed
+
+    status, out, _ = run_capture(["curvature", "--profile", "paper-example", "--count", "5"], capsys)
+    assert status == 0
+    assert reparsed(CurvatureSignIndicator, json.loads(out)["sign_indicator"]).implies_negative_curvature
+
+    status, out, _ = run_capture(
+        ["bounds", "--profile", "paper-example", "--m-max", "4", "--l-set", "2,3"], capsys
+    )
+    assert status == 0
+    rows = [reparsed(BoundsRow, row) for row in json.loads(out)["rows"]]
+    assert [sorted(row.ray) for row in rows] == [[1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3, 4]]
+
+    status, out, _ = run_capture(["verify", "--profile", "paper-example", "--m-max", "3"], capsys)
+    assert status == 0
+    payload = json.loads(out)
+    extras = {key: payload.pop(key) for key in ("profile", "multiplicities", "values")}
+    assert extras["profile"] == "paper-example"
+    assert reparsed(VerificationReport, payload).all_passed
+
+
+def test_verify_quad_tol_reaches_the_trace_length(capsys, monkeypatch):
+    from revspec import QuadratureConfig, slsolver
+
+    seen = []
+    original = slsolver.liouville_length
+
+    def recording(p, q):
+        seen.append(q)
+        return original(p, q)
+
+    monkeypatch.setattr(slsolver, "liouville_length", recording)
+    status, _, _ = run_capture(
+        ["verify", "--profile", "paper-example", "--m-max", "3", "--quad-tol", "1e-8"], capsys
+    )
+    assert status == 0
+    assert seen == [QuadratureConfig(abs_tol=1e-8)] * 3  # one trace check per k = 1..3
 
 
 def _child_env():

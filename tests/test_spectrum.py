@@ -15,6 +15,7 @@ from revspec import (
     verify_multiplicity_bound,
 )
 from revspec import spectrum as spectrum_mod
+from revspec.cli import run
 
 def test_canonical_assembly_values_and_multiplicities(canonical):
     spec = assemble_spectrum(canonical, 3)
@@ -183,12 +184,13 @@ def test_truncation_covers_requested_depth(paper_spectrum6):
     assert paper_spectrum6.entries[6].value <= paper_spectrum6.truncation
 
 
-def test_spectrum_serialization(canonical_spectrum6):
+def test_spectrum_serialization(canonical_spectrum6, capsys):
     payload = canonical_spectrum6.to_json_dict()
     assert set(payload) == {"truncation", "merge_tolerance", "entries"}
     assert set(payload["entries"][1]) == {"m", "value", "multiplicity", "modes"}
     json.dumps(payload)
-    csv = canonical_spectrum6.to_csv()
+    assert run(["spectrum", "--profile", "canonical", "--m-max", "6", "--format", "csv"]) == 0
+    csv = capsys.readouterr().out
     lines = csv.strip().split("\n")
     assert lines[0] == "m,value,multiplicity,modes"
     assert lines[1].startswith("0,")
