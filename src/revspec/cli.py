@@ -39,8 +39,8 @@ _TUNING_FLAGS = {
     "--rel-tol": dict(type=float, default=1e-6,
                       help="solver relative eigenvalue tolerance (default 1e-6)"),
     "--merge-tol": dict(type=float, default=None,
-                        help="eigenvalue merge tolerance (default: adaptive, "
-                             "max(1e-6*ceiling, 10*worst error estimate))"),
+                        help="eigenvalue merge tolerance (default: 10 times the worst "
+                             "solver error estimate)"),
     "--quad-tol": dict(type=float, default=1e-10,
                        help="quadrature tolerance, relative to max(|integral|, 1) (default 1e-10)"),
     "--grid-max": dict(type=int, default=DEFAULT_SOLVER.n_max,
@@ -80,7 +80,7 @@ def build_parser():
     sp.add_argument("--count", type=int, default=8, help="how many eigenvalues (default 8)")
 
     sp = sub.add_parser("spectrum", help="assemble the distinct eigenvalues with multiplicities")
-    _add_flags(sp, "--rel-tol", "--merge-tol", "--quad-tol", "--grid-max")
+    _add_flags(sp, "--rel-tol", "--merge-tol", "--grid-max")
     sp.add_argument("--m-max", type=int, default=6, help="deepest distinct index (default 6)")
 
     sp = sub.add_parser("bounds", help="closed-form upper-bound table")
@@ -169,8 +169,7 @@ def _cmd_sl(args, profile):
 def _cmd_spectrum(args, profile):
     if args.m_max < 0:
         raise ProfileError("--m-max must be >= 0")
-    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args),
-                                          args.merge_tol, _quad_config(args))
+    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args), args.merge_tol)
     if args.format == "json":
         return _json_text(spec.to_json_dict()), 0
     records = [[entry.m, entry.value, entry.multiplicity, ";".join(map(str, sorted(entry.modes)))]
@@ -193,7 +192,7 @@ def _cmd_bounds(args, profile):
     l_set = _parse_l_set(args.l_set)
     try:
         spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args),
-                                              args.merge_tol, _quad_config(args))
+                                              args.merge_tol)
     except RevspecError as exc:
         print(f"note: computed eigenvalues unavailable ({exc})", file=sys.stderr)
         spec = None
@@ -231,7 +230,7 @@ def _cmd_verify(args, profile):
         lhs=float(report.passed), rhs=1.0, passed=report.passed,
     ))
 
-    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg, args.merge_tol, quad)
+    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg, args.merge_tol)
     checks.extend(spectrum_mod.verify_multiplicity_bound(spec).checks)
     k_max = max(2, min(5, args.m_max + 1))
     checks.extend(spectrum_mod.verify_monotonicity(profile, k_max, cfg, spectrum=spec).checks)

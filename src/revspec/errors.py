@@ -32,7 +32,7 @@ class QuadratureAccuracyError(RevspecError, ArithmeticError):
 
 class AssemblyError(RevspecError, RuntimeError):
     """Global spectrum assembly failed (solver could not deliver the needed
-    accuracy for some mode, or the ceiling never became complete)."""
+    accuracy for some mode, or a merge joined values that cannot coincide)."""
 
 
 class InapplicabilityError(RevspecError, ValueError):

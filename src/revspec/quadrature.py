@@ -7,11 +7,12 @@ Two rules cover everything the package integrates:
   (the moments f^l and f^l K, all of them in one pass);
 * a Gauss-Chebyshev rule, the Gauss-Jacobi rule with weight (1-x^2)^(-1/2),
   for integrands with inverse-square-root endpoint behaviour, which appear
-  because admissible profiles vanish linearly at x = +-1.
+  because admissible profiles vanish linearly at x = +-1 (the Liouville
+  length int f^(-1/2) of the trace tail).
 
 Both are computed here with numpy alone: Gauss-Chebyshev in closed form,
-Gauss-Legendre (``gauss_legendre``, which also serves the mode solver) by
-Newton's method from closed-form starting nodes.
+Gauss-Legendre (``gauss_legendre``, one rule for the panels here and for
+the mode solver) by Newton's method from closed-form starting nodes.
 """
 
 from __future__ import annotations
@@ -20,28 +21,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureAccuracyError
 
 
 @lru_cache(maxsize=64)
-def gauss_legendre(n, steps=4, start=None):
+def gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule, cached read-only.
 
-    Newton's method on the three-term recurrence refines the starting nodes
-    ``steps`` times: by default the closed-form guess
-    -cos(pi (i + 3/4) / (n + 1/2)), which four steps bring to within an ulp
-    or two of the roots (checked up to n = 2048), else the nodes
-    ``start(n)[0]``. The weights are the closed form
+    Four Newton steps on the three-term recurrence bring the closed-form
+    guess -cos(pi (i + 3/4) / (n + 1/2)) to within an ulp or two of the
+    roots (checked up to n = 2048). The weights are the closed form
     2 / ((1 - x^2) P_n'(x)^2): about 1e-14 relative away from the poles,
     where a node's rounding moves its weight by about 2e-16 / (1 - x^2).
     """
-    if start is None:
-        x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    else:
-        x = start(n)[0]
-    for _ in range(steps):
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(4):
         p0, p1 = np.ones_like(x), x
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
@@ -52,7 +47,7 @@ def gauss_legendre(n, steps=4, start=None):
     return x, w
 
 
-_GL25 = gauss_legendre(25, 2, leggauss)
+_GL25 = gauss_legendre(25)
 
 #: Relative agreement below which two panel counts sit at roundoff, so a
 #: smaller tolerance could never be met.

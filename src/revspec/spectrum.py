@@ -8,27 +8,27 @@ multiplicity
     dim E = 2 * #{k >= 1 : lambda_m in SpecL_k} + (1 if lambda_m in SpecL_0),
 
 which is bounded by 2m + 1, with equality for every m exactly on the round
-sphere. Assembly enumerates modes below an adaptive ceiling: since the
-first mode eigenvalue is strictly increasing in k, modes whose first
-eigenvalue clears the ceiling contribute nothing below it, and the ceiling
-grows until enough distinct values are complete. Eigenvalue copies landing
+sphere. The first mode eigenvalue strictly increases in k, so the first
+eigenvalues of modes 0..m are m + 1 distinct values at or below
+lambda_1^(m): that value caps lambda_m, and only modes k <= m can carry it.
+Assembly solves mode m first for its ceiling, then modes 0, 1, ... below
+it until a mode's first eigenvalue clears it. Eigenvalue copies landing
 within the merge tolerance are identified as one distinct eigenvalue.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import rough_bound
+# rough_bound and liouville_length are not called here. bench/tracing.py
+# rebinds both names on this module, and its install fails on a missing one.
+from .bounds import rough_bound  # noqa: F401 (see above)
 from .errors import AssemblyError, DomainError
-from .profile import MetricProfile, liouville_length
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .profile import MetricProfile, liouville_length  # noqa: F401 (see above)
 from .report import Report, local
 from .slsolver import DEFAULT_SOLVER, SolverConfig, eigenvalues, first_eigenvalue
 
-_MAX_CEILING_GROWTHS = 24
 _MAX_MODE_COUNT = 4096
 
 
@@ -52,6 +52,7 @@ class DistinctEigenvalue(Report):
 class GlobalSpectrum(Report):
     """Distinct eigenvalues up to a truncation ceiling, with audit data.
 
+    ``truncation`` is the ceiling, the first eigenvalue of mode m_target.
     ``per_mode_slices`` maps each solved k to its mode slice: every mode
     that reaches below the ceiling, and the first one that does not (its
     lowest eigenvalue, which stopped the enumeration, is solved anyway).
@@ -119,9 +120,8 @@ def _converged_slice(p, k, count, cfg):
     return slc
 
 
-def _mode_slice_below(p, k, lam_hi, count_hint, cfg):
+def _mode_slice_below(p, k, lam_hi, count, cfg):
     """Solve mode k until its slice provably covers everything below lam_hi."""
-    count = count_hint
     while True:
         slc = _converged_slice(p, k, count, cfg)
         if slc.eigenvalues[-1] > lam_hi:
@@ -133,28 +133,58 @@ def _mode_slice_below(p, k, lam_hi, count_hint, cfg):
         count *= 2
 
 
-def _try_assemble(p, m_target, cfg, merge_tol, ceiling, length):
-    guard = max(1.0, 1e-3 * ceiling)
-    lam_hi = ceiling + guard
-    count_hint = max(4, int(math.ceil(length * math.sqrt(lam_hi) / math.pi)) + 3)
+def _check_cluster(cluster, tol):
+    """AssemblyError if a cluster holds two values of one mode (mode spectra
+    are simple) or the first values of two modes (they increase in k)."""
+    ks = [mem[1] for mem in cluster]
+    if len(set(ks)) < len(ks) or sum(1 for mem in cluster if mem[2] == 1) > 1:
+        joined = ", ".join(f"(k={mem[1]}, j={mem[2]})" for mem in cluster)
+        raise AssemblyError(f"merge tolerance {tol:.3e} joins mode eigenvalues that cannot "
+                            f"coincide into one eigenvalue: {joined}")
 
-    slices = {}
+
+def assemble_spectrum(
+    p: MetricProfile,
+    m_target: int,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    merge_tol: Optional[float] = None,
+) -> GlobalSpectrum:
+    """Enumerate the distinct eigenvalues up to at least index m_target.
+
+    The ceiling is the first eigenvalue of mode m_target (see the module
+    docstring). Mode 0 is solved for m_target + 2 values, and mode k >= 1
+    for one more than mode k - 1 holds below the ceiling plus a guard,
+    since lambda_j^(k) >= lambda_j^(k-1). With merge_tol=None the merge
+    tolerance is 10 times the worst per-eigenvalue error estimate.
+    AssemblyError is raised by an explicit merge_tol at or below the solver
+    errors, by a merge of values that cannot coincide, and by a mode slice
+    that misses rel_tol by the basis cap (naming k, N and the estimate).
+    """
+    if m_target < 0:
+        raise DomainError("m_target must be >= 0")
+    slices = {m_target: _converged_slice(p, m_target, 2, cfg)}
+    ceiling = slices[m_target].eigenvalues[0]
+    lam_hi = ceiling + max(1.0, 1e-3 * ceiling)
+
     members = []  # (value, k, j, error)
+    count = m_target + 2
     k = 0
     while True:
-        slc = _mode_slice_below(p, k, lam_hi, count_hint, cfg)
-        slices[k] = slc
+        slc = slices.get(k)
+        if slc is None or slc.eigenvalues[-1] <= lam_hi:
+            slc = slices[k] = _mode_slice_below(p, k, lam_hi, count, cfg)
         if k >= 1 and slc.eigenvalues[0] > lam_hi:
             break  # monotonicity: no higher mode reaches below the ceiling
         for j, (value, err) in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1):
             if value <= lam_hi:
                 members.append((value, k, j, err))
+                count = j + 1  # for mode k + 1, as lambda_j^(k+1) >= lambda_j^(k)
         k += 1
 
     members.sort()
-    max_err = max((mem[3] for mem in members), default=0.0)
+    max_err = max(mem[3] for mem in members)
     if merge_tol is None:
-        tol = max(1e-6 * ceiling, 10.0 * max_err)
+        tol = 10.0 * max_err
     else:
         tol = float(merge_tol)
         if tol <= max_err:
@@ -170,9 +200,9 @@ def _try_assemble(p, m_target, cfg, merge_tol, ceiling, length):
             clusters[-1].append(mem)
         else:
             clusters.append([mem])
+    for cluster in clusters:
+        _check_cluster(cluster, tol)
     kept = [cl for cl in clusters if cl[0][0] <= ceiling]
-    if len(kept) < m_target + 1:
-        return None
 
     entries = []
     for m, cluster in enumerate(kept):
@@ -196,56 +226,6 @@ def _try_assemble(p, m_target, cfg, merge_tol, ceiling, length):
         merge_tolerance=tol,
         truncation=ceiling,
         per_mode_slices=slices,
-    )
-
-
-def assemble_spectrum(
-    p: MetricProfile,
-    m_target: int,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    merge_tol: Optional[float] = None,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> GlobalSpectrum:
-    """Enumerate the distinct eigenvalues up to at least index m_target.
-
-    The ceiling starts at the cheap l = 1 bound evaluated at m_target and
-    doubles until at least m_target + 1 distinct values are complete below
-    it. With merge_tol=None the tolerance is max(1e-6 * ceiling, 10 * worst
-    per-eigenvalue error estimate); an explicit merge_tol that fails to
-    dominate the solver errors raises AssemblyError naming the offending
-    mode eigenvalue, and so does a mode slice that misses rel_tol by the
-    basis cap (naming k, the basis size and the worst error estimate).
-    """
-    if m_target < 0:
-        raise DomainError("m_target must be >= 0")
-    if m_target == 0:
-        slc = _converged_slice(p, 0, 1, cfg)
-        err = slc.error_estimates[0]
-        tol = float(merge_tol) if merge_tol is not None else max(1e-8, 10.0 * err)
-        value = slc.eigenvalues[0]
-        entry = DistinctEigenvalue(
-            m=0,
-            value=0.0 if abs(value) <= max(tol, 1e-8) else float(value),
-            modes=frozenset({0}),
-            multiplicity=1,
-            members=((0, 1, value, err),),
-        )
-        return GlobalSpectrum(
-            entries=(entry,),
-            merge_tolerance=tol,
-            truncation=0.0,
-            per_mode_slices={0: slc},
-        )
-
-    ceiling = rough_bound(p, m_target, q)
-    length = liouville_length(p, q)
-    for _ in range(_MAX_CEILING_GROWTHS):
-        spectrum = _try_assemble(p, m_target, cfg, merge_tol, ceiling, length)
-        if spectrum is not None:
-            return spectrum
-        ceiling *= 2.0
-    raise AssemblyError(
-        f"could not complete {m_target + 1} distinct eigenvalues below any tried ceiling"
     )
 
 

@@ -10,6 +10,7 @@ from revspec import (
     assemble_spectrum,
     canonical_comparison,
     eigenvalues,
+    first_eigenvalue,
     verify_interlacing,
     verify_monotonicity,
     verify_multiplicity_bound,
@@ -38,11 +39,15 @@ def test_entries_ordered_and_contiguous(canonical_spectrum6, paper_spectrum6):
         assert spec.entries[0].multiplicity == 1
 
 
-def test_counting_identity(canonical_spectrum6, paper_spectrum6):
-    for spec in (canonical_spectrum6, paper_spectrum6):
+def test_counting_identity(canonical, paper, canonical_spectrum6, paper_spectrum6):
+    for p, spec in ((canonical, canonical_spectrum6), (paper, paper_spectrum6)):
+        # the ceiling is the first eigenvalue of mode m_target = 6
+        assert spec.truncation == first_eigenvalue(p, 6)
         for entry in spec.entries:
             expected = 2 * sum(1 for k in entry.modes if k >= 1) + (1 if 0 in entry.modes else 0)
             assert entry.multiplicity == expected
+            # only modes k <= m can carry lambda_m, since lambda_m <= lambda_1^(m)
+            assert max(entry.modes) <= entry.m
 
 
 def test_union_completeness(canonical_spectrum6, paper_spectrum6):
@@ -68,6 +73,26 @@ def test_merge_tolerance_dominates_errors(canonical_spectrum6):
 def test_explicit_merge_tol_below_errors_raises(canonical):
     with pytest.raises(AssemblyError, match="merge_tol"):
         assemble_spectrum(canonical, 2, merge_tol=1e-30)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+def test_near_round_multiplicities_split(eps, bump):
+    # q = 1 + eps (1 - x^2) splits every round-sphere eigenvalue into its
+    # mode copies far beyond the solver error
+    spec = assemble_spectrum(bump(eps), 4)
+    assert [e.multiplicity for e in spec.entries][:8] == [1, 2, 1, 2, 2, 1, 2, 2]
+
+
+def test_assembly_solves_each_mode_once(paper, monkeypatch):
+    solved = []
+
+    def counting(p, k, count, cfg):
+        solved.append(k)
+        return eigenvalues(p, k, count, cfg)
+
+    monkeypatch.setattr(spectrum_mod, "eigenvalues", counting)
+    spec = assemble_spectrum(paper, 10)
+    assert sorted(solved) == sorted(spec.per_mode_slices) == list(range(12))
 
 
 def test_degenerate_target_zero(canonical):
