@@ -8,7 +8,8 @@ identical inputs.
 
 Exit codes: 0 success (and, for verify, all checks passed); 1 a verification
 check failed; 2 usage error (bad flags, unreadable or malformed profile,
-out-of-range options); 3 numerical non-convergence (a bound table whose
+out-of-range options, or for sl, spectrum, bounds and trace a profile that
+breaks an endpoint condition); 3 numerical non-convergence (a bound table whose
 moments do not converge included).
 """
 
@@ -26,6 +27,7 @@ from .errors import AssemblyError, ProfileError, QuadratureAccuracyError, Revspe
 from .profile import (
     curvature_at,
     curvature_sign_indicator,
+    endpoint_conditions,
     resolve_profile,
     validate_profile,
 )
@@ -46,6 +48,12 @@ _TUNING_FLAGS = {
     "--grid-max": dict(type=int, default=DEFAULT_SOLVER.n_max,
                        help=f"solver basis-size cap (default {DEFAULT_SOLVER.n_max})"),
 }
+
+
+#: Subcommands whose numbers assume the endpoint conditions: they exit 2 on
+#: a profile that breaks one. validate and curvature report on any profile,
+#: and verify reports the failure as its profile_admissible check.
+_NEEDS_ENDPOINTS = ("sl", "spectrum", "bounds", "trace")
 
 
 def _add_flags(parser, *tuning):
@@ -296,6 +304,10 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         profile = resolve_profile(args.profile)
+        if args.subcommand in _NEEDS_ENDPOINTS:
+            broken = endpoint_conditions(profile)[2]
+            if broken:
+                raise ProfileError("profile is not admissible: " + "; ".join(broken))
         text, status = _COMMANDS[args.subcommand](args, profile)
     except (QuadratureAccuracyError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

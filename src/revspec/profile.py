@@ -312,12 +312,28 @@ def resolve_profile(name_or_path) -> MetricProfile:
     return load_profile(name_or_path)
 
 
+def endpoint_conditions(p: MetricProfile):
+    """(f(-1), f(1)), (f'(-1), f'(1)) and a message for each endpoint
+    condition they break: the values must vanish and the slopes be +2 / -2,
+    within ENDPOINT_TOL."""
+    f_lo, f_hi = float(p.f(-1.0)), float(p.f(1.0))
+    df_lo, df_hi = float(p.df(-1.0)), float(p.df(1.0))
+    messages = []
+    if abs(f_lo) > ENDPOINT_TOL or abs(f_hi) > ENDPOINT_TOL:
+        messages.append(f"f does not vanish at the endpoints (f(-1)={f_lo:.3e}, f(1)={f_hi:.3e})")
+    if abs(df_lo - 2.0) > ENDPOINT_TOL:
+        messages.append(f"f'(-1) = {df_lo:.12g}, expected 2")
+    if abs(df_hi + 2.0) > ENDPOINT_TOL:
+        messages.append(f"f'(1) = {df_hi:.12g}, expected -2")
+    return (f_lo, f_hi), (df_lo, df_hi), messages
+
+
 def validate_profile(p: MetricProfile, grid_size: int = 2001) -> ValidationReport:
     """Check the admissibility conditions and report; never raises on failure.
 
-    Positivity is checked on a uniform grid of ``grid_size`` points; the
-    endpoint values must vanish and the endpoint slopes must be +2 / -2
-    within ENDPOINT_TOL. The area field is the exact chart area 4*pi.
+    Positivity is checked on a uniform grid of ``grid_size`` points and the
+    endpoint values and slopes by ``endpoint_conditions``. The area field is
+    the exact chart area 4*pi.
     """
     if grid_size < 3:
         raise DomainError("grid_size must be >= 3")
@@ -325,26 +341,20 @@ def validate_profile(p: MetricProfile, grid_size: int = 2001) -> ValidationRepor
     interior = grid[1:-1]
     fvals = np.asarray(p.f(interior), dtype=float)
     min_f = float(np.min(fvals))
-    f_lo, f_hi = float(p.f(-1.0)), float(p.f(1.0))
-    df_lo, df_hi = float(p.df(-1.0)), float(p.df(1.0))
+    values, slopes, endpoint_messages = endpoint_conditions(p)
 
     messages = []
     if not np.all(np.isfinite(fvals)):
         messages.append("f is not finite everywhere on the validation grid")
     if min_f <= 0.0:
         messages.append(f"f is not positive on the open interval (min {min_f:.3e})")
-    if abs(f_lo) > ENDPOINT_TOL or abs(f_hi) > ENDPOINT_TOL:
-        messages.append(f"f does not vanish at the endpoints (f(-1)={f_lo:.3e}, f(1)={f_hi:.3e})")
-    if abs(df_lo - 2.0) > ENDPOINT_TOL:
-        messages.append(f"f'(-1) = {df_lo:.12g}, expected 2")
-    if abs(df_hi + 2.0) > ENDPOINT_TOL:
-        messages.append(f"f'(1) = {df_hi:.12g}, expected -2")
+    messages += endpoint_messages
 
     curv_integral = integrate_curvature_moment(p, 0, DEFAULT_QUADRATURE)
     return ValidationReport(
         passed=not messages,
-        endpoint_values=(f_lo, f_hi),
-        endpoint_derivatives=(df_lo, df_hi),
+        endpoint_values=values,
+        endpoint_derivatives=slopes,
         min_f_interior=min_f,
         area=4.0 * math.pi,
         curvature_integral=curv_integral,

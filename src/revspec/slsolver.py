@@ -15,25 +15,33 @@ condition is imposed, and the quadratic forms become
     stiffness = int w^(k-1) [q (w v' - k x v)^2 + k^2 v^2 / q] dx,
     mass      = int w^k v^2 dx,
 
-integrated by Gauss-Legendre on each of the profile's smooth pieces
-(MetricProfile.breaks), exactly for every polynomial factor. The basis is
-orthonormal under the mass form, so its matrix is the identity to roundoff
-(1e-13 at N = 1024) and is never formed: a standard symmetric eigensolve of
-the stiffness matrix (numpy.linalg) gives the Ritz values. The stiffness
-matrix is summed over blocks of 512 quadrature nodes, one symmetric rank
-update each. The paper's trial functions f^(m/2) are a one-term Ritz space
-of this kind, and on the round sphere the basis holds the exact
-eigenfunctions.
+integrated by one Gauss-Legendre rule on each of the profile's smooth
+pieces (MetricProfile.breaks). The polynomial part of each integrand has
+degree below 2 (N + k) in x = cos(theta), so it is a trigonometric
+polynomial of that degree in theta, and on a piece spanning an angle dtheta
+the Gauss error bound on the piece's Bernstein ellipse decays geometrically
+once the piece has more than about (N + k) dtheta / 2 nodes (Trefethen,
+SIAM Review 50, 2008). Each piece therefore gets
+min(N + k, ceil(0.6 (N + k) dtheta_max)) + 24 nodes, dtheta_max the widest
+piece's angle (_rule): N + k + 24 on a single piece (dtheta = pi), which is
+exact for every polynomial factor, and about a fifth of that on a 25-knot
+spline. The basis is orthonormal under the mass form, so its matrix is the
+identity to roundoff (2.1e-13 at N <= 1024 on splines) and is never formed:
+a standard symmetric eigensolve of the stiffness matrix (numpy.linalg)
+gives the Ritz values. The stiffness matrix is summed over blocks of 512
+quadrature nodes, one symmetric rank update each. The paper's trial
+functions f^(m/2) are a one-term Ritz space of this kind, and on the round
+sphere the basis holds the exact eigenfunctions.
 
 The basis size doubles from max(16, count + 8) until two sizes agree within
 rel_tol. The error estimate is that difference, floored at 1e-10 relative:
 below that both sizes sit at roundoff and the difference stops bounding the
 error. Smooth profiles converge spectrally, splines algebraically. The
-bases are nested and the rule of size 2n integrates the mass form of every
-smaller basis exactly, so the leading n x n block of the size-2n stiffness
-is a size-n Ritz matrix whose mass matrix is still I (on a finer rule than
-an assembly at n would use). The first pair of sizes therefore costs one
-assembly, at 2n; only 4n, 8n, ... are assembled afresh.
+bases are nested and the rule for size 2n integrates the mass form of every
+smaller basis to roundoff, so the leading n x n block of the size-2n
+stiffness is a size-n Ritz matrix whose mass matrix is still I (on a finer
+rule than an assembly at n would use). The first pair of sizes therefore
+costs one assembly, at 2n; only 4n, 8n, ... are assembled afresh.
 """
 
 from __future__ import annotations
@@ -53,13 +61,20 @@ _MIN_BASIS = 16
 _BASIS_MARGIN = 8
 #: Relative floor of the reported error estimates (see module docstring).
 _ERROR_FLOOR = 1e-10
-#: Gauss nodes per smooth piece beyond the N + k that the polynomial factors
-#: need, for the non-polynomial factors q and 1/q.
+#: Gauss nodes per smooth piece, per unit of N + k and radian of the widest
+#: piece's angle (see _rule). At 0.5 the Bernstein-ellipse bound stops
+#: decaying and only _EXTRA_NODES carry the rule (at 0.45 |M - I| reached
+#: 1e-3 on a uniform 25-knot spline); at 0.6 it stays at or below 2.1e-13
+#: on 25- to 97-knot splines (N <= 1024, k <= 40).
+_ANGULAR_NODES = 0.6
+#: Gauss nodes per smooth piece beyond those the polynomial factors need, for
+#: the non-polynomial factors q and 1/q.
 _EXTRA_NODES = 24
 #: Quadrature nodes per assembly block, one rank update each. The recurrence
 #: takes N Python-level steps per block, so wide blocks keep those steps few
-#: (a single-piece profile is one block up to N + k = 488); a block's rows
-#: hold 2 N * _BLOCK_NODES entries, so assembly memory stays O(N^2).
+#: (a single-piece profile is one block up to N + k = 488, a 25-knot spline
+#: at N = 258, k = 3 spans about three); a block's rows hold
+#: 2 N * _BLOCK_NODES entries, so assembly memory stays O(N^2).
 _BLOCK_NODES = 512
 #: Cells of the grid eigenfunctions are sampled on.
 _SAMPLE_CELLS = 256
@@ -155,6 +170,23 @@ def _jacobi_rows(n, k, x, scale):
     return val[1:]
 
 
+def _rule(breaks, n, k):
+    """Assembly nodes and weights: one Gauss-Legendre rule on every piece.
+
+    A piece spanning an angle dtheta needs about (n + k) dtheta / 2 nodes
+    for the integrands of mode k in the n-term basis (module docstring), and
+    one count for all pieces keeps one cached rule. Every piece gets
+    min(n + k, ceil(_ANGULAR_NODES (n + k) dtheta_max)) + _EXTRA_NODES
+    nodes, dtheta_max the widest piece's angle; a single piece spans pi and
+    keeps n + k + _EXTRA_NODES.
+    """
+    ends = np.asarray(breaks, dtype=float)
+    widest = float(np.max(np.arccos(ends[:-1]) - np.arccos(ends[1:])))
+    t, c = gauss_legendre(min(n + k, math.ceil(_ANGULAR_NODES * (n + k) * widest)) + _EXTRA_NODES)
+    a, b = ends[:-1, None], ends[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * t).ravel(), (0.5 * (b - a) * c).ravel()
+
+
 def _stiffness(p: MetricProfile, k: int, n: int):
     """Stiffness matrix of mode k in the n-term Jacobi basis.
 
@@ -164,10 +196,7 @@ def _stiffness(p: MetricProfile, k: int, n: int):
     rows, and each node block adds one rank update R R^T with
     R = [G sqrt(c q), k H sqrt(c / q)], written into one buffer per solve.
     """
-    t, c = gauss_legendre(n + k + _EXTRA_NODES)
-    a, b = np.asarray(p.breaks[:-1])[:, None], np.asarray(p.breaks[1:])[:, None]
-    x = (0.5 * (a + b) + 0.5 * (b - a) * t).ravel()
-    wts = (0.5 * (b - a) * c).ravel()
+    x, wts = _rule(p.breaks, n, k)
     w = (1.0 - x) * (1.0 + x)
     f = np.asarray(p.f(x), dtype=float)
     if np.any(f <= 0.0) or not np.all(np.isfinite(f)):

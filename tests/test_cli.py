@@ -67,13 +67,46 @@ def test_bounds_deep_csv_has_no_blank_bound(capsys):
 
 
 def test_bounds_unconvergeable_moments_exit_3(tmp_path, capsys):
+    # f = (1 - x^2)(1 + (1 - x^2) / d), d = 1e-6 + (x - 0.3)^2: admissible,
+    # with a peak of height 1e6 and width 1e-3 that 1024 panels do not settle
     path = tmp_path / "steep.json"
     path.write_text(json.dumps({"kind": "rational", "params": {
-        "numerator": [1, 0, -1], "denominator": [1.000001, -1]}}))
+        "numerator": [1.090001, -0.6, -1.090001, 0.6], "denominator": [0.090001, -0.6, 1.0]}}))
     status, out, err = run_capture(["bounds", "--profile", str(path), "--m-max", "5"], capsys)
     assert status == 3
     assert out == ""
     assert "error:" in err
+
+
+@pytest.fixture
+def tilted(tmp_path):
+    """f = (1 - x^2) q with q(-1) = 0.85, q(1) = 1.15: f'(-1) = 1.7, f'(1) = -2.3."""
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps({"kind": "polynomial-factor",
+                                "params": {"coefficients": [1.2, 0.1, -0.2, 0.05]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sl", "--k", "1"],
+    ["spectrum", "--m-max", "4"],
+    ["bounds", "--m-max", "4"],
+    ["trace", "--k", "1"],
+])
+def test_inadmissible_endpoints_exit_2(argv, tilted, capsys):
+    status, out, err = run_capture([argv[0], "--profile", tilted, *argv[1:]], capsys)
+    assert status == 2
+    assert out == ""
+    assert "f'(-1) = 1.7, expected 2" in err and "f'(1) = -2.3, expected -2" in err
+
+
+def test_inadmissible_endpoints_still_reported(tilted, capsys):
+    status, out, _ = run_capture(["validate", "--profile", tilted], capsys)
+    assert status == 0 and json.loads(out)["passed"] is False
+    assert run_capture(["curvature", "--profile", tilted], capsys)[0] == 0
+    status, out, _ = run_capture(["verify", "--profile", tilted], capsys)
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"] if c["location"] == "-"}
+    assert status == 1 and checks == {"profile_admissible": False}
 
 
 @pytest.mark.parametrize("cmd", ["spectrum", "verify"])

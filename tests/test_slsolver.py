@@ -10,8 +10,10 @@ from scipy.special import eval_jacobi, gammaln
 
 from revspec import (
     DomainError,
+    ProfileSpec,
     SolverConfig,
     assemble_spectrum,
+    build_profile,
     builtin_profile,
     eigenfunction,
     eigenvalues,
@@ -20,7 +22,6 @@ from revspec import (
 )
 from revspec import slsolver
 from revspec.cli import run
-from revspec.quadrature import gauss_legendre
 
 from oracles import oracle_mode_eigenvalues, sphere_mode_eigenvalue
 
@@ -208,6 +209,39 @@ def test_oracle_cross_check_on_paper_example(paper):
 
 # ---------------------------------------------------------------- assembly
 
+def _sampled(x, f):
+    return build_profile(ProfileSpec("sampled", {"x": list(x), "f": list(f)}))
+
+
+@functools.lru_cache(maxsize=None)
+def _rough_chebyshev(knots):
+    """The bump (1 - x^2)(1 + 0.3 (1 - x^2)) sampled on Chebyshev knots with
+    alternating +-3e-3 relative noise: many pieces, each narrow in angle."""
+    i = np.arange(knots)
+    x = -np.cos(np.pi * i / (knots - 1))
+    f = (1.0 - x * x) * (1.0 + 0.3 * (1.0 - x * x)) * (1.0 + 3e-3 * (-1.0) ** i)
+    f[0] = f[-1] = 0.0
+    return _sampled(x, f)
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_25():
+    """The bump (1 - x^2)(1 + 2 (1 - x^2)) on 25 equally spaced knots: its end
+    pieces are the widest in angle."""
+    x = np.linspace(-1.0, 1.0, 25)
+    return _sampled(x, (1.0 - x * x) * (1.0 + 2.0 * (1.0 - x * x)))
+
+
+def _profile(name, request):
+    if name == "sampled_bump":
+        return request.getfixturevalue(name)
+    if name.startswith("rough_chebyshev_"):
+        return _rough_chebyshev(int(name.rsplit("_", 1)[1]))
+    if name == "uniform_25":
+        return _uniform_25()
+    return builtin_profile(name)
+
+
 @functools.lru_cache(maxsize=None)
 def _quadrature_mass_deviation(breaks, k, n, stride):
     """max |M - I| of the solver's rule for the basis w^(k/2) P_j^(k,k), j < n.
@@ -216,30 +250,43 @@ def _quadrature_mass_deviation(breaks, k, n, stride):
     depends on the profile only through its breaks, so profiles that share
     them share the result.
     """
-    t, c = gauss_legendre(n + k + slsolver._EXTRA_NODES)
+    x, wts = slsolver._rule(breaks, n, k)
     picked = np.arange(0, n, stride)
     rows = -np.eye(n)[picked]
     diag = -np.ones(n)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        x = 0.5 * (a + b) + 0.5 * (b - a) * t
-        h = slsolver._jacobi_rows(n, k, x, ((1.0 - x) * (1.0 + x)) ** (0.5 * k))
-        hc = h * (0.5 * (b - a) * c)
+    for lo in range(0, x.size, 2048):  # node chunks bound the rows' memory
+        xb = x[lo:lo + 2048]
+        h = slsolver._jacobi_rows(n, k, xb, ((1.0 - xb) * (1.0 + xb)) ** (0.5 * k))
+        hc = h * wts[lo:lo + 2048]
         rows += h[picked] @ hc.T
         diag += np.einsum("ij,ij->i", h, hc)
     return max(np.max(np.abs(rows)), np.max(np.abs(diag)))
 
 
-@pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump"])
+@pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump",
+                                  "rough_chebyshev_49", "rough_chebyshev_97", "uniform_25"])
 def test_quadrature_mass_matrix_is_identity(name, request):
-    """The rule integrates w^k P_i P_j exactly, so the solver takes M = I.
+    """The rule integrates w^k P_i P_j to roundoff, so the solver takes M = I.
 
+    Exactly on a single piece; on a spline's pieces, narrow in angle, the
+    rule has fewer nodes than exactness needs (see ``slsolver._rule``).
     Every entry is checked up to N = 256; at N = 1024 the diagonal and every
     64th row.
     """
-    prof = request.getfixturevalue("sampled_bump") if name == "sampled_bump" else builtin_profile(name)
+    prof = _profile(name, request)
     for n, stride in ((16, 1), (64, 1), (256, 1), (1024, 64)):
         for k in (0, 1, 2, 5, 12, 40):
             assert _quadrature_mass_deviation(prof.breaks, k, n, stride) <= 1e-12, (n, k)
+
+
+def test_rule_node_counts(sampled_bump):
+    """A single piece keeps N + k + 24 nodes; a 25-knot spline, whose pieces
+    are narrow in angle, gets far fewer than 24 (N + k + 24)."""
+    for n, k in ((16, 0), (32, 5), (258, 3), (1024, 40)):
+        x, wts = slsolver._rule((-1.0, 1.0), n, k)
+        assert x.size == wts.size == n + k + 24, (n, k)
+    x, wts = slsolver._rule(sampled_bump.breaks, 258, 3)
+    assert x.size == wts.size < 24 * (258 + 3 + 24) / 4
 
 
 def _reference_stiffness(p, k, n):
@@ -269,9 +316,9 @@ def _reference_stiffness(p, k, n):
     return stiff
 
 
-@pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump"])
+@pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump", "rough_chebyshev_49"])
 def test_stiffness_matches_independent_assembly(name, request):
-    prof = request.getfixturevalue("sampled_bump") if name == "sampled_bump" else builtin_profile(name)
+    prof = _profile(name, request)
     for n in (16, 32):
         for k in (0, 1, 2, 5):
             ref = _reference_stiffness(prof, k, n)
@@ -283,7 +330,8 @@ def test_block_size_does_not_change_eigenvalues(paper, sampled_bump, monkeypatch
     cfg = SolverConfig(n_max=32)
     cases = [(prof, k) for prof in (paper, sampled_bump) for k in (0, 1, 3)]
     default = [eigenvalues(prof, k, 8, cfg) for prof, k in cases]
-    # N = 258 on 25 pieces: 7125 nodes, several full blocks and a partial one
+    # N = 258 on 25 pieces: 1152 nodes, two full blocks and a partial one
+    assert slsolver._rule(sampled_bump.breaks, 258, 3)[0].size > slsolver._BLOCK_NODES
     wide = slsolver._ritz(sampled_bump, 3, 258)
     monkeypatch.setattr(slsolver, "_BLOCK_NODES", 1)  # one node per block
     for (prof, k), ref in zip(cases, default):
@@ -299,7 +347,7 @@ def test_leading_block_is_the_smaller_ritz_matrix(name, request):
     # the bases are nested, so the ladder reads its size-n Ritz values from
     # the leading n-block of the 2n stiffness (a finer rule) instead of
     # assembling size n
-    prof = request.getfixturevalue("sampled_bump") if name == "sampled_bump" else builtin_profile(name)
+    prof = _profile(name, request)
     for n in (16, 32):
         for k in (0, 1, 3):
             block = np.linalg.eigvalsh(slsolver._stiffness(prof, k, 2 * n)[:n, :n])
