@@ -67,6 +67,45 @@ def _add_flags(parser, *tuning):
         parser.add_argument(flag, **_TUNING_FLAGS[flag])
 
 
+#: Subcommand -> (help line, tuning flags, own arguments): the one table
+#: the full parser and each single-subcommand parser are built from.
+_SUBCOMMANDS = {
+    "validate": ("check profile admissibility", (), ()),
+    "curvature": ("sample the Gauss curvature K = -f''/2", ("--quad-tol",), (
+        ("--count", dict(type=int, default=201, help="number of sample points (default 201)")),
+    )),
+    "sl": ("lowest eigenvalues of one mode operator", ("--rel-tol", "--grid-max"), (
+        ("--k", dict(type=int, default=0, help="Fourier mode (default 0)")),
+        ("--count", dict(type=int, default=8, help="how many eigenvalues (default 8)")),
+    )),
+    "spectrum": ("assemble the distinct eigenvalues with multiplicities",
+                 ("--rel-tol", "--merge-tol", "--grid-max"), (
+        ("--m-max", dict(type=int, default=6, help="deepest distinct index (default 6)")),
+    )),
+    "bounds": ("closed-form upper-bound table", ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
+        ("--m-max", dict(type=int, default=6, help="deepest index (default 6)")),
+        ("--l-set", dict(default="", help="comma-separated extra trial exponents "
+                                          "(1 and m are always included)")),
+    )),
+    "trace": ("reciprocal-eigenvalue sum against 1/k", ("--grid-max",), (
+        ("--k", dict(type=int, default=1, help="Fourier mode, nonzero (default 1)")),
+        ("--terms", dict(type=int, default=100, help="series terms (default 100)")),
+    )),
+    "verify": ("run the verification suite", ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
+        ("--m-max", dict(type=int, default=5, help="spectrum depth (default 5)")),
+    )),
+}
+
+
+def _add_subcommand(parser, name):
+    """Add the arguments of subcommand ``name`` to ``parser``; returns it."""
+    _, tuning, own = _SUBCOMMANDS[name]
+    _add_flags(parser, *tuning)
+    for flag, options in own:
+        parser.add_argument(flag, **options)
+    return parser
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="revspec",
@@ -74,39 +113,27 @@ def build_parser():
                     "symmetric metrics on the 2-sphere.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("validate", help="check profile admissibility")
-    _add_flags(sp)
-
-    sp = sub.add_parser("curvature", help="sample the Gauss curvature K = -f''/2")
-    _add_flags(sp, "--quad-tol")
-    sp.add_argument("--count", type=int, default=201, help="number of sample points (default 201)")
-
-    sp = sub.add_parser("sl", help="lowest eigenvalues of one mode operator")
-    _add_flags(sp, "--rel-tol", "--grid-max")
-    sp.add_argument("--k", type=int, default=0, help="Fourier mode (default 0)")
-    sp.add_argument("--count", type=int, default=8, help="how many eigenvalues (default 8)")
-
-    sp = sub.add_parser("spectrum", help="assemble the distinct eigenvalues with multiplicities")
-    _add_flags(sp, "--rel-tol", "--merge-tol", "--grid-max")
-    sp.add_argument("--m-max", type=int, default=6, help="deepest distinct index (default 6)")
-
-    sp = sub.add_parser("bounds", help="closed-form upper-bound table")
-    _add_flags(sp, "--rel-tol", "--merge-tol", "--quad-tol", "--grid-max")
-    sp.add_argument("--m-max", type=int, default=6, help="deepest index (default 6)")
-    sp.add_argument("--l-set", default="", help="comma-separated extra trial exponents "
-                                                "(1 and m are always included)")
-
-    sp = sub.add_parser("trace", help="reciprocal-eigenvalue sum against 1/k")
-    _add_flags(sp, "--grid-max")
-    sp.add_argument("--k", type=int, default=1, help="Fourier mode, nonzero (default 1)")
-    sp.add_argument("--terms", type=int, default=100, help="series terms (default 100)")
-
-    sp = sub.add_parser("verify", help="run the verification suite")
-    _add_flags(sp, "--rel-tol", "--merge-tol", "--quad-tol", "--grid-max")
-    sp.add_argument("--m-max", type=int, default=5, help="spectrum depth (default 5)")
-
+    for name, (help_line, _, _) in _SUBCOMMANDS.items():
+        _add_subcommand(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _parse(argv):
+    """Parse argv; exits through SystemExit as argparse does.
+
+    When argv[0] names a subcommand only that subcommand's parser is built,
+    the parser build_parser gives it (prog "revspec <name>"), so its help
+    and errors read the same. Arguments it leaves over go to the full
+    parser, which reports them as the top-level "unrecognized arguments".
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        name = argv[0]
+        parser = _add_subcommand(argparse.ArgumentParser(prog=f"revspec {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.subcommand = name
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _emit(text, out_path):
@@ -297,9 +324,8 @@ _COMMANDS = {
 
 def run(argv) -> int:
     """Parse argv (no program name) and execute; returns the exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:

@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import DomainError, ProfileError
+from .errors import DomainError, ProfileError, QuadratureAccuracyError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_gauss, gauss_jacobi_sqrt_weight
 from .report import Report
 
@@ -89,7 +89,7 @@ class ValidationReport(Report):
     endpoint_derivatives: tuple[float, ...]  # (f'(-1), f'(1))
     min_f_interior: float
     area: float  # 4*pi identically: the chart volume element is dx dtheta
-    curvature_integral: float  # integral of K dx; equals 2 for admissible f
+    curvature_integral: Optional[float]  # integral of K dx; 2 for admissible f, None if unsettled
     messages: list[str]
 
 
@@ -333,7 +333,9 @@ def validate_profile(p: MetricProfile, grid_size: int = 2001) -> ValidationRepor
 
     Positivity is checked on a uniform grid of ``grid_size`` points and the
     endpoint values and slopes by ``endpoint_conditions``. The area field is
-    the exact chart area 4*pi.
+    the exact chart area 4*pi. A curvature integral that does not settle
+    within the default quadrature tolerance is reported as None, with a
+    message, and fails the profile.
     """
     if grid_size < 3:
         raise DomainError("grid_size must be >= 3")
@@ -350,7 +352,11 @@ def validate_profile(p: MetricProfile, grid_size: int = 2001) -> ValidationRepor
         messages.append(f"f is not positive on the open interval (min {min_f:.3e})")
     messages += endpoint_messages
 
-    curv_integral = integrate_curvature_moment(p, 0, DEFAULT_QUADRATURE)
+    try:
+        curv_integral = integrate_curvature_moment(p, 0, DEFAULT_QUADRATURE)
+    except QuadratureAccuracyError as exc:
+        curv_integral = None
+        messages.append(f"the curvature integral did not settle: {exc}")
     return ValidationReport(
         passed=not messages,
         endpoint_values=values,

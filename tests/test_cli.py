@@ -66,16 +66,30 @@ def test_bounds_deep_csv_has_no_blank_bound(capsys):
         assert sharp and rough, m
 
 
-def test_bounds_unconvergeable_moments_exit_3(tmp_path, capsys):
-    # f = (1 - x^2)(1 + (1 - x^2) / d), d = 1e-6 + (x - 0.3)^2: admissible,
-    # with a peak of height 1e6 and width 1e-3 that 1024 panels do not settle
+@pytest.fixture
+def steep(tmp_path):
+    """f = (1 - x^2)(1 + (1 - x^2) / d), d = 1e-6 + (x - 0.3)^2: admissible,
+    with a peak of height 1e6 and width 1e-3 that 1024 panels do not settle."""
     path = tmp_path / "steep.json"
     path.write_text(json.dumps({"kind": "rational", "params": {
         "numerator": [1.090001, -0.6, -1.090001, 0.6], "denominator": [0.090001, -0.6, 1.0]}}))
-    status, out, err = run_capture(["bounds", "--profile", str(path), "--m-max", "5"], capsys)
+    return str(path)
+
+
+def test_bounds_unconvergeable_moments_exit_3(steep, capsys):
+    status, out, err = run_capture(["bounds", "--profile", steep, "--m-max", "5"], capsys)
     assert status == 3
     assert out == ""
     assert "error:" in err
+
+
+def test_validate_reports_unsettled_curvature_integral(steep, capsys):
+    status, out, _ = run_capture(["validate", "--profile", steep], capsys)
+    assert status == 0
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["curvature_integral"] is None
+    assert any("curvature integral did not settle" in m for m in report["messages"])
 
 
 @pytest.fixture
@@ -147,6 +161,31 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys):
     assert run_capture(["sl", "--profile", "canonical", "--merge-tol", "1e-3"], capsys)[0] == 2
     assert run_capture(["trace", "--profile", "canonical", "--rel-tol", "1e-8"], capsys)[0] == 2
     assert run_capture(["spectrum", "--profile", "canonical", "--quad-tol", "1e-8"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus", "--profile", "canonical"], ["sl"], ["sl", "--help"],
+    ["sl", "--profile", "canonical", "--k", "x"],
+    ["sl", "--profile", "canonical", "--format", "xml"],
+    ["trace", "--profile", "canonical", "--rel-tol", "1e-8"],
+    ["trace", "--profile", "canonical", "extra"],
+    ["sl", "--profile", "canonical", "--k", "x", "--merge-tol", "1e-3"],
+    ["bounds", "--profile", "canonical", "--m-max", "4", "--l-set", "2,3"],
+    ["verify", "--prof", "paper-example"],
+])
+def test_subcommand_parser_reads_like_the_full_parser(argv, capsys):
+    # run builds only the named subcommand's parser; the arguments, help,
+    # errors and exit status must be those of build_parser
+    from revspec.cli import _parse, build_parser
+
+    def attempt(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert attempt(_parse) == attempt(build_parser().parse_args)
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--m-max", "4"], ["verify", "--m-max", "3"]])

@@ -180,6 +180,22 @@ def test_validate_paper_curvature_integral(paper):
     assert report.curvature_integral == pytest.approx(2.0, abs=1e-9)
 
 
+def test_validate_reports_unsettled_curvature_integral(capsys):
+    # f = (1 - x^2)(1 + (1 - x^2) / d), d = 1e-6 + (x - 0.3)^2: admissible
+    # endpoints, but a peak of height 1e6 that the curvature integral does
+    # not settle on
+    prof = build_profile(ProfileSpec("rational", {
+        "numerator": [1.090001, -0.6, -1.090001, 0.6], "denominator": [0.090001, -0.6, 1.0]}))
+    report = validate_profile(prof)
+    assert not report.passed
+    assert report.curvature_integral is None
+    assert report.endpoint_derivatives == pytest.approx((2.0, -2.0), abs=1e-9)
+    assert [m for m in report.messages if "curvature integral did not settle" in m]
+    payload = report.to_json_dict()
+    assert payload["curvature_integral"] is None
+    assert type(report).from_json_dict(json.loads(json.dumps(payload))) == report
+
+
 def test_validate_grid_size_precondition(canonical):
     with pytest.raises(DomainError):
         validate_profile(canonical, grid_size=2)

@@ -232,6 +232,14 @@ def _uniform_25():
     return _sampled(x, (1.0 - x * x) * (1.0 + 2.0 * (1.0 - x * x)))
 
 
+#: The even bump (1 - x^2)(1 + 0.3 (1 - x^2)) and an admissible profile
+#: that differs from it by an odd term of size 1e-9.
+_POLYNOMIALS = {
+    "even_polynomial": [1.3, 0.0, -0.3],
+    "near_even_polynomial": [1.3, 1e-9, -0.3, -1e-9],
+}
+
+
 def _profile(name, request):
     if name == "sampled_bump":
         return request.getfixturevalue(name)
@@ -239,6 +247,8 @@ def _profile(name, request):
         return _rough_chebyshev(int(name.rsplit("_", 1)[1]))
     if name == "uniform_25":
         return _uniform_25()
+    if name in _POLYNOMIALS:
+        return build_profile(ProfileSpec("polynomial-factor", {"coefficients": _POLYNOMIALS[name]}))
     return builtin_profile(name)
 
 
@@ -318,12 +328,58 @@ def _reference_stiffness(p, k, n):
 
 @pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump", "rough_chebyshev_49"])
 def test_stiffness_matches_independent_assembly(name, request):
+    # block b of B holds the rows and columns b, b + B, ... of the matrix
     prof = _profile(name, request)
     for n in (16, 32):
         for k in (0, 1, 2, 5):
             ref = _reference_stiffness(prof, k, n)
-            got = slsolver._stiffness(prof, k, n)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, k)
+            blocks = slsolver._stiffness(prof, k, n)
+            parts = len(blocks)
+            for b, got in enumerate(blocks):
+                sub = ref[b::parts, b::parts]
+                assert np.max(np.abs(got - sub)) <= 1e-12 * np.max(np.abs(ref)), (n, k, b)
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper-example", "even_polynomial"])
+def test_even_profiles_split_into_parity_blocks(name, request):
+    """On an even profile P_j^(k,k) has parity (-1)^j, so entries with i + j
+    odd vanish: the independent assembly shows them at roundoff, and the
+    solver assembles the even-j and odd-j blocks alone."""
+    prof = _profile(name, request)
+    for n in (16, 17, 32):
+        for k in (0, 1, 2, 5):
+            ref = _reference_stiffness(prof, k, n)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(ref[0::2, 1::2])) <= 1e-13 * scale, (n, k)
+            even, odd = slsolver._stiffness(prof, k, n)
+            assert np.max(np.abs(even - ref[0::2, 0::2])) <= 1e-12 * scale, (n, k)
+            assert np.max(np.abs(odd - ref[1::2, 1::2])) <= 1e-12 * scale, (n, k)
+
+
+def test_parity_blocks_hold_ritz_values_at_roundoff(paper):
+    # lambda_1^2 of paper-example has converged by N = 24; with the
+    # cross-parity entries left out it stays within a few ulps up to
+    # N = 768 (the whole matrix scattered it by 1.6e-12 relative)
+    values = np.array([slsolver._ritz(paper, 1, n)[1] for n in (24, 48, 96, 192, 384, 768)])
+    assert np.ptp(values) <= 1e-14 * values[0]
+
+
+#: eigenvalues(near_even_polynomial, k, 4) before the parity split, at
+#: N = 32: an odd term of 1e-9 keeps the whole matrix.
+_NEAR_EVEN_VALUES = {
+    0: ["0x0.0p+0", "0x1.3c54923d4e184p+1", "0x1.bf7adc1409abfp+2", "0x1.bad00afff6a11p+3"],
+    1: ["0x1.cfa375c184b07p+0", "0x1.a19fb93ba6213p+2", "0x1.acdecbf2fe7cfp+3", "0x1.68cff444cf9dbp+4"],
+    2: ["0x1.4ca4a9898754bp+2", "0x1.844faf3059886p+3", "0x1.54cf36463b8cdp+4", "0x1.05e80b9f2e7bep+5"],
+}
+
+
+def test_near_even_profile_keeps_one_block(request):
+    prof = _profile("near_even_polynomial", request)
+    for k, frozen in _NEAR_EVEN_VALUES.items():
+        assert len(slsolver._stiffness(prof, k, 32)) == 1
+        slc = eigenvalues(prof, k, 4)
+        assert slc.grid_used == 32
+        assert [v.hex() for v in slc.eigenvalues] == frozen, k
 
 
 def test_block_size_does_not_change_eigenvalues(paper, sampled_bump, monkeypatch):
@@ -345,13 +401,16 @@ def test_block_size_does_not_change_eigenvalues(paper, sampled_bump, monkeypatch
 @pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump"])
 def test_leading_block_is_the_smaller_ritz_matrix(name, request):
     # the bases are nested, so the ladder reads its size-n Ritz values from
-    # the leading n-block of the 2n stiffness (a finer rule) instead of
-    # assembling size n
+    # the leading n basis functions of the 2n stiffness (a finer rule)
+    # instead of assembling size n; n = 17 (count 9) splits an even
+    # profile's leading block into 9 even and 8 odd rows
     prof = _profile(name, request)
-    for n in (16, 32):
+    sizes = (16, 17, 32) if name == "paper-example" else (16, 32)
+    for n in sizes:
         for k in (0, 1, 3):
-            block = np.linalg.eigvalsh(slsolver._stiffness(prof, k, 2 * n)[:n, :n])
+            block = slsolver._eig(slsolver._leading(slsolver._stiffness(prof, k, 2 * n), n), False)[0]
             ref = slsolver._ritz(prof, k, n)
+            assert block.size == n
             assert np.all(np.abs(block - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), (n, k)
 
 
@@ -380,6 +439,14 @@ def test_trace_canonical_k1_telescopes(canonical):
     assert report.target == 1.0
     assert report.partial_sum < 1.0
     assert report.deviation <= 1e-3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_trace_canonical_matches_closed_form(canonical, k):
+    # lambda_k^j = (k + j - 1)(k + j) telescopes: the first 200 reciprocals
+    # sum to 1/k - 1/(200 + k)
+    report = trace_check(canonical, k, 200)
+    assert abs(report.partial_sum - (1.0 / k - 1.0 / (200 + k))) <= 2e-13
 
 
 def test_trace_canonical_k2_telescopes(canonical):
