@@ -22,11 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InapplicabilityError
-from .profile import (
+# curvature_sign_indicator, integrate_curvature_moment and integrate_moment are
+# not called here; bench/tracing.py rebinds them and fails on a missing one.
+from .profile import (  # noqa: F401 (see above)
     MetricProfile,
     curvature_sign_indicator,
     integrate_curvature_moment,
-    integrate_moment,  # unused here, but bench/tracing.py rebinds bounds.integrate_moment
+    integrate_moment,
     moment_table,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -93,6 +95,10 @@ def rough_bound(p: MetricProfile, m: int, q: QuadratureConfig = DEFAULT_QUADRATU
     return ray_bound(p, m, 1, q)
 
 
+def _neg_curv(m, I, C):
+    return float(m * m + C[1] / (2.0 * I[1])) if I[1] >= 2.0 else None
+
+
 def negative_curvature_bound(
     p: MetricProfile, m: int, q: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
@@ -104,15 +110,13 @@ def negative_curvature_bound(
     """
     if m < 1:
         raise DomainError("eigenvalue index m must be >= 1")
-    indicator = curvature_sign_indicator(p, q)
-    if not indicator.implies_negative_curvature:
+    I, C = moment_table(p, 1, q)
+    bound = _neg_curv(m, I, C)
+    if bound is None:
         raise InapplicabilityError(
-            f"int f dx = {indicator.f_integral:.6g} < 2: the negative-curvature bound "
-            "requires int f >= 2"
+            f"int f dx = {I[1]:.6g} < 2: the negative-curvature bound requires int f >= 2"
         )
-    f_int = indicator.f_integral
-    curv = integrate_curvature_moment(p, 1, q)
-    return m * m + curv / (2.0 * f_int)
+    return bound
 
 
 def bounds_table(
@@ -148,7 +152,7 @@ def bounds_table(
                 sharp=ray[m],
                 ray=ray,
                 rough=ray[1],
-                neg_curv=float(m * m + C[1] / (2.0 * I[1])) if I[1] >= 2.0 else None,
+                neg_curv=_neg_curv(m, I, C),
                 canonical=float(m * m + m),
                 computed_lambda=computed,
             )

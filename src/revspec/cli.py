@@ -228,7 +228,7 @@ def _cmd_bounds(args, profile):
     try:
         spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args),
                                               args.merge_tol)
-    except RevspecError as exc:
+    except AssemblyError as exc:
         print(f"note: computed eigenvalues unavailable ({exc})", file=sys.stderr)
         spec = None
     rows = bounds_mod.bounds_table(profile, args.m_max, l_set, _quad_config(args), spec)
@@ -277,7 +277,7 @@ def _cmd_verify(args, profile):
         for name, bound in (("sharp_bound", row.sharp), ("rough_bound", row.rough)):
             checks.append(spectrum_mod.Check(
                 name=name, location=f"m={row.m}", lhs=lam, rhs=bound,
-                passed=lam <= bound + 1e-3 * max(abs(bound), 1.0),
+                passed=lam <= bound + spectrum_mod.CHECK_BUDGET_REL * max(abs(bound), 1.0),
             ))
 
     terms = 100
@@ -297,9 +297,7 @@ def _cmd_verify(args, profile):
         passed=witness is not None,
     ))
 
-    suite = spectrum_mod.VerificationReport(
-        checks=tuple(checks), all_passed=all(c.passed for c in checks)
-    )
+    suite = spectrum_mod.verification_report(checks)
     status = 0 if suite.all_passed else 1
     if args.format == "json":
         payload = suite.to_json_dict()

@@ -34,6 +34,8 @@ from .report import Report
 #: headroom is for sampled profiles reconstructed from tables.
 ENDPOINT_TOL = 1e-9
 
+VALIDATION_GRID = 2001  #: points of the uniform grid validate_profile checks positivity on
+
 #: Names accepted as ProfileSpec.kind.
 PROFILE_KINDS = ("canonical", "paper-example", "polynomial-factor", "rational", "sampled")
 
@@ -74,10 +76,6 @@ class MetricProfile:
     df: Callable
     d2f: Callable
     breaks: tuple = (-1.0, 1.0)
-
-    @property
-    def kind(self):
-        return self.spec.kind
 
 
 @dataclass(frozen=True)
@@ -328,19 +326,16 @@ def endpoint_conditions(p: MetricProfile):
     return (f_lo, f_hi), (df_lo, df_hi), messages
 
 
-def validate_profile(p: MetricProfile, grid_size: int = 2001) -> ValidationReport:
+def validate_profile(p: MetricProfile) -> ValidationReport:
     """Check the admissibility conditions and report; never raises on failure.
 
-    Positivity is checked on a uniform grid of ``grid_size`` points and the
-    endpoint values and slopes by ``endpoint_conditions``. The area field is
-    the exact chart area 4*pi. A curvature integral that does not settle
-    within the default quadrature tolerance is reported as None, with a
-    message, and fails the profile.
+    Positivity is checked on a uniform grid of VALIDATION_GRID points and
+    the endpoint values and slopes by ``endpoint_conditions``. The area
+    field is the exact chart area 4*pi. A curvature integral that does not
+    settle within the default quadrature tolerance is reported as None,
+    with a message, and fails the profile.
     """
-    if grid_size < 3:
-        raise DomainError("grid_size must be >= 3")
-    grid = np.linspace(-1.0, 1.0, grid_size)
-    interior = grid[1:-1]
+    interior = np.linspace(-1.0, 1.0, VALIDATION_GRID)[1:-1]
     fvals = np.asarray(p.f(interior), dtype=float)
     min_f = float(np.min(fvals))
     values, slopes, endpoint_messages = endpoint_conditions(p)

@@ -57,6 +57,9 @@ ROUNDOFF_FLOOR = 1e-14
 #: rule stays a few megabytes.
 _BLOCK = 16384
 
+ADAPTIVE_DOUBLINGS = 10  #: adaptive_gauss gives up beyond 1024 panels per piece
+JACOBI_DOUBLINGS = 8  #: gauss_jacobi_sqrt_weight gives up beyond 16 * 2^8 = 4096 nodes
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -89,7 +92,7 @@ def _composite(fn, breaks, panels):
                for i in range(0, x.size, _BLOCK))
 
 
-def adaptive_gauss(fn, breaks, abs_tol, max_doublings=10):
+def adaptive_gauss(fn, breaks, abs_tol):
     """Integrate a vectorized callable over [breaks[0], breaks[-1]].
 
     Each smooth piece between consecutive ``breaks`` gets one 25-point
@@ -97,13 +100,13 @@ def adaptive_gauss(fn, breaks, abs_tol, max_doublings=10):
     within max(abs_tol, ROUNDOFF_FLOOR) * max(|value|, 1); the finer value
     is returned. ``fn`` may return a stack of rows, one integrand each;
     every row must settle. Raises QuadratureAccuracyError, carrying the best
-    estimate and the error estimate, if ``max_doublings`` doublings do not
+    estimate and the error estimate, if ADAPTIVE_DOUBLINGS doublings do not
     suffice.
     """
     tol = max(abs_tol, ROUNDOFF_FLOOR)
     panels = 1
     value = _composite(fn, breaks, panels)
-    for _ in range(max_doublings):
+    for _ in range(ADAPTIVE_DOUBLINGS):
         panels *= 2
         prev, value = value, _composite(fn, breaks, panels)
         err = np.abs(value - prev)
@@ -117,16 +120,16 @@ def adaptive_gauss(fn, breaks, abs_tol, max_doublings=10):
     )
 
 
-def gauss_jacobi_sqrt_weight(g, abs_tol, max_doublings=8):
+def gauss_jacobi_sqrt_weight(g, abs_tol):
     """Integrate (1-x^2)^(-1/2) * g(x) over [-1, 1] for smooth g.
 
     Gauss-Chebyshev nodes cos((2i+1) pi / 2n) with weights pi / n absorb the
-    endpoint singularity; the node count doubles from 16 until two
-    successive estimates agree to ``abs_tol``.
+    endpoint singularity; the node count doubles from 16, at most
+    JACOBI_DOUBLINGS times, until two successive estimates agree to ``abs_tol``.
     """
     n = 16
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(JACOBI_DOUBLINGS + 1):
         x = -np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
         val = float(np.sum(g(x))) * np.pi / n
         if prev is not None and abs(val - prev) <= abs_tol:

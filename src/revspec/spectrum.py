@@ -31,6 +31,10 @@ from .slsolver import DEFAULT_SOLVER, SolverConfig, eigenvalues, first_eigenvalu
 
 _MAX_MODE_COUNT = 4096
 
+#: Error budget, relative to max(|value|, 1), of the interlacing,
+#: monotonicity and (in the CLI's verify) bound checks.
+CHECK_BUDGET_REL = 1e-3
+
 
 @dataclass(frozen=True)
 class DistinctEigenvalue(Report):
@@ -82,7 +86,8 @@ class VerificationReport(Report):
     all_passed: bool
 
 
-def _report(checks):
+def verification_report(checks):
+    """The report of ``checks``; all_passed when every one passed."""
     return VerificationReport(checks=tuple(checks), all_passed=all(c.passed for c in checks))
 
 
@@ -156,12 +161,15 @@ def assemble_spectrum(
     for one more than mode k - 1 holds below the ceiling plus a guard,
     since lambda_j^(k) >= lambda_j^(k-1). With merge_tol=None the merge
     tolerance is 10 times the worst per-eigenvalue error estimate.
+    An explicit merge_tol that is not a positive number raises DomainError.
     AssemblyError is raised by an explicit merge_tol at or below the solver
     errors, by a merge of values that cannot coincide, and by a mode slice
     that misses rel_tol by the basis cap (naming k, N and the estimate).
     """
     if m_target < 0:
         raise DomainError("m_target must be >= 0")
+    if merge_tol is not None and not (merge_tol > 0.0):
+        raise DomainError(f"the merge tolerance must be positive, got merge_tol={merge_tol!r}")
     slices = {m_target: _converged_slice(p, m_target, 2, cfg)}
     ceiling = slices[m_target].eigenvalues[0]
     lam_hi = ceiling + max(1.0, 1e-3 * ceiling)
@@ -241,7 +249,7 @@ def verify_multiplicity_bound(s: GlobalSpectrum) -> VerificationReport:
         )
         for entry in s.entries
     ]
-    return _report(checks)
+    return verification_report(checks)
 
 
 def verify_interlacing(
@@ -249,7 +257,6 @@ def verify_interlacing(
     k_max: int,
     j_max: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    budget_rel: float = 1e-3,
     spectrum: Optional[GlobalSpectrum] = None,
 ) -> VerificationReport:
     """Check lambda_(k+j) <= lambda_k^(j+1) for 1 <= k <= k_max, 0 <= j <= j_max.
@@ -258,7 +265,7 @@ def verify_interlacing(
     k_max + j_max (assembled here unless one is supplied), and so do the
     mode values wherever its slice of mode k holds j_max + 1 of them; the
     other modes are solved here. The comparison allows an error budget of
-    budget_rel * max(rhs, 1).
+    CHECK_BUDGET_REL * max(|rhs|, 1).
     """
     if k_max < 1 or j_max < 1:
         raise DomainError("k_max and j_max must be >= 1")
@@ -278,24 +285,23 @@ def verify_interlacing(
                     location=f"k={k},j={j}",
                     lhs=lhs,
                     rhs=rhs,
-                    passed=lhs <= rhs + budget_rel * max(abs(rhs), 1.0),
+                    passed=lhs <= rhs + CHECK_BUDGET_REL * max(abs(rhs), 1.0),
                 )
             )
-    return _report(checks)
+    return verification_report(checks)
 
 
 def verify_monotonicity(
     p: MetricProfile,
     k_max: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    budget_rel: float = 1e-3,
     spectrum: Optional[GlobalSpectrum] = None,
 ) -> VerificationReport:
     """Check that the first mode eigenvalue strictly increases over k = 1..k_max.
 
     The first eigenvalue of mode k is read from the mode slices of
     ``spectrum`` where it holds one, and solved here otherwise. The
-    comparison allows an error budget of budget_rel * max(lhs, 1).
+    comparison allows an error budget of CHECK_BUDGET_REL * max(|lhs|, 1).
     """
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
@@ -311,28 +317,20 @@ def verify_monotonicity(
                 location=f"k={i + 1}->{i + 2}",
                 lhs=lhs,
                 rhs=rhs,
-                passed=rhs > lhs - budget_rel * max(abs(lhs), 1.0),
+                passed=rhs > lhs - CHECK_BUDGET_REL * max(abs(lhs), 1.0),
             )
         )
-    return _report(checks)
+    return verification_report(checks)
 
 
-def canonical_comparison(s: GlobalSpectrum, tol_rel: float = 1e-6) -> CanonicalComparison:
-    """Compare each assembled eigenvalue with the round-sphere value m(m+1)."""
+def canonical_comparison(s: GlobalSpectrum) -> CanonicalComparison:
+    """Compare each eigenvalue with m(m+1), allowing max(1e-9, 1e-6 m(m+1))."""
     rows = []
     for entry in s.entries:
         canonical = float(entry.m * entry.m + entry.m)
-        below = entry.value <= canonical + max(1e-9, tol_rel * canonical)
-        rows.append(
-            CanonicalRow(
-                m=entry.m,
-                value=entry.value,
-                canonical_value=canonical,
-                below_canonical=below,
-            )
-        )
-    witnesses = {}
-    max_m = len(rows) - 1
-    for k in range(1, max_m + 1):
-        witnesses[k] = next((row.m for row in rows[k:] if row.below_canonical), None)
+        below = entry.value <= canonical + max(1e-9, 1e-6 * canonical)
+        rows.append(CanonicalRow(m=entry.m, value=entry.value, canonical_value=canonical,
+                                 below_canonical=below))
+    witnesses = {k: next((row.m for row in rows[k:] if row.below_canonical), None)
+                 for k in range(1, len(rows))}
     return CanonicalComparison(rows=tuple(rows), witnesses=witnesses)

@@ -27,6 +27,13 @@ def bump():
 
 
 @pytest.fixture(scope="session")
+def dented():
+    """f = (1 - x^2)(2 x^2 - 1): the endpoint conditions hold, but f < 0 for
+    |x| < 1/sqrt(2)."""
+    return build_profile(ProfileSpec("polynomial-factor", {"coefficients": [-1.0, 0.0, 2.0]}))
+
+
+@pytest.fixture(scope="session")
 def sampled_bump():
     """The bump f = (1 - x^2)(1 + 2(1 - x^2)) as a 25-knot spline: jittered
     Chebyshev knots, alternating +-1e-3 relative noise on interior samples."""

@@ -94,6 +94,8 @@ def test_domain_errors():
         negative_curvature_bound(can, 0, QUAD)
     with pytest.raises(DomainError):
         bounds_table(can, 0)
+    with pytest.raises(DomainError, match="trial exponents"):
+        bounds_table(can, 1, l_set=(0,))
 
 
 def test_negative_curvature_bound_paper(paper):
@@ -261,6 +263,10 @@ def test_trial_residual_notes_distinguish(canonical, paper):
     assert "not an eigenfunction" in trial_residual(paper, 2).note
 
 
-def test_trial_residual_domain(canonical):
+def test_trial_residual_domain(canonical, dented):
     with pytest.raises(DomainError):
         trial_residual(canonical, 0)
+    with pytest.raises(DomainError, match="n >= 3"):
+        trial_residual(canonical, 1, n=2)
+    with pytest.raises(DomainError, match="positive on"):
+        trial_residual(dented, 1)

@@ -257,8 +257,56 @@ def test_malformed_profile_file_exits_2(tmp_path, capsys):
 
 
 def test_out_of_range_option_exits_2(capsys):
-    assert run_capture(["sl", "--profile", "canonical", "--count", "0"], capsys)[0] == 2
-    assert run_capture(["spectrum", "--profile", "canonical", "--m-max", "-1"], capsys)[0] == 2
+    for argv, flag in [
+        (["sl", "--count", "0"], "--count"),
+        (["spectrum", "--m-max", "-1"], "--m-max"),
+        (["curvature", "--count", "1"], "--count"),
+        (["bounds", "--m-max", "0"], "--m-max"),
+        (["trace", "--terms", "0"], "--terms"),
+        (["verify", "--m-max", "0"], "--m-max"),
+    ]:
+        status, out, err = run_capture([argv[0], "--profile", "canonical", *argv[1:]], capsys)
+        assert (status, out) == (2, ""), argv
+        assert flag in err, argv
+
+
+@pytest.mark.parametrize("cmd", ["spectrum", "bounds", "verify"])
+@pytest.mark.parametrize("merge_tol", ["nan", "0", "-1"])
+def test_non_positive_merge_tol_exits_2(cmd, merge_tol, capsys):
+    argv = [cmd, "--profile", "canonical", "--m-max", "3", "--merge-tol", merge_tol]
+    status, out, err = run_capture(argv, capsys)
+    assert status == 2
+    assert out == ""
+    assert "merge tolerance must be positive" in err
+
+
+def test_bounds_notes_only_numerical_assembly_failures(tmp_path, capsys):
+    # an unconverged mode slice leaves the bound table with a note ...
+    status, out, err = run_capture(["bounds", "--profile", "paper-example", "--m-max", "2",
+                                    "--grid-max", "16", "--rel-tol", "1e-12"], capsys)
+    assert status == 0 and err.startswith("note: computed eigenvalues unavailable")
+    assert [row["computed_lambda"] for row in json.loads(out)["rows"]] == [None, None]
+    # ... while an input the assembly rejects exits 2, as in spectrum
+    dented = tmp_path / "dented.json"
+    dented.write_text(json.dumps({"kind": "polynomial-factor",
+                                  "params": {"coefficients": [-1.0, 0.0, 2.0]}}))
+    for argv in (["--profile", str(dented)],
+                 ["--profile", "canonical", "--m-max", "60", "--grid-max", "64"]):
+        status, out, err = run_capture(["bounds", *argv], capsys)
+        assert (status, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
+def test_tuning_flag_defaults_match_the_library():
+    # each default is written both in the parser and in the config classes
+    from revspec.cli import build_parser
+    from revspec.quadrature import DEFAULT_QUADRATURE
+    from revspec.slsolver import DEFAULT_SOLVER
+
+    args = build_parser().parse_args(["verify", "--profile", "canonical"])
+    assert args.rel_tol == DEFAULT_SOLVER.rel_tol
+    assert args.grid_max == DEFAULT_SOLVER.n_max
+    assert args.quad_tol == DEFAULT_QUADRATURE.abs_tol
 
 
 def test_tiny_merge_tol_exits_3(capsys):
@@ -301,6 +349,36 @@ def test_spectrum_csv_format(capsys):
     assert lines[1].split(",")[0] == "0"
     assert lines[3].split(",")[2] == "5"
     assert lines[3].split(",")[3] == "0;1;2"
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["validate", "--profile", "paper-example"], [
+        ("passed", "passed"), ("f_at_-1", "endpoint_values", 0), ("f_at_1", "endpoint_values", 1),
+        ("df_at_-1", "endpoint_derivatives", 0), ("df_at_1", "endpoint_derivatives", 1),
+        ("min_f_interior", "min_f_interior"), ("area", "area"),
+        ("curvature_integral", "curvature_integral"), ("messages", "messages"),
+    ]),
+    (["trace", "--profile", "paper-example", "--k", "2", "--terms", "20"], [
+        (name, name) for name in ("k", "terms_used", "partial_sum", "tail_estimate", "target", "deviation")
+    ]),
+])
+def test_single_record_csv_matches_json(argv, columns, capsys):
+    def cell(value):  # the CSV rendering of a JSON value
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return ";".join(value) if isinstance(value, list) else repr(value)
+
+    status, out, _ = run_capture(argv, capsys)
+    assert status == 0
+    payload = json.loads(out)
+    status, out, _ = run_capture(argv + ["--format", "csv"], capsys)
+    assert status == 0
+    header, record = out.split("\n")[:2]
+    assert header.split(",") == [column[0] for column in columns]
+    expected = [cell(payload[key][index[0]] if index else payload[key])
+                for _, key, *index in columns]
+    assert record.split(",") == expected
+    assert out == header + "\n" + record + "\n"
 
 
 def test_sl_csv_and_json_roundtrip(capsys):

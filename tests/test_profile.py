@@ -102,10 +102,16 @@ def test_sampled_spline_matches_scipy(case, sampled_bump):
     prof = build_profile(ProfileSpec("sampled", {"x": x.tolist(), "f": fv.tolist()}))
     oracle = CubicSpline(x, fv, bc_type=((1, 2.0), (1, -2.0)))
     pts = np.concatenate([x, np.linspace(-1.0, 1.0, 2001), [-1.0, 1.0, 0.3]])  # the knots exactly
+    # callers pass unsorted points too (the solver's folded rule descends)
+    order = np.random.default_rng(7).permutation(pts.size)
     for nu, (fn, rtol) in enumerate(((prof.f, 1e-14), (prof.df, 1e-13), (prof.d2f, 1e-13))):
         values, expected = fn(pts), oracle(pts, nu)
         assert_allclose(values, expected, rtol=0, atol=rtol * float(np.max(np.abs(expected))))
         assert type(fn(0.3)) is float and fn(0.3) == values[-1]
+        sorted_pts = np.sort(pts)
+        on_sorted = fn(sorted_pts)
+        assert np.array_equal(fn(sorted_pts[::-1]), on_sorted[::-1])
+        assert np.array_equal(fn(sorted_pts[order]), on_sorted[order])
     if case == "two_samples":  # the clamped cubic through two samples is 1 - x^2
         assert_allclose(prof.f(pts), 1.0 - pts * pts, rtol=0, atol=1e-15)
 
@@ -194,11 +200,6 @@ def test_validate_reports_unsettled_curvature_integral(capsys):
     payload = report.to_json_dict()
     assert payload["curvature_integral"] is None
     assert type(report).from_json_dict(json.loads(json.dumps(payload))) == report
-
-
-def test_validate_grid_size_precondition(canonical):
-    with pytest.raises(DomainError):
-        validate_profile(canonical, grid_size=2)
 
 
 def test_validation_report_serializes(canonical):

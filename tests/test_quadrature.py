@@ -29,10 +29,20 @@ def test_needs_subdivision():
 
 
 def test_budget_exhaustion_carries_best_estimate():
+    # a peak of width 1e-4 is not resolved by 1024 panels
     with pytest.raises(QuadratureAccuracyError) as info:
-        adaptive_gauss(lambda x: 1.0 / (1e-8 + x * x), (-1.0, 1.0), 1e-12, max_doublings=2)
+        adaptive_gauss(lambda x: 1.0 / (1e-8 + x * x), (-1.0, 1.0), 1e-12)
+    assert "1024 panels" in str(info.value)
     assert info.value.best_estimate is not None
     assert info.value.error_estimate > 1e-12
+
+
+def test_jacobi_budget_exhaustion_carries_best_estimate():
+    # |x| has a kink at 0, so the estimates settle only like 1/n^2
+    with pytest.raises(QuadratureAccuracyError) as info:
+        gauss_jacobi_sqrt_weight(np.abs, 1e-13)
+    assert "4096 nodes" in str(info.value)
+    assert info.value.best_estimate == pytest.approx(2.0, abs=1e-6)  # int |x| / sqrt(1 - x^2)
 
 
 def test_adaptive_gauss_deterministic():

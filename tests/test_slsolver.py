@@ -130,6 +130,11 @@ def test_count_too_large_for_grid_cap(canonical):
         eigenvalues(canonical, 0, 0)
 
 
+def test_profile_negative_inside_is_rejected(dented):
+    with pytest.raises(DomainError, match="positive on"):
+        eigenvalues(dented, 1, 3)
+
+
 def test_raw_estimates_converge_and_richardson_accelerates(paper):
     """Ritz values converge in the basis size N down to the error floor.
 
@@ -475,6 +480,8 @@ def test_trace_rejects_invariant_mode(canonical):
         trace_check(canonical, 0, 50)
     with pytest.raises(DomainError):
         trace_check(canonical, 1, 0)
+    with pytest.raises(DomainError, match="terms=100 needs a basis larger than n_max=64"):
+        trace_check(canonical, 1, 100, SolverConfig(n_max=64))
 
 
 # ---------------------------------------------------------- eigenfunctions
@@ -484,6 +491,11 @@ def test_eigenfunction_constant_mode(canonical):
     values = np.array(ef.values)
     assert np.max(values) - np.min(values) <= 1e-8 * np.max(np.abs(values))
     assert values[0] > 0  # sign convention
+
+
+def test_eigenfunction_rejects_index_zero(canonical):
+    with pytest.raises(DomainError, match="j must be >= 1"):
+        eigenfunction(canonical, 1, 0)
 
 
 def test_eigenfunction_k0_j2_proportional_to_x(canonical):

@@ -108,6 +108,19 @@ def test_m_target_negative_rejected(canonical):
         assemble_spectrum(canonical, -1)
 
 
+@pytest.mark.parametrize("merge_tol", [float("nan"), 0.0, -1.0])
+def test_merge_tol_must_be_positive(canonical, merge_tol):
+    with pytest.raises(DomainError, match="merge tolerance must be positive"):
+        assemble_spectrum(canonical, 3, merge_tol=merge_tol)
+
+
+def test_verify_depths_rejected(canonical):
+    with pytest.raises(DomainError, match="k_max and j_max"):
+        verify_interlacing(canonical, 0, 1)
+    with pytest.raises(DomainError, match="k_max must be >= 2"):
+        verify_monotonicity(canonical, 1)
+
+
 def test_paper_multiplicity_bound(paper):
     spec = assemble_spectrum(paper, 5)
     report = verify_multiplicity_bound(spec)
