@@ -12,7 +12,12 @@ The volume element in this chart is dx dtheta, hence the area is always
 
 This module builds profile evaluators from declarative specs, validates the
 admissibility conditions, and computes the profile integrals the eigenvalue
-bounds are made of.
+bounds are made of. Every kind is one representation: on each smooth piece,
+tables of a numerator N and a denominator D in powers of x - origin. The
+closed-form kinds are one piece in powers of x; a sampled profile is its
+clamped cubic spline, piece i in powers of x - x_i with D = 1. One Horner
+evaluator serves every kind: f = N/D, f' = N1/D^2 and f'' = N2/D^3, with
+N1 = N'D - ND' and N2 = N1'D - 2D'N1 formed once, at build time.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import DomainError, ProfileError, QuadratureAccuracyError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_gauss, gauss_jacobi_sqrt_weight
@@ -39,7 +43,11 @@ VALIDATION_GRID = 2001  #: points of the uniform grid validate_profile checks po
 #: Names accepted as ProfileSpec.kind.
 PROFILE_KINDS = ("canonical", "paper-example", "polynomial-factor", "rational", "sampled")
 
-BUILTIN_NAMES = ("canonical", "paper-example")
+#: The built-in kinds, which take no params, as (numerator, denominator) in
+#: ascending powers of x: the round sphere and the paper's example.
+_BUILTIN_FORMS = {"canonical": ([1.0, 0.0, -1.0], [1.0]),
+                  "paper-example": ([2.0, 0.0, -2.0], [1.0, 0.0, 1.0])}
+BUILTIN_NAMES = tuple(_BUILTIN_FORMS)
 
 
 @dataclass(frozen=True)
@@ -124,64 +132,69 @@ def _wrap_scalar(fn):
 
     def call(x):
         out = fn(np.asarray(x, dtype=float))
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
+        return float(out) if np.ndim(x) == 0 else out
 
     return call
 
 
-def _build_canonical():
-    f = _wrap_scalar(lambda x: 1.0 - x * x)
-    df = _wrap_scalar(lambda x: -2.0 * x)
-    d2f = _wrap_scalar(lambda x: np.full_like(x, -2.0))
-    return f, df, d2f
+# A coefficient table holds one column per piece, highest power first.
+
+def _column(coeffs):
+    """The one-piece table of coefficients given in ascending powers."""
+    return np.asarray(coeffs, dtype=float)[::-1, None]
 
 
-def _build_paper_example():
-    # f = 2(1-x^2)/(1+x^2); curvature 4(1-3x^2)/(1+x^2)^3 is negative on the
-    # polar regions |x| > 1/sqrt(3).
-    f = _wrap_scalar(lambda x: 2.0 * (1.0 - x * x) / (1.0 + x * x))
-    df = _wrap_scalar(lambda x: -8.0 * x / (1.0 + x * x) ** 2)
-    d2f = _wrap_scalar(lambda x: -8.0 * (1.0 - 3.0 * x * x) / (1.0 + x * x) ** 3)
-    return f, df, d2f
+def _deriv(table):
+    """Derivative table (no rows for a constant)."""
+    return table[:-1] * np.arange(len(table) - 1, 0, -1)[:, None]
 
 
-def _build_polynomial_factor(params):
-    coeffs = _as_float_array(params.get("coefficients"), "coefficients")
-    q = Polynomial(coeffs)
-    fpoly = Polynomial([1.0, 0.0, -1.0]) * q
-    d1 = fpoly.deriv(1)
-    d2 = fpoly.deriv(2)
-    return _wrap_scalar(fpoly), _wrap_scalar(d1), _wrap_scalar(d2)
+def _mul(a, b):
+    """Product table, column by column."""
+    out = np.zeros((len(a) + len(b) - 1, max(a.shape[1], b.shape[1])))
+    for i, row in enumerate(a):
+        out[i:i + len(b)] += row * b
+    return out
 
 
-def _build_rational(params):
-    num = Polynomial(_as_float_array(params.get("numerator"), "numerator"))
-    den = Polynomial(_as_float_array(params.get("denominator"), "denominator"))
-    grid = np.linspace(-1.0, 1.0, 4097)
-    dvals = den(grid)
-    if np.min(np.abs(dvals)) <= 1e-12 * max(1.0, float(np.max(np.abs(dvals)))):
-        raise ProfileError("params['denominator'] vanishes on [-1, 1]")
-    dn1, dd1 = num.deriv(1), den.deriv(1)
-    dn2, dd2 = num.deriv(2), den.deriv(2)
-
-    def f(x):
-        return num(x) / den(x)
-
-    def df(x):
-        d = den(x)
-        return (dn1(x) * d - num(x) * dd1(x)) / (d * d)
-
-    def d2f(x):
-        n, d = num(x), den(x)
-        n1, d1 = dn1(x), dd1(x)
-        return (dn2(x) * d * d - 2.0 * n1 * d1 * d - n * dd2(x) * d + 2.0 * n * d1 * d1) / (d * d * d)
-
-    return _wrap_scalar(f), _wrap_scalar(df), _wrap_scalar(d2f)
+def _trim(table):
+    """The table without its leading all-zero rows (one zero row for 0)."""
+    nonzero = np.flatnonzero(np.any(table != 0.0, axis=1))
+    return table[nonzero[0]:] if nonzero.size else np.zeros((1, table.shape[1]))
 
 
-def _build_sampled(params):
+def _horner(coef, s):
+    """Horner's rule on coefficient rows, each a number or one per point of s."""
+    out = np.full_like(s, coef[0])
+    for row in coef[1:]:
+        out *= s
+        out += row
+    return out
+
+
+def _piecewise_rational(breaks, origins, num, den):
+    """Evaluators f, f', f'' of N/D (module docstring) from the tables
+    ``num`` and ``den``, piece i in powers of x - origins[i]; points outside
+    [breaks[0], breaks[-1]] extend the end pieces."""
+    interior, origins = np.asarray(breaks[1:-1], dtype=float), np.asarray(origins, dtype=float)
+    n1 = _trim(_mul(_deriv(num), den) - _mul(num, _deriv(den)))
+    n2 = _trim(_mul(_deriv(n1), den) - 2.0 * _mul(_deriv(den), n1))
+
+    def evaluator(table, power):
+        def evaluate(t):
+            piece = interior.searchsorted(t, "right")  # piece i holds [breaks[i], breaks[i + 1])
+            s = t - origins.take(piece)
+            return _horner(table.take(piece, axis=1), s) / _horner(den.take(piece, axis=1), s) ** power
+
+        return _wrap_scalar(evaluate)
+
+    return evaluator(num, 1), evaluator(n1, 2), evaluator(n2, 3)
+
+
+def _spline_table(params):
+    """Knots and table of the clamped C^2 cubic through the samples, with
+    the admissible endpoint slopes baked in: the slope condition is a hard
+    constraint, so it is part of reconstruction rather than left to the data."""
     x = _as_float_array(params.get("x"), "x")
     fv = _as_float_array(params.get("f"), "f")
     if x.size != fv.size:
@@ -194,18 +207,7 @@ def _build_sampled(params):
         raise ProfileError("params['x'] must cover [-1, 1] with endpoints included")
     x = x.copy()
     x[0], x[-1] = -1.0, 1.0
-    # Clamped C^2 cubic with the admissible endpoint slopes baked in; the
-    # slope condition is a hard constraint, so it is part of reconstruction
-    # rather than left to the data.
-    table = _clamped_spline(x, fv, 2.0, -2.0)
-    d1 = table[:-1] * np.array([[3.0], [2.0], [1.0]])
-    d2 = d1[:-1] * np.array([[2.0], [1.0]])
-    return (
-        _piecewise_polynomial(x, table),
-        _piecewise_polynomial(x, d1),
-        _piecewise_polynomial(x, d2),
-        tuple(float(v) for v in x),
-    )
+    return x, _clamped_spline(x, fv, 2.0, -2.0)
 
 
 def _clamped_spline(x, y, slope_lo, slope_hi):
@@ -232,46 +234,33 @@ def _clamped_spline(x, y, slope_lo, slope_hi):
     return np.array([(hi - lo) / (6.0 * h), 0.5 * lo, slope - h * (2.0 * lo + hi) / 6.0, y[:-1]])
 
 
-def _piecewise_polynomial(breaks, table):
-    """Evaluator of the piecewise polynomial with coefficient rows ``table``
-    (highest power first, in powers of t - breaks[i] on piece i); points
-    outside [breaks[0], breaks[-1]] extend the end pieces."""
-    interior = breaks[1:-1]
-
-    def evaluate(t):
-        piece = interior.searchsorted(t, "right")  # piece i holds [breaks[i], breaks[i + 1])
-        s = t - breaks.take(piece)
-        coef = table.take(piece, axis=1)
-        out = coef[0]
-        for row in coef[1:]:
-            out *= s
-            out += row
-        return out
-
-    return _wrap_scalar(evaluate)
-
-
 def build_profile(spec: ProfileSpec) -> MetricProfile:
     """Construct evaluators for a profile spec.
 
-    Built-in kinds use exact closed forms. Malformed parameters raise
+    Every kind becomes one numerator and one denominator table on each
+    smooth piece (_piecewise_rational). Malformed parameters raise
     ProfileError naming the offending field; admissibility (positivity,
     endpoint values and slopes) is *not* enforced here -- it is reported by
     validate_profile so that inadmissible profiles can still be examined.
     """
-    breaks = (-1.0, 1.0)
-    if spec.kind == "canonical":
-        f, df, d2f = _build_canonical()
-    elif spec.kind == "paper-example":
-        f, df, d2f = _build_paper_example()
+    breaks, origins, den = (-1.0, 1.0), (0.0,), _column([1.0])
+    if spec.kind in _BUILTIN_FORMS:
+        num, den = (_column(c) for c in _BUILTIN_FORMS[spec.kind])
     elif spec.kind == "polynomial-factor":
-        f, df, d2f = _build_polynomial_factor(spec.params)
+        q = _as_float_array(spec.params.get("coefficients"), "coefficients")
+        num = _mul(_column([1.0, 0.0, -1.0]), _column(q))
     elif spec.kind == "rational":
-        f, df, d2f = _build_rational(spec.params)
+        num, den = (_column(_as_float_array(spec.params.get(key), key))
+                    for key in ("numerator", "denominator"))
+        dvals = np.abs(_horner(den[:, 0], np.linspace(-1.0, 1.0, 4097)))
+        if np.min(dvals) <= 1e-12 * max(1.0, float(np.max(dvals))):
+            raise ProfileError("params['denominator'] vanishes on [-1, 1]")
     elif spec.kind == "sampled":
-        f, df, d2f, breaks = _build_sampled(spec.params)
+        x, num = _spline_table(spec.params)
+        breaks, origins, den = tuple(float(v) for v in x), x[:-1], np.ones((1, x.size - 1))
     else:
         raise ProfileError(f"unknown profile kind {spec.kind!r}; expected one of {PROFILE_KINDS}")
+    f, df, d2f = _piecewise_rational(breaks, origins, num, den)
     return MetricProfile(spec=spec, f=f, df=df, d2f=d2f, breaks=breaks)
 
 
@@ -390,9 +379,8 @@ def moment_table(p: MetricProfile, l_max: int, q: QuadratureConfig = DEFAULT_QUA
         fx = np.asarray(p.f(x), dtype=float)
         powers = np.empty((l_max + 1, x.size))
         powers[0] = fx > 0.0
-        fx = np.maximum(fx, 0.0)
-        for l in range(1, l_max + 1):
-            powers[l] = powers[l - 1] * fx
+        powers[1:] = np.maximum(fx, 0.0)
+        np.cumprod(powers, axis=0, out=powers)
         curv = -0.5 * np.asarray(p.d2f(x), dtype=float)
         return np.concatenate([powers, powers * curv])
 
@@ -419,15 +407,17 @@ def integrate_curvature_moment(
 def curvature_sign_indicator(
     p: MetricProfile, q: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> CurvatureSignIndicator:
-    """Evaluate int f and int x^2 K and flag the negative-curvature regime.
+    """Evaluate int f and int x^2 K in one pass; flag the negative-curvature regime.
 
     The flag is int f >= 2 (boundary case included). For admissible profiles
     the two integrals satisfy int f = 2 - int x^2 K within 2 * q.abs_tol;
     the realized gap is reported for auditing.
     """
-    f_int = integrate_moment(p, 1, q)
-    x2k = adaptive_gauss(lambda x: -0.5 * x * x * np.asarray(p.d2f(x), dtype=float),
-                         p.breaks, q.abs_tol)
+    def rows(x):
+        return np.stack([np.maximum(np.asarray(p.f(x), dtype=float), 0.0),
+                         -0.5 * x * x * np.asarray(p.d2f(x), dtype=float)])
+
+    f_int, x2k = (float(v) for v in adaptive_gauss(rows, p.breaks, q.abs_tol))
     return CurvatureSignIndicator(
         f_integral=f_int,
         x2K_integral=x2k,

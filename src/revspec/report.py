@@ -68,20 +68,21 @@ class Report:
         return cls(**{f.name: _decode(hints[f.name], data[f.name]) for f in _wire_fields(cls)})
 
 
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    text = repr(float(value)) if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_text(header, records):
     """CSV with one header line; None is an empty cell, bools are true/false,
-    floats their shortest repr (of the Python float, numpy scalars included)."""
-    lines = [",".join(header)]
-    for record in records:
-        cells = []
-        for value in record:
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append(repr(float(value)))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    floats their shortest repr (of the Python float, numpy scalars included).
+    A cell holding a comma, a double quote or a line break is quoted, its
+    quotes doubled (RFC 4180)."""
+    lines = [",".join(map(_csv_cell, row)) for row in [header, *records]]
     return "\n".join(lines) + "\n"

@@ -1,7 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from revspec import ProfileSpec, assemble_spectrum, build_profile, builtin_profile
+
+
+def bench_module(name):
+    """A module of the benchmark harness (bench/<name>.py), loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

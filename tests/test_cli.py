@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,9 @@ import pytest
 
 import revspec
 from revspec.cli import run
+from revspec.report import csv_text
+
+from conftest import bench_module
 
 
 def run_capture(argv, capsys):
@@ -381,6 +386,24 @@ def test_single_record_csv_matches_json(argv, columns, capsys):
     assert out == header + "\n" + record + "\n"
 
 
+def test_csv_quotes_cells_holding_commas(tmp_path, capsys):
+    path = tmp_path / "slopes.json"  # breaks both endpoint slopes
+    path.write_text(json.dumps({"kind": "polynomial-factor",
+                                "params": {"coefficients": [1.2, 0.1, -0.2, 0.05]}}))
+    argv = ["validate", "--profile", str(path)]
+    messages = json.loads(run_capture(argv, capsys)[1])["messages"]
+    assert any("," in message for message in messages)
+    header, record = csv.reader(io.StringIO(run_capture(argv + ["--format", "csv"], capsys)[1]))
+    assert len(header) == len(record) == 9
+    assert record[-1] == ";".join(messages)
+
+
+def test_csv_text_quotes_as_rfc4180():
+    text = csv_text(["a", "b"], [['say "hi"', "two\r\nlines"], [1.5, None]])
+    assert text.startswith('a,b\n"say ""hi""","two')
+    assert list(csv.reader(io.StringIO(text))) == [["a", "b"], ['say "hi"', "two\r\nlines"], ["1.5", ""]]
+
+
 def test_sl_csv_and_json_roundtrip(capsys):
     status, out, _ = run_capture(
         ["sl", "--profile", "canonical", "--k", "1", "--count", "3"], capsys
@@ -553,14 +576,41 @@ def test_bench_tracer_names_exist():
     # the benchmark's tracer rebinds these names on revspec's modules and
     # fails on a missing one, so a rename must fail here first
     import importlib
-    import importlib.util
-    from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module("tracing")
     assert tracing._WRAPPED
     for module_name, attr, _ in tracing._WRAPPED:
         module = importlib.import_module(f"revspec.{module_name}")
         assert hasattr(module, attr), f"revspec.{module_name}.{attr}"
+
+
+def test_bench_tracer_runs_commands(tmp_path, capsys):
+    # a traced benchmark round: the tracer binds the arguments of the calls
+    # it wraps by name (p, k, count, cfg, l, q, l_set), so a renamed
+    # parameter fails here as it would fail ``bench/run.py --trace 1``
+    import importlib
+
+    modules = {name: importlib.import_module(f"revspec.{name}")
+               for name in ("profile", "slsolver", "spectrum", "bounds", "cli")}
+    tracing = bench_module("tracing")
+    originals = {(m, a): getattr(modules[m], a) for m, a, _ in tracing._WRAPPED}
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        assert modules["cli"].run(["verify", "--profile", "canonical", "--m-max", "2"]) == 0
+        assert modules["cli"].run(["curvature", "--profile", "paper-example", "--count", "11"]) == 0
+        paper = tracer.wrap_profile(modules["profile"].builtin_profile("paper-example"), "paper-example")
+        rows = modules["bounds"].bounds_table(paper, 5, (2, 3))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert len(rows) == 5
+    assert all(getattr(modules[m], a) is fn for (m, a), fn in originals.items())
+    metrics = tracer.metrics()
+    assert set(metrics) == set(tracing.METRICS)
+    for name in ("slsolver.solves", "spectrum.assemble_calls", "profile.moment_calls",
+                 "profile.eval_calls", "quadrature.adaptive_calls", "bounds.cells"):
+        assert metrics[name] > 0, name
+    assert metrics["bounds.cells_blank"] == 0 and metrics["quadrature.failed"] == 0
+    tracer.dump(tmp_path / "spans.json")
+    assert json.loads((tmp_path / "spans.json").read_text())["spans"]

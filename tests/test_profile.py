@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
@@ -21,8 +22,12 @@ from revspec import (
     load_profile,
     validate_profile,
 )
+from revspec import profile as profile_module, slsolver
+
+from conftest import bench_module
 
 QUAD = QuadratureConfig()
+_GENERATED = bench_module("profiles").generate  # the benchmark's profiles for a seed
 
 
 # ---------------------------------------------------------------- building
@@ -91,10 +96,14 @@ def _nonuniform_97():
     return x, (1.0 - x * x) * (1.0 + 0.5 * np.sin(3.0 * x) + 1e-3 * (-1.0) ** i)
 
 
-@pytest.mark.parametrize("case", ["sampled_bump", "nonuniform_97", "two_samples"])
+@pytest.mark.parametrize("case", ["sampled_bump", "nonuniform_97", "two_samples"]
+                         + [f"generated-{seed}" for seed in range(1, 21)])
 def test_sampled_spline_matches_scipy(case, sampled_bump):
     if case == "sampled_bump":
         x, fv = (np.asarray(sampled_bump.spec.params[key]) for key in ("x", "f"))
+    elif case.startswith("generated"):
+        params = _GENERATED(int(case.split("-")[1]))["sampled"]["params"]
+        x, fv = (np.asarray(params[key], dtype=float) for key in ("x", "f"))
     elif case == "nonuniform_97":
         x, fv = _nonuniform_97()
     else:
@@ -114,6 +123,92 @@ def test_sampled_spline_matches_scipy(case, sampled_bump):
         assert np.array_equal(fn(sorted_pts[order]), on_sorted[order])
     if case == "two_samples":  # the clamped cubic through two samples is 1 - x^2
         assert_allclose(prof.f(pts), 1.0 - pts * pts, rtol=0, atol=1e-15)
+
+
+# ----------------------------------------------- one piecewise-rational form
+
+_EXTENDED = np.finfo(np.longdouble).eps < 1e-18  # else the rational reference rounds like double
+
+
+def _independent(p):
+    """(f, f', f'') of the profile p by formulas that share no code with the
+    evaluator: closed forms, numpy Polynomial objects (the rational quotient
+    rule in long double) and numpy polyval on each spline piece."""
+    kind, params = p.spec.kind, p.spec.params
+    if kind == "canonical":
+        return lambda x: 1.0 - x * x, lambda x: -2.0 * x, lambda x: np.full_like(x, -2.0)
+    if kind == "paper-example":
+        return (lambda x: 2.0 * (1.0 - x * x) / (1.0 + x * x),
+                lambda x: -8.0 * x / (1.0 + x * x) ** 2,
+                lambda x: -8.0 * (1.0 - 3.0 * x * x) / (1.0 + x * x) ** 3)
+    if kind == "polynomial-factor":
+        poly = Polynomial([1.0, 0.0, -1.0]) * Polynomial(params["coefficients"])
+        return poly, poly.deriv(1), poly.deriv(2)
+    if kind == "rational":
+        num, den = Polynomial(params["numerator"]), Polynomial(params["denominator"])
+
+        def quotient(order):
+            def value(x):
+                x = x.astype(np.longdouble)
+                n, n1, n2 = (num.deriv(i)(x) if i else num(x) for i in range(3))
+                d, d1, d2 = (den.deriv(i)(x) if i else den(x) for i in range(3))
+                return ((n1 * d - n * d1) / d**2 if order == 1 else
+                        (n2 * d * d - 2 * n1 * d1 * d - n * d2 * d + 2 * n * d1 * d1) / d**3).astype(float)
+            return value
+
+        return lambda x: num(x) / den(x), quotient(1), quotient(2)
+    knots = np.asarray(p.breaks)
+    table = profile_module._clamped_spline(knots, np.asarray(params["f"], dtype=float), 2.0, -2.0)
+    pieces = [Polynomial(table[::-1, i]) for i in range(knots.size - 1)]
+
+    def spline(order):
+        def value(x):
+            piece = np.clip(np.searchsorted(knots, x, "right") - 1, 0, len(pieces) - 1)
+            out = np.empty_like(x)
+            for i, poly in enumerate(pieces):
+                mine = piece == i
+                out[mine] = poly.deriv(order)(x[mine] - knots[i])
+            return out
+        return value
+
+    return spline(0), spline(1), spline(2)
+
+
+def _representation_cases():
+    yield pytest.param("canonical", None, id="canonical")
+    yield pytest.param("paper-example", None, id="paper-example")
+    for seed in range(1, 21):
+        for name, spec in _GENERATED(seed).items():
+            yield pytest.param(name, spec, id=f"{name}-{seed}")
+
+
+@pytest.mark.parametrize("name, spec", _representation_cases())
+def test_representation_matches_independent_formulas(name, spec):
+    p = builtin_profile(name) if spec is None else build_profile(ProfileSpec(spec["kind"], spec["params"]))
+    grids = [np.linspace(-1.0, 1.0, 2001)] + [slsolver._rule(p.breaks, n, k)[0] for n, k in ((32, 0), (258, 1))]
+    if p.spec.kind == "rational" and not _EXTENDED:
+        pytest.skip("the rational reference needs a long double wider than double")
+    for x in grids:
+        f, df, d2f = _independent(p)
+        assert np.array_equal(p.f(x), f(x))
+        for mine, theirs in ((p.df(x), df(x)), (p.d2f(x), d2f(x))):
+            scale = float(np.max(np.abs(theirs)))
+            assert np.max(np.abs(mine - theirs)) <= 4 * np.finfo(float).eps * scale
+
+
+def test_even_profiles_still_split(canonical, paper):
+    # the folded rule needs f(-x) == f(x) bit for bit at the nodes
+    bump = build_profile(ProfileSpec(**_GENERATED(1)["bump"]))
+    for p, even in ((canonical, True), (paper, True), (bump, False)):
+        x, wts = slsolver._rule(p.breaks, 40, 1)
+        assert (slsolver._even_half(p, x, p.f(x), wts) is not None) == even
+
+
+def test_constant_rational_has_zero_derivatives():
+    p = build_profile(ProfileSpec("rational", {"numerator": [3.0], "denominator": [2.0]}))
+    x = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(p.f(x), np.full(5, 1.5))
+    assert not np.any(p.df(x)) and not np.any(p.d2f(x))
 
 
 @pytest.mark.parametrize(
