@@ -16,6 +16,7 @@ moments do not converge included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -118,18 +119,24 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _subcommand_parser(name):
+    """The parser of subcommand ``name`` alone, built once per process: the
+    one build_parser gives it (prog "revspec <name>"), so its help and
+    errors read the same."""
+    return _add_subcommand(argparse.ArgumentParser(prog=f"revspec {name}"), name)
+
+
 def _parse(argv):
     """Parse argv; exits through SystemExit as argparse does.
 
-    When argv[0] names a subcommand only that subcommand's parser is built,
-    the parser build_parser gives it (prog "revspec <name>"), so its help
-    and errors read the same. Arguments it leaves over go to the full
-    parser, which reports them as the top-level "unrecognized arguments".
+    When argv[0] names a subcommand only that subcommand's parser reads it
+    (_subcommand_parser). Arguments it leaves over go to the full parser,
+    which reports them as the top-level "unrecognized arguments".
     """
     if argv and argv[0] in _SUBCOMMANDS:
         name = argv[0]
-        parser = _add_subcommand(argparse.ArgumentParser(prog=f"revspec {name}"), name)
-        args, extra = parser.parse_known_args(argv[1:])
+        args, extra = _subcommand_parser(name).parse_known_args(argv[1:])
         if not extra:
             args.subcommand = name
             return args
@@ -270,7 +277,8 @@ def _cmd_verify(args, profile):
     k_max = max(2, min(5, args.m_max + 1))
     checks.extend(spectrum_mod.verify_monotonicity(profile, k_max, cfg, spectrum=spec).checks)
     half = max(1, args.m_max // 2)
-    checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec).checks)
+    checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec,
+                                                  merge_tol=args.merge_tol).checks)
 
     for row in bounds_mod.bounds_table(profile, args.m_max, (), quad):
         lam = spec.entries[row.m].value
@@ -281,10 +289,9 @@ def _cmd_verify(args, profile):
             ))
 
     terms = 100
-    for k in range(1, min(3, args.m_max) + 1):
-        trace = slsolver.trace_check(profile, k, terms, cfg, quad)
+    for trace in slsolver.trace_checks(profile, range(1, min(3, args.m_max) + 1), terms, cfg, quad):
         checks.append(spectrum_mod.Check(
-            name="trace_identity", location=f"k={k}",
+            name="trace_identity", location=f"k={trace.k}",
             lhs=trace.partial_sum + trace.tail_estimate, rhs=trace.target,
             passed=trace.deviation <= 2.0 / terms,
         ))

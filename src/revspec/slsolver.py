@@ -60,12 +60,28 @@ of the even block and floor(n/2) of the odd one) are a size-n Ritz matrix
 whose mass matrix is still I (on a finer rule than an assembly at n would
 use). The first pair of sizes therefore costs one assembly, at 2n; only
 4n, 8n, ... are assembled afresh.
+
+Modes that share their basis sizes are solved as one stack (_converge on
+a tuple of modes; ``eigenvalues`` is the one-mode stack). The stack is
+assembled on the rule of its largest k, which gives every smaller mode at
+least as many nodes per piece as its own rule, so a stacked mode's Ritz
+values move from its lone solve's by roundoff only (under 1e-13 relative
+on the benchmark's profiles). The profile is evaluated and tested for evenness once, the
+recurrence takes its N steps once per node block for all modes at once,
+and each mode keeps its own rank updates and eigensolve; the modes whose
+values missed rel_tol are assembled together at the next size, and the
+others leave the stack. Every mode keeps the basis sizes, error estimates
+and convergence flag of its lone ladder, since modes asked for at most
+STACK_COUNT = 8 eigenvalues all start at N = 16 and the ladder for fewer
+eigenvalues stops at or before the stack's (ModeStack.slice reads it off).
+Node blocks shrink to _BLOCK_NODES // M for M modes, so a stack's row
+buffer holds no more than a one-mode assembly's 2 N _BLOCK_NODES doubles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,7 +108,8 @@ _EXTRA_NODES = 24
 #: takes N Python-level steps per block, so wide blocks keep those steps few
 #: (a single-piece profile is one block up to N + k = 488, a 25-knot spline
 #: at N = 258, k = 3 spans about three); a block's rows hold
-#: 2 N * _BLOCK_NODES entries, so assembly memory stays O(N^2).
+#: 2 N * _BLOCK_NODES entries, so assembly memory stays O(N^2). A stack of M
+#: modes takes blocks of _BLOCK_NODES // M nodes, so its rows hold no more.
 _BLOCK_NODES = 512
 #: Cells of the grid eigenfunctions are sampled on.
 _SAMPLE_CELLS = 256
@@ -170,27 +187,38 @@ def solver_grid(n: int):
     return -1.0 + h * (np.arange(n) + 0.5), h
 
 
-def _jacobi_rows(n, k, x, scale):
-    """scale * P_j^(k,k)(x) for j < n, orthonormal under the weight w^k.
+def _jacobi_rows(n, ks, x, scale):
+    """scale * P_j^(k,k)(x) for j < n and each mode k of the stack ``ks``.
 
-    The three-term recurrence is linear, so it runs on the scaled values
-    directly; a scale that cancels the growth of P_j^(k,k) toward the poles
-    keeps every entry finite for any k. Its n Python-level steps write in
-    place, through row views made once.
+    An (n, len(ks), x.size) array, orthonormal under the weight w^k; scale
+    holds one row per mode. The three-term recurrence is linear, so it runs
+    on the scaled values directly; a scale that cancels the growth of
+    P_j^(k,k) toward the poles keeps every entry finite for any k. Its n
+    Python-level steps advance every mode at once and write in place,
+    through row views made once.
     """
-    j = np.arange(n, dtype=float)
-    b = np.sqrt(j * (j + 2 * k) / ((2 * j + 2 * k + 1) * (2 * j + 2 * k - 1))).tolist()  # b[0] = 0
-    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.5))
+    j = np.arange(n, dtype=float)[:, None]
+    k2 = 2.0 * np.asarray(ks, dtype=float)
+    b = np.sqrt(j * (j + k2) / ((2 * j + k2 + 1) * (2 * j + k2 - 1)))  # b[0] = 0
+    root_mu0 = np.array([[math.sqrt(math.sqrt(math.pi) * math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.5)))]
+                         for k in ks])
+    # The modes' rows sit side by side in one flat row per degree, and every
+    # operand of a step is such a flat row or a number: numpy's broadcasting
+    # costs more per call than these small rows do.
+    if len(ks) == 1:
+        b = b[:, 0].tolist()
+    else:
+        b, x = list(np.repeat(b, x.size, axis=1)), np.tile(x, len(ks))
     # Row 0 holds P_(-1) = 0, so one update covers every degree.
     val = np.zeros((n + 1, x.size))
-    val[1] = scale / math.sqrt(mu0)
+    np.divide(scale, root_mu0, out=val[1].reshape(scale.shape))
     row = list(val)
     tmp = np.empty(x.size)
     for i in range(n - 1):
         nxt = np.multiply(x, row[i + 1], out=row[i + 2])
         nxt -= np.multiply(b[i], row[i], out=tmp)
         nxt /= b[i + 1]
-    return val[1:]
+    return val[1:].reshape(n, len(ks), -1)
 
 
 def _rule(breaks, n, k):
@@ -204,7 +232,7 @@ def _rule(breaks, n, k):
     keeps n + k + _EXTRA_NODES.
     """
     ends = np.asarray(breaks, dtype=float)
-    widest = float(np.max(np.arccos(ends[:-1]) - np.arccos(ends[1:])))
+    widest = float((np.arccos(ends[:-1]) - np.arccos(ends[1:])).max())
     t, c = gauss_legendre(min(n + k, math.ceil(_ANGULAR_NODES * (n + k) * widest)) + _EXTRA_NODES)
     a, b = ends[:-1, None], ends[1:, None]
     return (0.5 * (a + b) + 0.5 * (b - a) * t).ravel(), (0.5 * (b - a) * c).ravel()
@@ -219,10 +247,10 @@ def _even_half(p: MetricProfile, x, f, wts):
     0 (to roundoff) and keeps its own weight.
     """
     ends = np.asarray(p.breaks, dtype=float)
-    if not np.array_equal(ends, -ends[::-1]):
+    if not (ends == -ends[::-1]).all():
         return None
     upper = x.size // 2
-    if not np.array_equal(np.asarray(p.f(-x[upper:]), dtype=float), f[upper:]):
+    if not (np.asarray(p.f(-x[upper:]), dtype=float) == f[upper:]).all():
         return None
     ch = 2.0 * wts[upper:]
     if x.size % 2:
@@ -235,24 +263,28 @@ def _block_sizes(n, parts):
     return [len(range(b, n, parts)) for b in range(parts)]
 
 
-def _stiffness(p: MetricProfile, k: int, n: int):
-    """Stiffness blocks of mode k in the n-term Jacobi basis.
+def _stiffness(p: MetricProfile, ks, n: int):
+    """Stiffness blocks of each mode of the stack ``ks`` in the n-term basis.
 
-    A tuple of independent blocks: block b of B holds the rows and columns
-    j = b, b + B, ... of the stiffness matrix. An even profile (_even_half)
-    gives two, even and odd j, assembled on the folded rule; any other
-    profile one, the whole matrix.
+    One tuple of independent blocks per mode: block b of B holds the rows
+    and columns j = b, b + B, ... of the mode's stiffness matrix. An even
+    profile (_even_half) gives two, even and odd j, assembled on the folded
+    rule; any other profile one, the whole matrix. Every mode is integrated
+    by the rule of the stack's largest k, which gives each smaller mode at
+    least as many nodes per piece as its own rule would.
 
     With H_j = w^((k-1)/2) P_j and G_j = w^((k-1)/2) (w P_j' - k x P_j), the
     form is sum(q G G) + k^2 sum(H H / q) over the quadrature. The Gegenbauer
     identity w P_j' = -j x P_j + (2j+2k+1) b_j P_(j-1) gives G from the value
-    rows, and each node block adds one rank update R_b R_b^T per stiffness
-    block with R = [G sqrt(c q), k H sqrt(c / q)] and R_b its rows of block
-    b, written into one buffer per solve.
+    rows, and each node block adds one rank update R_b R_b^T per mode and
+    stiffness block, with R = [G sqrt(c q), k H sqrt(c / q)] and R_b its
+    rows of block b, written into one buffer per solve. A stack of M modes
+    takes node blocks of _BLOCK_NODES // M, so that buffer never holds more
+    than the 2 n _BLOCK_NODES doubles of a one-mode assembly.
     """
-    x, wts = _rule(p.breaks, n, k)
+    x, wts = _rule(p.breaks, n, max(ks))
     f = np.asarray(p.f(x), dtype=float)
-    if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
+    if not ((f > 0.0).all() and np.isfinite(f).all()):
         raise DomainError("profile must be positive on (-1, 1) to assemble a mode operator")
     half = _even_half(p, x, f, wts)
     parts = 1
@@ -260,106 +292,141 @@ def _stiffness(p: MetricProfile, k: int, n: int):
         (x, f, wts), parts = half, 2
     w = (1.0 - x) * (1.0 + x)
     q = f / w
+    kk = np.asarray(ks, dtype=float)[:, None, None]
     j = np.arange(n, dtype=float)[:, None]
-    sub = np.sqrt(j * (j + 2 * k) * (2 * j + 2 * k + 1) / (2 * j + 2 * k - 1))[1:]  # (2j+2k+1) b_j
-    block = min(_BLOCK_NODES, x.size)
-    rows = np.empty((n, 2 * block if k else block))
-    stiff = [np.zeros((s, s)) for s in _block_sizes(n, parts)]
-    update = [np.empty_like(s) for s in stiff]
+    xcoef = -(j + kk)  # w P_j' - k x P_j = -(j + k) x P_j + (2j+2k+1) b_j P_(j-1)
+    t = 2 * j + 2 * kk
+    sub = np.sqrt(j * (j + 2 * kk) * (t + 1) / (t - 1))[:, 1:]  # (2j+2k+1) b_j
+    scale = np.empty((len(ks), x.size))
+    for i, k in enumerate(ks):
+        scale[i] = w ** (0.5 * (k - 1))
+    root_cq, root_c_q = np.sqrt(wts * q), kk * np.sqrt(wts / q)
+    block = min(max(1, _BLOCK_NODES // len(ks)), x.size)
+    rows = np.empty((len(ks), n, 2 * block))
+    stiff = [[np.zeros((s, s)) for s in _block_sizes(n, parts)] for _ in ks]
+    update = [np.empty_like(s) for s in stiff[0]]
     for lo in range(0, x.size, block):
         sl = slice(lo, lo + block)
-        xb, qb, cb = x[sl], q[sl], wts[sl]
+        xb = x[sl]
         m = xb.size
-        h = _jacobi_rows(n, k, xb, w[sl] ** (0.5 * (k - 1)))
-        g = rows[:, :m]
+        h = _jacobi_rows(n, ks, xb, scale[:, sl]).transpose(1, 0, 2)
+        g, hk = rows[:, :, :m], rows[:, :, m:2 * m]
         np.multiply(h, xb, out=g)
-        g *= -(j + k)
-        g[1:] += sub * h[:-1]
-        g *= np.sqrt(cb * qb)
-        if k:
-            np.multiply(h, k * np.sqrt(cb / qb), out=rows[:, m:2 * m])
-        r = rows[:, :2 * m if k else m]
-        for b in range(parts):
-            rb = r[b::parts]
-            # R_b @ R_b.T on one buffer: numpy computes it as a symmetric rank update
-            np.matmul(rb, rb.T, out=update[b])
-            stiff[b] += update[b]
-    return tuple(stiff)
+        g *= xcoef
+        g[:, 1:] += np.multiply(sub, h[:, :-1], out=hk[:, 1:])  # hk is scratch until the next line
+        g *= root_cq[sl]
+        np.multiply(h, root_c_q[:, :, sl], out=hk)
+        for i, k in enumerate(ks):
+            r = rows[i, :, :2 * m if k else m]
+            for b in range(parts):
+                rb = r[b::parts]
+                # R_b @ R_b.T on one buffer: numpy computes it as a symmetric rank update
+                np.matmul(rb, rb.T, out=update[b])
+                stiff[i][b] += update[b]
+    return tuple(tuple(s) for s in stiff)
 
 
-def _leading(blocks, n):
-    """The stiffness blocks of the leading n basis functions."""
-    return tuple(s[:m, :m] for s, m in zip(blocks, _block_sizes(n, len(blocks))))
+def _leading(stack, n):
+    """Each mode's stiffness blocks of its leading n basis functions."""
+    return tuple(tuple(s[:m, :m] for s, m in zip(blocks, _block_sizes(n, len(blocks))))
+                 for blocks in stack)
 
 
-def _eig(blocks, vectors):
-    """Ritz values of stiffness blocks, ascending: the sorted union of each
-    block's (the mass matrix is I). With ``vectors`` also their coefficient
-    vectors in the full basis, each block's scattered back to its rows
-    (else None)."""
-    parts = len(blocks)
-    if not vectors:
-        return np.sort(np.concatenate([np.linalg.eigvalsh(s) for s in blocks])), None
-    n = sum(len(s) for s in blocks)
-    values, vecs, col = np.empty(n), np.zeros((n, n)), 0
-    for b, s in enumerate(blocks):
-        v, u = np.linalg.eigh(s)
-        values[col:col + v.size] = v
-        vecs[b::parts, col:col + v.size] = u
-        col += v.size
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
+def _eig(stack, vectors):
+    """Ritz values of each mode's stiffness blocks, ascending: the sorted
+    union of each block's (the mass matrix is I). One (values, vectors)
+    pair per mode; with ``vectors`` the coefficient vectors in the full
+    basis, each block's scattered back to its rows (else None)."""
+    out = []
+    for blocks in stack:
+        parts = len(blocks)
+        if not vectors:
+            out.append((np.sort(np.concatenate([np.linalg.eigvalsh(s) for s in blocks])), None))
+            continue
+        n = sum(len(s) for s in blocks)
+        values, vecs, col = np.empty(n), np.zeros((n, n)), 0
+        for b, s in enumerate(blocks):
+            v, u = np.linalg.eigh(s)
+            values[col:col + v.size] = v
+            vecs[b::parts, col:col + v.size] = u
+            col += v.size
+        order = np.argsort(values, kind="stable")
+        out.append((values[order], vecs[:, order]))
+    return out
 
 
-def _ritz(p: MetricProfile, k: int, n: int):
-    """Ritz values of mode k in the n-term basis, ascending."""
-    return _eig(_stiffness(p, k, n), False)[0]
+def _first_basis(count):
+    """The basis size the ladder starts at for ``count`` eigenvalues."""
+    return max(_MIN_BASIS, count + _BASIS_MARGIN)
 
 
-def _converge(p: MetricProfile, k: int, count: int, cfg: SolverConfig, vectors: bool = False):
-    """The doubling ladder behind ``eigenvalues``: the slice, and the Ritz
-    vectors of its final solve when ``vectors`` is set (else None)."""
-    k = abs(int(k))
+def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig, vectors: bool = False):
+    """The doubling ladder behind ``eigenvalues``, run on the stack ``ks``.
+
+    Every mode starts at n = _first_basis(count). Returns, per mode (in the
+    order of ks), the list of steps (n, Ritz values, Ritz vectors or None)
+    of each size it was solved at, and its _slice for ``count``; vectors
+    come with every assembled size when ``vectors`` is set. A mode leaves
+    the stack once its slice stops on agreement; the modes left are
+    assembled together at the next size, until none is left or that size
+    would pass n_max.
+    """
     count = int(count)
     if count < 1:
         raise DomainError("count must be >= 1")
-    n = max(_MIN_BASIS, count + _BASIS_MARGIN)
+    n = _first_basis(count)
     if n > cfg.n_max:
         raise DomainError(f"count={count} needs a basis larger than n_max={cfg.n_max}")
 
-    prev = None
+    steps, slices = [[] for _ in ks], [None] * len(ks)
+    active = list(range(len(ks)))
     if 2 * n <= cfg.n_max:
         # The bases are nested, so the first pair of sizes costs one assembly:
         # the leading n basis functions of the 2n stiffness give a size-n
         # Ritz matrix.
-        stiff = _stiffness(p, k, 2 * n)
-        prev = _eig(_leading(stiff, n), False)[0][:count]
+        stack = _stiffness(p, ks, 2 * n)
+        for i, (values, _) in enumerate(_eig(_leading(stack, n), False)):
+            steps[i].append((n, values, None))
         n *= 2
     else:
-        stiff = _stiffness(p, k, n)
-    err = np.full(count, np.inf)
+        stack = _stiffness(p, ks, n)
     while True:
-        values, vecs = _eig(stiff, vectors)
+        for i, (values, vecs) in zip(active, _eig(stack, vectors)):
+            steps[i].append((n, values, vecs))
+            slices[i] = _slice(ks[i], steps[i], count, cfg)
+        active = [i for i in active if not slices[i][2]]
+        if not active or 2 * n > cfg.n_max:
+            return steps, slices
+        n *= 2
+        stack = _stiffness(p, [ks[i] for i in active], n)
+
+
+def _slice(k: int, steps, count: int, cfg: SolverConfig):
+    """Mode k's slice of its first ``count`` eigenvalues from its ladder
+    steps, the Ritz vectors of the size it stops at, and whether it stopped
+    on agreement. That size is the first whose values agree with the
+    previous size's within rel_tol * max(|lambda|, 1), the ladder's one
+    stopping rule, else the last. Any count up to the ladder's gives the
+    slice a ladder run for that count would, as long as both start at the
+    same basis size."""
+    prev, err, agreed = None, np.full(count, np.inf), False
+    for n, values, vecs in steps:
         values = values[:count]
         scale = np.maximum(np.abs(values), 1.0)
         if prev is not None:
             raw = np.abs(values - prev)
             err = np.maximum(raw, _ERROR_FLOOR * scale)
-            if np.all(raw <= cfg.rel_tol * scale):
+            agreed = bool((raw <= cfg.rel_tol * scale).all())
+            if agreed:
                 break
-        if 2 * n > cfg.n_max:
-            break
         prev = values
-        n *= 2
-        stiff = _stiffness(p, k, n)
-
     return SLSpectrumSlice(
         k=k,
-        eigenvalues=tuple(float(v) for v in values),
-        error_estimates=tuple(float(e) for e in err),
+        eigenvalues=tuple(values.tolist()),
+        error_estimates=tuple(err.tolist()),
         grid_used=n,
-        converged=bool(np.all(err <= cfg.rel_tol * scale)),
-    ), vecs
+        converged=bool((err <= cfg.rel_tol * scale).all()),
+    ), vecs, agreed
 
 
 def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> SLSpectrumSlice:
@@ -371,14 +438,97 @@ def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAUL
     would pass n_max; in the latter case the largest-basis slice is returned
     flagged unconverged rather than raising. Sizes n and 2n come from one
     assembly at 2n (see the module docstring). A slice from a single basis
-    size (2n > n_max) has infinite error estimates.
+    size (2n > n_max) has infinite error estimates. It is the one-mode case
+    of the stacked solve (solve_stack).
     """
-    return _converge(p, k, count, cfg)[0]
+    k = abs(int(k))
+    return _converge(p, (k,), count, cfg)[1][0][0]
+
+
+@dataclass(frozen=True, eq=False)
+class ModeStack:
+    """Modes solved as one stack for their first ``count`` eigenvalues.
+
+    ``slice(k, c)`` is the slice ``eigenvalues(p, k, c, cfg)`` returns, for
+    any c <= count whose ladder starts at the stack's basis size (every c
+    when count <= STACK_COUNT): the same basis sizes, error estimates and
+    convergence flag, with values moved only by the roundoff of the stack's
+    quadrature rule, that of its largest k. It is None for a mode or a count
+    the stack does not hold.
+    """
+
+    count: int
+    cfg: SolverConfig
+    steps: dict = field(repr=False)  # k -> the steps of its ladder (_converge)
+
+    def slice(self, k: int, count: int):
+        steps = self.steps.get(k)
+        if steps is None or count > self.count or _first_basis(count) != steps[0][0]:
+            return None
+        return _slice(k, steps, count, self.cfg)[0]
+
+
+#: The largest count whose ladder starts at the smallest basis size: modes
+#: solved for at most this many eigenvalues share every basis size.
+STACK_COUNT = _MIN_BASIS - _BASIS_MARGIN
+
+
+def solve_stack(p: MetricProfile, ks, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> ModeStack:
+    """The modes ``ks`` (k >= 0, distinct) solved as one stack for ``count``
+    eigenvalues each; see ModeStack and the module docstring."""
+    ks = tuple(int(k) for k in ks)
+    return ModeStack(count=int(count), cfg=cfg, steps=dict(zip(ks, _converge(p, ks, count, cfg)[0])))
 
 
 def first_eigenvalue(p: MetricProfile, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
     """Lowest eigenvalue of the mode-k operator (0 for k = 0)."""
     return eigenvalues(p, k, 1, cfg).eigenvalues[0]
+
+
+def trace_checks(
+    p: MetricProfile,
+    ks,
+    terms: int,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    q: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> tuple[TraceReport, ...]:
+    """Check the reciprocal-eigenvalue identity sum_j 1/lambda_k^j = 1/|k|
+    for each mode k of ``ks``, one report per mode.
+
+    Defined for k != 0 only. The slices come from one stacked solve at basis
+    size 1.25 * terms + 8, which must not exceed n_max, rather than a
+    convergence chase: the reciprocal sum is dominated by the low
+    eigenvalues, which that size resolves to near roundoff, and the
+    deviation budget is dominated by the 1/terms tail anyway. The tail's
+    Liouville length is integrated once, within q.
+    """
+    ks = tuple(abs(int(k)) for k in ks)
+    if 0 in ks:
+        raise DomainError("the reciprocal-eigenvalue identity is defined for k != 0 only")
+    if terms < 1:
+        raise DomainError("terms must be >= 1")
+    n = int(1.25 * terms) + _BASIS_MARGIN
+    if n > cfg.n_max:
+        raise DomainError(f"terms={terms} needs a basis larger than n_max={cfg.n_max}")
+
+    lams = [values[:terms] for values, _ in _eig(_stiffness(p, ks, n), False)]
+    if any(np.any(lam <= 0.0) for lam in lams):
+        raise DomainError("mode eigenvalues must be positive to sum reciprocals")
+    length = liouville_length(p, q)
+    tail = (length / math.pi) ** 2 / terms
+    reports = []
+    for k, lam in zip(ks, lams):
+        partial = float(np.sum(1.0 / lam))
+        target = 1.0 / k
+        reports.append(TraceReport(
+            k=k,
+            terms_used=terms,
+            partial_sum=partial,
+            tail_estimate=tail,
+            target=target,
+            deviation=abs(partial + tail - target),
+        ))
+    return tuple(reports)
 
 
 def trace_check(
@@ -388,39 +538,8 @@ def trace_check(
     cfg: SolverConfig = DEFAULT_SOLVER,
     q: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> TraceReport:
-    """Check the reciprocal-eigenvalue identity sum_j 1/lambda_k^j = 1/|k|.
-
-    Defined for k != 0 only. The slice comes from one solve at basis size
-    1.25 * terms + 8, which must not exceed n_max, rather than a convergence
-    chase: the reciprocal sum is dominated by the low eigenvalues, which that
-    size resolves to near roundoff, and the deviation budget is dominated by
-    the 1/terms tail anyway. The tail's Liouville length is integrated
-    within q.
-    """
-    k = abs(int(k))
-    if k == 0:
-        raise DomainError("the reciprocal-eigenvalue identity is defined for k != 0 only")
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    n = int(1.25 * terms) + _BASIS_MARGIN
-    if n > cfg.n_max:
-        raise DomainError(f"terms={terms} needs a basis larger than n_max={cfg.n_max}")
-
-    lam = _ritz(p, k, n)[:terms]
-    if np.any(lam <= 0.0):
-        raise DomainError("mode eigenvalues must be positive to sum reciprocals")
-    partial = float(np.sum(1.0 / lam))
-    length = liouville_length(p, q)
-    tail = (length / math.pi) ** 2 / terms
-    target = 1.0 / k
-    return TraceReport(
-        k=k,
-        terms_used=terms,
-        partial_sum=partial,
-        tail_estimate=tail,
-        target=target,
-        deviation=abs(partial + tail - target),
-    )
+    """The reciprocal-eigenvalue identity of one mode: trace_checks on (k,)."""
+    return trace_checks(p, (k,), terms, cfg, q)[0]
 
 
 def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_SOLVER) -> EigenfunctionSamples:
@@ -433,9 +552,9 @@ def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_
     k = abs(int(k))
     if j < 1:
         raise DomainError("eigenfunction index j must be >= 1")
-    slc, vecs = _converge(p, k, j, cfg, vectors=True)
+    slc, vecs, _ = _converge(p, (k,), j, cfg, vectors=True)[1][0]
     nodes, h = solver_grid(_SAMPLE_CELLS)
-    rows = _jacobi_rows(slc.grid_used, k, nodes, ((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))
+    rows = _jacobi_rows(slc.grid_used, (k,), nodes, (((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))[None])[:, 0]
     u = vecs[:, j - 1] @ rows
     u = u / (math.sqrt(h) * float(np.linalg.norm(u)))
     nz = np.flatnonzero(np.abs(u) > 1e-8 * float(np.max(np.abs(u))))

@@ -27,7 +27,14 @@ from .bounds import rough_bound  # noqa: F401 (see above)
 from .errors import AssemblyError, DomainError
 from .profile import MetricProfile, liouville_length  # noqa: F401 (see above)
 from .report import Report, local
-from .slsolver import DEFAULT_SOLVER, SolverConfig, eigenvalues, first_eigenvalue
+from .slsolver import (
+    DEFAULT_SOLVER,
+    STACK_COUNT,
+    SolverConfig,
+    eigenvalues,
+    first_eigenvalue,
+    solve_stack,
+)
 
 _MAX_MODE_COUNT = 4096
 
@@ -113,10 +120,9 @@ class CanonicalComparison(Report):
     witnesses: dict[int, Optional[int]]
 
 
-def _converged_slice(p, k, count, cfg):
-    """The mode-k slice; AssemblyError if it missed rel_tol, so that no
-    unconverged eigenvalue enters a spectrum."""
-    slc = eigenvalues(p, k, count, cfg)
+def _converged(slc, cfg):
+    """The slice; AssemblyError if it missed rel_tol, so that no unconverged
+    eigenvalue enters a spectrum."""
     if not slc.converged:
         raise AssemblyError(
             f"mode k={slc.k} did not converge to rel_tol={cfg.rel_tol:.3e} by basis size "
@@ -125,10 +131,10 @@ def _converged_slice(p, k, count, cfg):
     return slc
 
 
-def _mode_slice_below(p, k, lam_hi, count, cfg):
+def _mode_slice_below(solve, k, lam_hi, count):
     """Solve mode k until its slice provably covers everything below lam_hi."""
     while True:
-        slc = _converged_slice(p, k, count, cfg)
+        slc = solve(k, count)
         if slc.eigenvalues[-1] > lam_hi:
             return slc
         if count >= _MAX_MODE_COUNT:
@@ -159,7 +165,14 @@ def assemble_spectrum(
     The ceiling is the first eigenvalue of mode m_target (see the module
     docstring). Mode 0 is solved for m_target + 2 values, and mode k >= 1
     for one more than mode k - 1 holds below the ceiling plus a guard,
-    since lambda_j^(k) >= lambda_j^(k-1). With merge_tol=None the merge
+    since lambda_j^(k) >= lambda_j^(k-1). So the counts never grow with k
+    (unless a slice had to be doubled), and from the first mode whose count
+    is at most STACK_COUNT on, every mode up to m_target + 1 is read off one
+    stacked solve (slsolver.solve_stack) for that count: the same basis
+    sizes, estimates and flags as solving each mode alone, with values
+    within roundoff of them. Mode m_target stays out of the stack: its
+    ceiling slice is solved alone, so the truncation is the value
+    ``sl --k m_target`` reports. With merge_tol=None the merge
     tolerance is 10 times the worst per-eigenvalue error estimate.
     An explicit merge_tol that is not a positive number raises DomainError.
     AssemblyError is raised by an explicit merge_tol at or below the solver
@@ -170,17 +183,24 @@ def assemble_spectrum(
         raise DomainError("m_target must be >= 0")
     if merge_tol is not None and not (merge_tol > 0.0):
         raise DomainError(f"the merge tolerance must be positive, got merge_tol={merge_tol!r}")
-    slices = {m_target: _converged_slice(p, m_target, 2, cfg)}
+    stack = None
+
+    def solve(k, count):
+        slc = stack.slice(k, count) if stack is not None else None
+        return _converged(eigenvalues(p, k, count, cfg) if slc is None else slc, cfg)
+
+    slices = {m_target: solve(m_target, 2)}
     ceiling = slices[m_target].eigenvalues[0]
     lam_hi = ceiling + max(1.0, 1e-3 * ceiling)
 
     members = []  # (value, k, j, error)
-    count = m_target + 2
-    k = 0
+    k, count = 0, m_target + 2
     while True:
+        if stack is None and count <= STACK_COUNT and k <= m_target + 1:
+            stack = solve_stack(p, [kk for kk in range(k, m_target + 2) if kk not in slices], count, cfg)
         slc = slices.get(k)
         if slc is None or slc.eigenvalues[-1] <= lam_hi:
-            slc = slices[k] = _mode_slice_below(p, k, lam_hi, count, cfg)
+            slc = slices[k] = _mode_slice_below(solve, k, lam_hi, count)
         if k >= 1 and slc.eigenvalues[0] > lam_hi:
             break  # monotonicity: no higher mode reaches below the ceiling
         for j, (value, err) in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1):
@@ -258,19 +278,20 @@ def verify_interlacing(
     j_max: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
     spectrum: Optional[GlobalSpectrum] = None,
+    merge_tol: Optional[float] = None,
 ) -> VerificationReport:
     """Check lambda_(k+j) <= lambda_k^(j+1) for 1 <= k <= k_max, 0 <= j <= j_max.
 
     The distinct eigenvalues come from an assembled spectrum of depth
-    k_max + j_max (assembled here unless one is supplied), and so do the
-    mode values wherever its slice of mode k holds j_max + 1 of them; the
-    other modes are solved here. The comparison allows an error budget of
-    CHECK_BUDGET_REL * max(|rhs|, 1).
+    k_max + j_max (assembled here, with merge_tol, unless a deep enough one
+    is supplied), and so do the mode values wherever its slice of mode k
+    holds j_max + 1 of them; the other modes are solved here. The comparison
+    allows an error budget of CHECK_BUDGET_REL * max(|rhs|, 1).
     """
     if k_max < 1 or j_max < 1:
         raise DomainError("k_max and j_max must be >= 1")
     if spectrum is None or len(spectrum.entries) <= k_max + j_max:
-        spectrum = assemble_spectrum(p, k_max + j_max, cfg)
+        spectrum = assemble_spectrum(p, k_max + j_max, cfg, merge_tol)
     checks = []
     for k in range(1, k_max + 1):
         slc = spectrum.per_mode_slices.get(k)

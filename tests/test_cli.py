@@ -190,7 +190,10 @@ def test_subcommand_parser_reads_like_the_full_parser(argv, capsys):
             result = exc.code
         return result, capsys.readouterr()
 
-    assert attempt(_parse) == attempt(build_parser().parse_args)
+    # the subcommand's parser is built once and read twice
+    expected = attempt(build_parser().parse_args)
+    assert attempt(_parse) == expected
+    assert attempt(_parse) == expected
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--m-max", "4"], ["verify", "--m-max", "3"]])
@@ -202,15 +205,34 @@ def test_default_quad_tol_leaves_reports_unchanged(argv, capsys):
     assert explicit == default
 
 
+def test_verify_merge_tol_reaches_every_assembly(capsys, monkeypatch):
+    # at --m-max 1 the interlacing check needs depth 2 and assembles its own
+    # spectrum; that one must merge with the user's tolerance too
+    from revspec import spectrum as spectrum_mod
+
+    assembled = []
+    assemble = spectrum_mod.assemble_spectrum
+
+    def recording(p, m_target, cfg=spectrum_mod.DEFAULT_SOLVER, merge_tol=None):
+        assembled.append((m_target, merge_tol))
+        return assemble(p, m_target, cfg, merge_tol)
+
+    monkeypatch.setattr(spectrum_mod, "assemble_spectrum", recording)
+    status, _, _ = run_capture(["verify", "--profile", "canonical", "--m-max", "1", "--merge-tol", "0.5"],
+                               capsys)
+    assert status == 0
+    assert assembled == [(1, 0.5), (2, 0.5)]
+
+
 def test_verify_assembles_each_mode_once(capsys, monkeypatch):
     from revspec import profile as profile_mod, slsolver
 
     assembled, tables = [], []
     stiffness, adaptive_gauss = slsolver._stiffness, profile_mod.adaptive_gauss
 
-    def counting_stiffness(p, k, n):
-        assembled.append((k, n))
-        return stiffness(p, k, n)
+    def counting_stiffness(p, ks, n):
+        assembled.append([(k, n) for k in ks])
+        return stiffness(p, ks, n)
 
     def counting_gauss(*args, **kwargs):
         tables.append(1)
@@ -221,10 +243,14 @@ def test_verify_assembles_each_mode_once(capsys, monkeypatch):
     status, out, _ = run_capture(["verify", "--profile", "paper-example", "--m-max", "4"], capsys)
     monkeypatch.undo()
     assert status == 0
-    # six mode slices (k = 0..5) and three trace solves, each assembled once;
-    # one moment table each for validate and the bounds (the spectrum ceiling
-    # is a mode eigenvalue, so it needs none)
-    assert len(assembled) == 9 and len(set(assembled)) == 9
+    # six mode slices (k = 0..5): the ceiling's mode 4 alone and the other
+    # five in one stack; three trace solves in another stack; each mode
+    # assembled once. One moment table each for validate and the bounds (the
+    # spectrum ceiling is a mode eigenvalue, so it needs none)
+    pairs = [pair for stack in assembled for pair in stack]
+    assert assembled[0] == [(4, 32)] and len(assembled) == 3
+    assert sorted(pairs) == sorted(set(pairs)) == sorted(
+        [(k, 32) for k in range(6)] + [(k, 133) for k in (1, 2, 3)])
     assert len(tables) == 2
 
     paper = revspec.builtin_profile("paper-example")
@@ -532,7 +558,7 @@ def test_verify_quad_tol_reaches_the_trace_length(capsys, monkeypatch):
         ["verify", "--profile", "paper-example", "--m-max", "3", "--quad-tol", "1e-8"], capsys
     )
     assert status == 0
-    assert seen == [QuadratureConfig(abs_tol=1e-8)] * 3  # one trace check per k = 1..3
+    assert seen == [QuadratureConfig(abs_tol=1e-8)]  # one length for the trace checks of k = 1..3
 
 
 def _child_env():

@@ -23,7 +23,10 @@ from revspec import (
 from revspec import slsolver
 from revspec.cli import run
 
+from conftest import bench_module
 from oracles import oracle_mode_eigenvalues, sphere_mode_eigenvalue
+
+_GENERATED = bench_module("profiles").generate  # the benchmark's profiles for a seed
 
 # Frozen via the independent vertex-centered oracle (see oracles.py); the
 # entries are (k, j, value). Regenerate with oracle_mode_eigenvalues(f, k, j).
@@ -271,7 +274,7 @@ def _quadrature_mass_deviation(breaks, k, n, stride):
     diag = -np.ones(n)
     for lo in range(0, x.size, 2048):  # node chunks bound the rows' memory
         xb = x[lo:lo + 2048]
-        h = slsolver._jacobi_rows(n, k, xb, ((1.0 - xb) * (1.0 + xb)) ** (0.5 * k))
+        h = slsolver._jacobi_rows(n, (k,), xb, (((1.0 - xb) * (1.0 + xb)) ** (0.5 * k))[None])[:, 0]
         hc = h * wts[lo:lo + 2048]
         rows += h[picked] @ hc.T
         diag += np.einsum("ij,ij->i", h, hc)
@@ -302,6 +305,16 @@ def test_rule_node_counts(sampled_bump):
         assert x.size == wts.size == n + k + 24, (n, k)
     x, wts = slsolver._rule(sampled_bump.breaks, 258, 3)
     assert x.size == wts.size < 24 * (258 + 3 + 24) / 4
+
+
+def _stiffness(p, k, n):
+    """The stiffness blocks of mode k alone: the one-mode stack."""
+    return slsolver._stiffness(p, (k,), n)[0]
+
+
+def _ritz(p, k, n):
+    """Ritz values of mode k alone in the n-term basis, ascending."""
+    return slsolver._eig((_stiffness(p, k, n),), False)[0][0]
 
 
 def _reference_stiffness(p, k, n):
@@ -338,7 +351,7 @@ def test_stiffness_matches_independent_assembly(name, request):
     for n in (16, 32):
         for k in (0, 1, 2, 5):
             ref = _reference_stiffness(prof, k, n)
-            blocks = slsolver._stiffness(prof, k, n)
+            blocks = _stiffness(prof, k, n)
             parts = len(blocks)
             for b, got in enumerate(blocks):
                 sub = ref[b::parts, b::parts]
@@ -356,7 +369,7 @@ def test_even_profiles_split_into_parity_blocks(name, request):
             ref = _reference_stiffness(prof, k, n)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(ref[0::2, 1::2])) <= 1e-13 * scale, (n, k)
-            even, odd = slsolver._stiffness(prof, k, n)
+            even, odd = _stiffness(prof, k, n)
             assert np.max(np.abs(even - ref[0::2, 0::2])) <= 1e-12 * scale, (n, k)
             assert np.max(np.abs(odd - ref[1::2, 1::2])) <= 1e-12 * scale, (n, k)
 
@@ -365,7 +378,7 @@ def test_parity_blocks_hold_ritz_values_at_roundoff(paper):
     # lambda_1^2 of paper-example has converged by N = 24; with the
     # cross-parity entries left out it stays within a few ulps up to
     # N = 768 (the whole matrix scattered it by 1.6e-12 relative)
-    values = np.array([slsolver._ritz(paper, 1, n)[1] for n in (24, 48, 96, 192, 384, 768)])
+    values = np.array([_ritz(paper, 1, n)[1] for n in (24, 48, 96, 192, 384, 768)])
     assert np.ptp(values) <= 1e-14 * values[0]
 
 
@@ -381,7 +394,7 @@ _NEAR_EVEN_VALUES = {
 def test_near_even_profile_keeps_one_block(request):
     prof = _profile("near_even_polynomial", request)
     for k, frozen in _NEAR_EVEN_VALUES.items():
-        assert len(slsolver._stiffness(prof, k, 32)) == 1
+        assert len(_stiffness(prof, k, 32)) == 1
         slc = eigenvalues(prof, k, 4)
         assert slc.grid_used == 32
         assert [v.hex() for v in slc.eigenvalues] == frozen, k
@@ -393,14 +406,14 @@ def test_block_size_does_not_change_eigenvalues(paper, sampled_bump, monkeypatch
     default = [eigenvalues(prof, k, 8, cfg) for prof, k in cases]
     # N = 258 on 25 pieces: 1152 nodes, two full blocks and a partial one
     assert slsolver._rule(sampled_bump.breaks, 258, 3)[0].size > slsolver._BLOCK_NODES
-    wide = slsolver._ritz(sampled_bump, 3, 258)
+    wide = _ritz(sampled_bump, 3, 258)
     monkeypatch.setattr(slsolver, "_BLOCK_NODES", 1)  # one node per block
     for (prof, k), ref in zip(cases, default):
         slc = eigenvalues(prof, k, 8, cfg)
         assert slc.grid_used == ref.grid_used
         assert_allclose(slc.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=1e-12)
     monkeypatch.setattr(slsolver, "_BLOCK_NODES", 10**6)  # every node in one block
-    assert_allclose(slsolver._ritz(sampled_bump, 3, 258), wide, rtol=1e-12, atol=1e-12)
+    assert_allclose(_ritz(sampled_bump, 3, 258), wide, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["canonical", "paper-example", "sampled_bump"])
@@ -413,8 +426,8 @@ def test_leading_block_is_the_smaller_ritz_matrix(name, request):
     sizes = (16, 17, 32) if name == "paper-example" else (16, 32)
     for n in sizes:
         for k in (0, 1, 3):
-            block = slsolver._eig(slsolver._leading(slsolver._stiffness(prof, k, 2 * n), n), False)[0]
-            ref = slsolver._ritz(prof, k, n)
+            block = slsolver._eig(slsolver._leading((_stiffness(prof, k, 2 * n),), n), False)[0][0]
+            ref = _ritz(prof, k, n)
             assert block.size == n
             assert np.all(np.abs(block - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)), (n, k)
 
@@ -423,17 +436,91 @@ def test_ladder_assembles_its_first_pair_once(paper, monkeypatch):
     assembled = []
     stiffness = slsolver._stiffness
 
-    def counting(p, k, n):
-        assembled.append((k, n))
-        return stiffness(p, k, n)
+    def counting(p, ks, n):
+        assembled.append((ks, n))
+        return stiffness(p, ks, n)
 
     monkeypatch.setattr(slsolver, "_stiffness", counting)
     slc = eigenvalues(paper, 0, 8)
-    assert assembled == [(0, 32)]
+    assert assembled == [((0,), 32)]
     assert slc.converged and slc.grid_used == 32
     monkeypatch.undo()
     # the final size is the same solve as before
-    assert slc.eigenvalues == tuple(slsolver._ritz(paper, 0, 32)[:8])
+    assert slc.eigenvalues == tuple(_ritz(paper, 0, 32)[:8])
+
+
+# ------------------------------------------------------------------ stacks
+
+_STACK_PROFILES = ["canonical", "paper-example"] + [
+    f"{kind}-{seed}" for kind in ("bump", "rational", "sampled") for seed in range(1, 6)]
+
+
+@pytest.mark.parametrize("name", _STACK_PROFILES)
+def test_stacked_modes_match_lone_solves(name):
+    """Modes 0..7 solved as one stack for 8 eigenvalues give, for every
+    count up to 8, the slice each mode's lone ladder gives: the same basis
+    size and flag, and values moved by the stack's finer rule only."""
+    if name in ("canonical", "paper-example"):
+        prof = builtin_profile(name)
+    else:
+        kind, seed = name.split("-")
+        prof = build_profile(ProfileSpec(**_GENERATED(int(seed))[kind]))
+    stack = slsolver.solve_stack(prof, range(8), 8)
+    for k in range(8):
+        for count in range(1, 9):
+            got, alone = stack.slice(k, count), eigenvalues(prof, k, count)
+            assert (got.k, got.grid_used, got.converged) == (alone.k, alone.grid_used, alone.converged)
+            tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
+            assert np.all(np.abs(np.subtract(got.eigenvalues, alone.eigenvalues)) <= tol), (k, count)
+            assert np.all(np.abs(np.subtract(got.error_estimates, alone.error_estimates)) <= tol)
+    assert stack.slice(8, 1) is None and stack.slice(0, 9) is None
+
+
+def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
+    # at rel_tol = 1e-8 the first 8 values of paper-example's modes 0..2
+    # settle by N = 32, mode 5's do not
+    cfg = SolverConfig(n_max=32, rel_tol=1e-8)
+    ks = (0, 1, 2, 5)
+    capped = slsolver.solve_stack(paper, ks, 8, cfg)
+    for k in ks:
+        got, alone = capped.slice(k, 8), eigenvalues(paper, k, 8, cfg)
+        assert (got.grid_used, got.converged) == (alone.grid_used, alone.converged) == (32, k != 5)
+        assert_allclose(got.eigenvalues, alone.eigenvalues, rtol=1e-13)
+        tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
+        assert np.all(np.abs(np.subtract(got.error_estimates, alone.error_estimates)) <= tol)
+
+    # one size more: mode 5 alone is assembled again, and the other modes
+    # keep the slices the capped stack gave them
+    assembled = []
+    stiffness = slsolver._stiffness
+
+    def counting(p, ks, n):
+        assembled.append((tuple(ks), n))
+        return stiffness(p, ks, n)
+
+    monkeypatch.setattr(slsolver, "_stiffness", counting)
+    wider = slsolver.solve_stack(paper, ks, 8, SolverConfig(n_max=64, rel_tol=1e-8))
+    assert assembled == [(ks, 32), ((5,), 64)]
+    for k in (0, 1, 2):
+        assert wider.slice(k, 8) == capped.slice(k, 8)
+    assert wider.slice(5, 8).grid_used == 64
+
+
+def test_trace_checks_read_one_stack_and_one_length(sampled_bump, monkeypatch):
+    lengths = []
+    liouville_length = slsolver.liouville_length
+
+    def counting(p, q):
+        lengths.append(q)
+        return liouville_length(p, q)
+
+    monkeypatch.setattr(slsolver, "liouville_length", counting)
+    stacked = slsolver.trace_checks(sampled_bump, (1, 2, 3), 100)
+    assert len(lengths) == 1
+    for report in stacked:
+        alone = trace_check(sampled_bump, report.k, 100)
+        assert report.k == alone.k and report.tail_estimate == alone.tail_estimate
+        assert report.partial_sum == pytest.approx(alone.partial_sum, rel=1e-13)
 
 
 # ------------------------------------------------------------------ trace
@@ -556,9 +643,9 @@ def test_eigenfunction_reuses_the_final_solve(paper, monkeypatch):
     assembled = []
     stiffness = slsolver._stiffness
 
-    def counting(p, k, n):
+    def counting(p, ks, n):
         assembled.append(n)
-        return stiffness(p, k, n)
+        return stiffness(p, ks, n)
 
     monkeypatch.setattr(slsolver, "_stiffness", counting)
     slc = eigenvalues(paper, 2, 3)

@@ -84,15 +84,25 @@ def test_near_round_multiplicities_split(eps, bump):
 
 
 def test_assembly_solves_each_mode_once(paper, monkeypatch):
-    solved = []
+    # mode 0 (count 12) and the ceiling's mode 10 are solved alone; from mode
+    # 1 on every count is at most 8, so modes 1..11 but 10 share one stack
+    solved, stacked = [], []
+    solve_stack = spectrum_mod.solve_stack
 
     def counting(p, k, count, cfg):
         solved.append(k)
         return eigenvalues(p, k, count, cfg)
 
+    def counting_stack(p, ks, count, cfg):
+        stacked.append(list(ks))
+        return solve_stack(p, ks, count, cfg)
+
     monkeypatch.setattr(spectrum_mod, "eigenvalues", counting)
+    monkeypatch.setattr(spectrum_mod, "solve_stack", counting_stack)
     spec = assemble_spectrum(paper, 10)
-    assert sorted(solved) == sorted(spec.per_mode_slices) == list(range(12))
+    assert solved == [10, 0]
+    assert stacked == [[1, 2, 3, 4, 5, 6, 7, 8, 9, 11]]
+    assert sorted(solved + stacked[0]) == sorted(spec.per_mode_slices) == list(range(12))
 
 
 def test_degenerate_target_zero(canonical):
