@@ -57,8 +57,9 @@ _TUNING_FLAGS = {
 _NEEDS_ENDPOINTS = ("sl", "spectrum", "bounds", "trace")
 
 
-def _add_flags(parser, *tuning):
-    """The flags every subcommand reads, plus the named tuning flags."""
+def _add_flags(parser, tuning, own):
+    """The flags every subcommand reads, then the named tuning flags and the
+    subcommand's own arguments."""
     parser.add_argument("--profile", required=True,
                         help="builtin profile name (canonical, paper-example) or JSON file path")
     parser.add_argument("--format", choices=("csv", "json"), default="json",
@@ -66,10 +67,12 @@ def _add_flags(parser, *tuning):
     parser.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     for flag in tuning:
         parser.add_argument(flag, **_TUNING_FLAGS[flag])
+    for flag, options in own:
+        parser.add_argument(flag, **options)
 
 
-#: Subcommand -> (help line, tuning flags, own arguments): the one table
-#: the full parser and each single-subcommand parser are built from.
+#: Subcommand -> (help line, tuning flags, own arguments): the table the
+#: parser is built from.
 _SUBCOMMANDS = {
     "validate": ("check profile admissibility", (), ()),
     "curvature": ("sample the Gauss curvature K = -f''/2", ("--quad-tol",), (
@@ -98,48 +101,22 @@ _SUBCOMMANDS = {
 }
 
 
-def _add_subcommand(parser, name):
-    """Add the arguments of subcommand ``name`` to ``parser``; returns it."""
-    _, tuning, own = _SUBCOMMANDS[name]
-    _add_flags(parser, *tuning)
-    for flag, options in own:
-        parser.add_argument(flag, **options)
-    return parser
-
-
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="revspec",
         description="Laplace spectra and eigenvalue bounds for rotationally "
                     "symmetric metrics on the 2-sphere.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_line, _, _) in _SUBCOMMANDS.items():
-        _add_subcommand(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, tuning, own) in _SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_line), tuning, own)
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _subcommand_parser(name):
-    """The parser of subcommand ``name`` alone, built once per process: the
-    one build_parser gives it (prog "revspec <name>"), so its help and
-    errors read the same."""
-    return _add_subcommand(argparse.ArgumentParser(prog=f"revspec {name}"), name)
-
-
 def _parse(argv):
-    """Parse argv; exits through SystemExit as argparse does.
-
-    When argv[0] names a subcommand only that subcommand's parser reads it
-    (_subcommand_parser). Arguments it leaves over go to the full parser,
-    which reports them as the top-level "unrecognized arguments".
-    """
-    if argv and argv[0] in _SUBCOMMANDS:
-        name = argv[0]
-        args, extra = _subcommand_parser(name).parse_known_args(argv[1:])
-        if not extra:
-            args.subcommand = name
-            return args
+    """Parse argv; exits through SystemExit as argparse does."""
     return build_parser().parse_args(argv)
 
 

@@ -62,18 +62,15 @@ use). The first pair of sizes therefore costs one assembly, at 2n; only
 4n, 8n, ... are assembled afresh.
 
 Modes that share their basis sizes are solved as one stack (_converge on
-a tuple of modes; ``eigenvalues`` is the one-mode stack). The stack is
-assembled on the rule of its largest k, which gives every smaller mode at
-least as many nodes per piece as its own rule, so a stacked mode's Ritz
-values move from its lone solve's by roundoff only (under 1e-13 relative
-on the benchmark's profiles). The profile is evaluated and tested for evenness once, the
-recurrence takes its N steps once per node block for all modes at once,
-and each mode keeps its own rank updates and eigensolve; the modes whose
-values missed rel_tol are assembled together at the next size, and the
-others leave the stack. Every mode keeps the basis sizes, error estimates
-and convergence flag of its lone ladder, since modes asked for at most
-STACK_COUNT = 8 eigenvalues all start at N = 16 and the ladder for fewer
-eigenvalues stops at or before the stack's (ModeStack.slice reads it off).
+a tuple of modes for one count; ``eigenvalues`` is the one-mode stack).
+The stack is assembled on the rule of its largest k, which gives every
+smaller mode at least as many nodes per piece as its own rule, so a
+stacked mode's slice has the basis size, error estimates and convergence
+flag of its lone solve, with values moved by roundoff only (under 1e-13
+relative on the benchmark's profiles). The profile is evaluated and tested
+for evenness once per size, and the recurrence takes its N steps once per
+node block for all modes at once; each mode keeps its own rank updates,
+eigensolve and stopping rule, and leaves the stack once its values agree.
 Node blocks shrink to _BLOCK_NODES // M for M modes, so a stack's row
 buffer holds no more than a one-mode assembly's 2 N _BLOCK_NODES doubles.
 """
@@ -81,7 +78,7 @@ buffer holds no more than a one-mode assembly's 2 N _BLOCK_NODES doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,26 +352,20 @@ def _eig(stack, vectors):
     return out
 
 
-def _first_basis(count):
-    """The basis size the ladder starts at for ``count`` eigenvalues."""
-    return max(_MIN_BASIS, count + _BASIS_MARGIN)
-
-
 def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig, vectors: bool = False):
     """The doubling ladder behind ``eigenvalues``, run on the stack ``ks``.
 
-    Every mode starts at n = _first_basis(count). Returns, per mode (in the
-    order of ks), the list of steps (n, Ritz values, Ritz vectors or None)
-    of each size it was solved at, and its _slice for ``count``; vectors
-    come with every assembled size when ``vectors`` is set. A mode leaves
-    the stack once its slice stops on agreement; the modes left are
-    assembled together at the next size, until none is left or that size
-    would pass n_max.
+    Every mode starts at n = max(_MIN_BASIS, count + _BASIS_MARGIN). Returns,
+    per mode (in the order of ks), its _slice for ``count``; vectors come
+    with every assembled size when ``vectors`` is set. A mode leaves the
+    stack once its slice stops on agreement; the modes left are assembled
+    together at the next size, until none is left or that size would pass
+    n_max.
     """
     count = int(count)
     if count < 1:
         raise DomainError("count must be >= 1")
-    n = _first_basis(count)
+    n = max(_MIN_BASIS, count + _BASIS_MARGIN)
     if n > cfg.n_max:
         raise DomainError(f"count={count} needs a basis larger than n_max={cfg.n_max}")
 
@@ -396,7 +387,7 @@ def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig, vectors: bool
             slices[i] = _slice(ks[i], steps[i], count, cfg)
         active = [i for i in active if not slices[i][2]]
         if not active or 2 * n > cfg.n_max:
-            return steps, slices
+            return slices
         n *= 2
         stack = _stiffness(p, [ks[i] for i in active], n)
 
@@ -406,9 +397,7 @@ def _slice(k: int, steps, count: int, cfg: SolverConfig):
     steps, the Ritz vectors of the size it stops at, and whether it stopped
     on agreement. That size is the first whose values agree with the
     previous size's within rel_tol * max(|lambda|, 1), the ladder's one
-    stopping rule, else the last. Any count up to the ladder's gives the
-    slice a ladder run for that count would, as long as both start at the
-    same basis size."""
+    stopping rule, else the last."""
     prev, err, agreed = None, np.full(count, np.inf), False
     for n, values, vecs in steps:
         values = values[:count]
@@ -442,30 +431,7 @@ def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAUL
     of the stacked solve (solve_stack).
     """
     k = abs(int(k))
-    return _converge(p, (k,), count, cfg)[1][0][0]
-
-
-@dataclass(frozen=True, eq=False)
-class ModeStack:
-    """Modes solved as one stack for their first ``count`` eigenvalues.
-
-    ``slice(k, c)`` is the slice ``eigenvalues(p, k, c, cfg)`` returns, for
-    any c <= count whose ladder starts at the stack's basis size (every c
-    when count <= STACK_COUNT): the same basis sizes, error estimates and
-    convergence flag, with values moved only by the roundoff of the stack's
-    quadrature rule, that of its largest k. It is None for a mode or a count
-    the stack does not hold.
-    """
-
-    count: int
-    cfg: SolverConfig
-    steps: dict = field(repr=False)  # k -> the steps of its ladder (_converge)
-
-    def slice(self, k: int, count: int):
-        steps = self.steps.get(k)
-        if steps is None or count > self.count or _first_basis(count) != steps[0][0]:
-            return None
-        return _slice(k, steps, count, self.cfg)[0]
+    return _converge(p, (k,), count, cfg)[0][0]
 
 
 #: The largest count whose ladder starts at the smallest basis size: modes
@@ -473,11 +439,12 @@ class ModeStack:
 STACK_COUNT = _MIN_BASIS - _BASIS_MARGIN
 
 
-def solve_stack(p: MetricProfile, ks, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> ModeStack:
+def solve_stack(p: MetricProfile, ks, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> dict:
     """The modes ``ks`` (k >= 0, distinct) solved as one stack for ``count``
-    eigenvalues each; see ModeStack and the module docstring."""
+    eigenvalues each: k -> the slice ``eigenvalues(p, k, count, cfg)``
+    gives, with values moved by roundoff only (see the module docstring)."""
     ks = tuple(int(k) for k in ks)
-    return ModeStack(count=int(count), cfg=cfg, steps=dict(zip(ks, _converge(p, ks, count, cfg)[0])))
+    return {k: slc for k, (slc, _, _) in zip(ks, _converge(p, ks, count, cfg))}
 
 
 def first_eigenvalue(p: MetricProfile, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
@@ -552,7 +519,7 @@ def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_
     k = abs(int(k))
     if j < 1:
         raise DomainError("eigenfunction index j must be >= 1")
-    slc, vecs, _ = _converge(p, (k,), j, cfg, vectors=True)[1][0]
+    slc, vecs, _ = _converge(p, (k,), j, cfg, vectors=True)[0]
     nodes, h = solver_grid(_SAMPLE_CELLS)
     rows = _jacobi_rows(slc.grid_used, (k,), nodes, (((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))[None])[:, 0]
     u = vecs[:, j - 1] @ rows

@@ -131,10 +131,10 @@ def _converged(slc, cfg):
     return slc
 
 
-def _mode_slice_below(solve, k, lam_hi, count):
+def _mode_slice_below(p, k, lam_hi, count, cfg):
     """Solve mode k until its slice provably covers everything below lam_hi."""
     while True:
-        slc = solve(k, count)
+        slc = _converged(eigenvalues(p, k, count, cfg), cfg)
         if slc.eigenvalues[-1] > lam_hi:
             return slc
         if count >= _MAX_MODE_COUNT:
@@ -167,10 +167,10 @@ def assemble_spectrum(
     for one more than mode k - 1 holds below the ceiling plus a guard,
     since lambda_j^(k) >= lambda_j^(k-1). So the counts never grow with k
     (unless a slice had to be doubled), and from the first mode whose count
-    is at most STACK_COUNT on, every mode up to m_target + 1 is read off one
-    stacked solve (slsolver.solve_stack) for that count: the same basis
-    sizes, estimates and flags as solving each mode alone, with values
-    within roundoff of them. Mode m_target stays out of the stack: its
+    is at most STACK_COUNT on, every mode up to m_target + 1 is solved for
+    that count in one stacked solve (slsolver.solve_stack) and keeps the
+    slice it gives: that of solving the mode alone for that count, to
+    roundoff. Mode m_target stays out of the stack: its
     ceiling slice is solved alone, so the truncation is the value
     ``sl --k m_target`` reports. With merge_tol=None the merge
     tolerance is 10 times the worst per-eigenvalue error estimate.
@@ -184,12 +184,7 @@ def assemble_spectrum(
     if merge_tol is not None and not (merge_tol > 0.0):
         raise DomainError(f"the merge tolerance must be positive, got merge_tol={merge_tol!r}")
     stack = None
-
-    def solve(k, count):
-        slc = stack.slice(k, count) if stack is not None else None
-        return _converged(eigenvalues(p, k, count, cfg) if slc is None else slc, cfg)
-
-    slices = {m_target: solve(m_target, 2)}
+    slices = {m_target: _converged(eigenvalues(p, m_target, 2, cfg), cfg)}
     ceiling = slices[m_target].eigenvalues[0]
     lam_hi = ceiling + max(1.0, 1e-3 * ceiling)
 
@@ -198,9 +193,10 @@ def assemble_spectrum(
     while True:
         if stack is None and count <= STACK_COUNT and k <= m_target + 1:
             stack = solve_stack(p, [kk for kk in range(k, m_target + 2) if kk not in slices], count, cfg)
+            slices.update((kk, _converged(slc, cfg)) for kk, slc in stack.items())
         slc = slices.get(k)
         if slc is None or slc.eigenvalues[-1] <= lam_hi:
-            slc = slices[k] = _mode_slice_below(solve, k, lam_hi, count)
+            slc = slices[k] = _mode_slice_below(p, k, lam_hi, count, cfg)
         if k >= 1 and slc.eigenvalues[0] > lam_hi:
             break  # monotonicity: no higher mode reaches below the ceiling
         for j, (value, err) in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1):

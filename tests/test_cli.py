@@ -179,8 +179,8 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys):
     ["verify", "--prof", "paper-example"],
 ])
 def test_subcommand_parser_reads_like_the_full_parser(argv, capsys):
-    # run builds only the named subcommand's parser; the arguments, help,
-    # errors and exit status must be those of build_parser
+    # run parses through the parser it builds once per process; the
+    # arguments, help, errors and exit status must be those of build_parser
     from revspec.cli import _parse, build_parser
 
     def attempt(parse):
@@ -190,7 +190,7 @@ def test_subcommand_parser_reads_like_the_full_parser(argv, capsys):
             result = exc.code
         return result, capsys.readouterr()
 
-    # the subcommand's parser is built once and read twice
+    # the cached parser reads argv twice alike
     expected = attempt(build_parser().parse_args)
     assert attempt(_parse) == expected
     assert attempt(_parse) == expected

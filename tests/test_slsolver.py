@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy.special import eval_jacobi, gammaln
@@ -457,23 +458,23 @@ _STACK_PROFILES = ["canonical", "paper-example"] + [
 
 @pytest.mark.parametrize("name", _STACK_PROFILES)
 def test_stacked_modes_match_lone_solves(name):
-    """Modes 0..7 solved as one stack for 8 eigenvalues give, for every
-    count up to 8, the slice each mode's lone ladder gives: the same basis
-    size and flag, and values moved by the stack's finer rule only."""
+    """Modes 0..7 solved as one stack for any count up to 8 give the slice
+    each mode's lone ladder gives for that count: the same basis size and
+    flag, and values moved by the stack's finer rule only."""
     if name in ("canonical", "paper-example"):
         prof = builtin_profile(name)
     else:
         kind, seed = name.split("-")
         prof = build_profile(ProfileSpec(**_GENERATED(int(seed))[kind]))
-    stack = slsolver.solve_stack(prof, range(8), 8)
-    for k in range(8):
-        for count in range(1, 9):
-            got, alone = stack.slice(k, count), eigenvalues(prof, k, count)
+    for count in range(1, 9):
+        stack = slsolver.solve_stack(prof, range(8), count)
+        assert 8 not in stack
+        for k in range(8):
+            got, alone = stack[k], eigenvalues(prof, k, count)
             assert (got.k, got.grid_used, got.converged) == (alone.k, alone.grid_used, alone.converged)
             tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
             assert np.all(np.abs(np.subtract(got.eigenvalues, alone.eigenvalues)) <= tol), (k, count)
             assert np.all(np.abs(np.subtract(got.error_estimates, alone.error_estimates)) <= tol)
-    assert stack.slice(8, 1) is None and stack.slice(0, 9) is None
 
 
 def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
@@ -483,7 +484,7 @@ def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
     ks = (0, 1, 2, 5)
     capped = slsolver.solve_stack(paper, ks, 8, cfg)
     for k in ks:
-        got, alone = capped.slice(k, 8), eigenvalues(paper, k, 8, cfg)
+        got, alone = capped[k], eigenvalues(paper, k, 8, cfg)
         assert (got.grid_used, got.converged) == (alone.grid_used, alone.converged) == (32, k != 5)
         assert_allclose(got.eigenvalues, alone.eigenvalues, rtol=1e-13)
         tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
@@ -502,8 +503,43 @@ def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
     wider = slsolver.solve_stack(paper, ks, 8, SolverConfig(n_max=64, rel_tol=1e-8))
     assert assembled == [(ks, 32), ((5,), 64)]
     for k in (0, 1, 2):
-        assert wider.slice(k, 8) == capped.slice(k, 8)
-    assert wider.slice(5, 8).grid_used == 64
+        assert wider[k] == capped[k]
+    assert wider[5].grid_used == 64
+
+
+@st.composite
+def _stack_profiles(draw):
+    """A polynomial-factor, rational or 9- to 33-knot spline profile with
+    q = f / (1 - x^2) near 1, drawn from the benchmark's ranges; the spline
+    carries alternating relative noise of up to 1e-3."""
+    poly, w = np.polynomial.polynomial, [1.0, 0.0, -1.0]
+    small = st.floats(-0.2, 0.2)
+    kind = draw(st.sampled_from(("polynomial-factor", "rational", "sampled")))
+    if kind == "rational":
+        den = [1.0, draw(small), draw(st.floats(0.2, 0.8))]
+        num = poly.polymul(w, poly.polyadd(den, draw(st.floats(0.1, 0.5)) * np.array(w)))
+        return build_profile(ProfileSpec(kind=kind, params={"numerator": num.tolist(), "denominator": den}))
+    q = poly.polyadd([1.0], poly.polymul(w, [draw(st.floats(0.1, 0.5)), draw(small), draw(small)]))
+    if kind == "polynomial-factor":
+        return build_profile(ProfileSpec(kind=kind, params={"coefficients": q.tolist()}))
+    i = np.arange(draw(st.integers(9, 33)))
+    x = -np.cos(np.pi * i / i[-1])
+    f = (1.0 - x * x) * poly.polyval(x, q) * (1.0 + draw(st.floats(0.0, 1e-3)) * (-1.0) ** i)
+    f[0] = f[-1] = 0.0
+    return build_profile(ProfileSpec(kind=kind, params={"x": x.tolist(), "f": f.tolist()}))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_stack_profiles(), st.sets(st.integers(0, 12), min_size=1, max_size=6), st.integers(1, 8))
+def test_a_stacked_mode_equals_its_lone_solve(prof, ks, count):
+    stack = slsolver.solve_stack(prof, sorted(ks), count)
+    assert sorted(stack) == sorted(ks)
+    for k in ks:
+        got, alone = stack[k], eigenvalues(prof, k, count)
+        assert (got.grid_used, got.converged) == (alone.grid_used, alone.converged)
+        tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
+        assert np.all(np.abs(np.subtract(got.eigenvalues, alone.eigenvalues)) <= tol)
+        assert np.all(np.abs(np.subtract(got.error_estimates, alone.error_estimates)) <= tol)
 
 
 def test_trace_checks_read_one_stack_and_one_length(sampled_bump, monkeypatch):

@@ -105,6 +105,24 @@ def test_assembly_solves_each_mode_once(paper, monkeypatch):
     assert sorted(solved + stacked[0]) == sorted(spec.per_mode_slices) == list(range(12))
 
 
+def test_deep_stacked_modes_keep_the_stacks_slices(paper, monkeypatch):
+    # at depth 50 modes 35..51 but the ceiling's 50 share one stack for 8
+    # values; each keeps that slice, whose estimates come from the ladder
+    # steps the stack assembled for all 8
+    stacked = []
+    solve_stack = spectrum_mod.solve_stack
+
+    def recording(p, ks, count, cfg):
+        stacked.append((list(ks), count))
+        return solve_stack(p, ks, count, cfg)
+
+    monkeypatch.setattr(spectrum_mod, "solve_stack", recording)
+    spec = assemble_spectrum(paper, 50)
+    assert stacked == [([k for k in range(35, 52) if k != 50], 8)]
+    assert all(len(spec.per_mode_slices[k].eigenvalues) >= 8 for k in stacked[0][0])
+    assert spec.merge_tolerance < 1e-5
+
+
 def test_degenerate_target_zero(canonical):
     spec = assemble_spectrum(canonical, 0)
     assert len(spec.entries) == 1
