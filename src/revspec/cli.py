@@ -8,9 +8,10 @@ identical inputs.
 
 Exit codes: 0 success (and, for verify, all checks passed); 1 a verification
 check failed; 2 usage error (bad flags, unreadable or malformed profile,
-out-of-range options, or for sl, spectrum, bounds and trace a profile that
-breaks an endpoint condition); 3 numerical non-convergence (a bound table whose
-moments do not converge included).
+out-of-range options, an --out path that cannot be written, or for sl,
+spectrum, bounds and trace a profile that breaks an endpoint condition);
+3 numerical non-convergence (a bound table whose moments do not converge
+included).
 """
 
 from __future__ import annotations
@@ -71,67 +72,6 @@ def _add_flags(parser, tuning, own):
         parser.add_argument(flag, **options)
 
 
-#: Subcommand -> (help line, tuning flags, own arguments): the table the
-#: parser is built from.
-_SUBCOMMANDS = {
-    "validate": ("check profile admissibility", (), ()),
-    "curvature": ("sample the Gauss curvature K = -f''/2", ("--quad-tol",), (
-        ("--count", dict(type=int, default=201, help="number of sample points (default 201)")),
-    )),
-    "sl": ("lowest eigenvalues of one mode operator", ("--rel-tol", "--grid-max"), (
-        ("--k", dict(type=int, default=0, help="Fourier mode (default 0)")),
-        ("--count", dict(type=int, default=8, help="how many eigenvalues (default 8)")),
-    )),
-    "spectrum": ("assemble the distinct eigenvalues with multiplicities",
-                 ("--rel-tol", "--merge-tol", "--grid-max"), (
-        ("--m-max", dict(type=int, default=6, help="deepest distinct index (default 6)")),
-    )),
-    "bounds": ("closed-form upper-bound table", ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
-        ("--m-max", dict(type=int, default=6, help="deepest index (default 6)")),
-        ("--l-set", dict(default="", help="comma-separated extra trial exponents "
-                                          "(1 and m are always included)")),
-    )),
-    "trace": ("reciprocal-eigenvalue sum against 1/k", ("--grid-max",), (
-        ("--k", dict(type=int, default=1, help="Fourier mode, nonzero (default 1)")),
-        ("--terms", dict(type=int, default=100, help="series terms (default 100)")),
-    )),
-    "verify": ("run the verification suite", ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
-        ("--m-max", dict(type=int, default=5, help="spectrum depth (default 5)")),
-    )),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="revspec",
-        description="Laplace spectra and eigenvalue bounds for rotationally "
-                    "symmetric metrics on the 2-sphere.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_line, tuning, own) in _SUBCOMMANDS.items():
-        _add_flags(sub.add_parser(name, help=help_line), tuning, own)
-    return parser
-
-
-def _parse(argv):
-    """Parse argv; exits through SystemExit as argparse does."""
-    return build_parser().parse_args(argv)
-
-
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _solver_config(args):
     return SolverConfig(n_max=args.grid_max, rel_tol=args.rel_tol)
 
@@ -140,10 +80,12 @@ def _quad_config(args):
     return QuadratureConfig(abs_tol=args.quad_tol)
 
 
+# Each _cmd_* returns its report as (JSON payload, CSV header, CSV records)
+# and its exit status; run renders the format --format names.
+
+
 def _cmd_validate(args, profile):
     report = validate_profile(profile)
-    if args.format == "json":
-        return _json_text(report.to_json_dict()), 0
     record = [
         report.passed,
         report.endpoint_values[0], report.endpoint_values[1],
@@ -153,7 +95,7 @@ def _cmd_validate(args, profile):
     ]
     header = ["passed", "f_at_-1", "f_at_1", "df_at_-1", "df_at_1",
               "min_f_interior", "area", "curvature_integral", "messages"]
-    return csv_text(header, [record]), 0
+    return report.to_json_dict(), header, [record], 0
 
 
 def _cmd_curvature(args, profile):
@@ -163,37 +105,30 @@ def _cmd_curvature(args, profile):
     ks = curvature_at(profile, xs)
     fs = np.asarray(profile.f(xs), dtype=float)
     indicator = curvature_sign_indicator(profile, _quad_config(args))
-    if args.format == "json":
-        payload = {
-            "samples": [{"x": float(x), "f": float(f), "K": float(k)}
-                        for x, f, k in zip(xs, fs, ks)],
-            "sign_indicator": indicator.to_json_dict(),
-        }
-        return _json_text(payload), 0
     records = [[float(x), float(f), float(k)] for x, f, k in zip(xs, fs, ks)]
-    return csv_text(["x", "f", "K"], records), 0
+    payload = {
+        "samples": [{"x": x, "f": f, "K": k} for x, f, k in records],
+        "sign_indicator": indicator.to_json_dict(),
+    }
+    return payload, ["x", "f", "K"], records, 0
 
 
 def _cmd_sl(args, profile):
     if args.k < 0 or args.count < 1:
         raise ProfileError("--k must be >= 0 and --count >= 1")
     slc = slsolver.eigenvalues(profile, args.k, args.count, _solver_config(args))
-    if args.format == "json":
-        return _json_text(slc.to_json_dict()), 0
     records = [[j + 1, lam, err] for j, (lam, err)
                in enumerate(zip(slc.eigenvalues, slc.error_estimates))]
-    return csv_text(["j", "eigenvalue", "error_estimate"], records), 0
+    return slc.to_json_dict(), ["j", "eigenvalue", "error_estimate"], records, 0
 
 
 def _cmd_spectrum(args, profile):
     if args.m_max < 0:
         raise ProfileError("--m-max must be >= 0")
     spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args), args.merge_tol)
-    if args.format == "json":
-        return _json_text(spec.to_json_dict()), 0
     records = [[entry.m, entry.value, entry.multiplicity, ";".join(map(str, sorted(entry.modes)))]
                for entry in spec.entries]
-    return csv_text(["m", "value", "multiplicity", "modes"], records), 0
+    return spec.to_json_dict(), ["m", "value", "multiplicity", "modes"], records, 0
 
 
 def _parse_l_set(text):
@@ -216,24 +151,20 @@ def _cmd_bounds(args, profile):
         print(f"note: computed eigenvalues unavailable ({exc})", file=sys.stderr)
         spec = None
     rows = bounds_mod.bounds_table(profile, args.m_max, l_set, _quad_config(args), spec)
-    if args.format == "json":
-        return _json_text({"rows": [row.to_json_dict() for row in rows]}), 0
     records = [[row.m, row.sharp, row.rough, row.neg_curv, row.canonical, row.computed_lambda]
                for row in rows]
     header = ["m", "sharp", "rough", "neg_curv", "canonical", "computed_lambda"]
-    return csv_text(header, records), 0
+    return {"rows": [row.to_json_dict() for row in rows]}, header, records, 0
 
 
 def _cmd_trace(args, profile):
     if args.terms < 1:
         raise ProfileError("--terms must be >= 1")
     report = slsolver.trace_check(profile, args.k, args.terms, SolverConfig(n_max=args.grid_max))
-    if args.format == "json":
-        return _json_text(report.to_json_dict()), 0
     record = [report.k, report.terms_used, report.partial_sum,
               report.tail_estimate, report.target, report.deviation]
     header = ["k", "terms_used", "partial_sum", "tail_estimate", "target", "deviation"]
-    return csv_text(header, [record]), 0
+    return report.to_json_dict(), header, [record], 0
 
 
 def _cmd_verify(args, profile):
@@ -257,13 +188,9 @@ def _cmd_verify(args, profile):
     checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec,
                                                   merge_tol=args.merge_tol).checks)
 
-    for row in bounds_mod.bounds_table(profile, args.m_max, (), quad):
-        lam = spec.entries[row.m].value
+    for row in bounds_mod.bounds_table(profile, args.m_max, (), quad, spec):
         for name, bound in (("sharp_bound", row.sharp), ("rough_bound", row.rough)):
-            checks.append(spectrum_mod.Check(
-                name=name, location=f"m={row.m}", lhs=lam, rhs=bound,
-                passed=lam <= bound + spectrum_mod.CHECK_BUDGET_REL * max(abs(bound), 1.0),
-            ))
+            checks.append(spectrum_mod.at_most(name, f"m={row.m}", row.computed_lambda, bound))
 
     terms = 100
     for trace in slsolver.trace_checks(profile, range(1, min(3, args.m_max) + 1), terms, cfg, quad):
@@ -282,32 +209,64 @@ def _cmd_verify(args, profile):
     ))
 
     suite = spectrum_mod.verification_report(checks)
-    status = 0 if suite.all_passed else 1
-    if args.format == "json":
-        payload = suite.to_json_dict()
-        payload["profile"] = args.profile
-        payload["multiplicities"] = [entry.multiplicity for entry in spec.entries]
-        payload["values"] = [entry.value for entry in spec.entries]
-        return _json_text(payload), status
+    payload = suite.to_json_dict()
+    payload["profile"] = args.profile
+    payload["multiplicities"] = [entry.multiplicity for entry in spec.entries]
+    payload["values"] = [entry.value for entry in spec.entries]
     records = [[c.name, c.location, c.lhs, c.rhs, c.passed] for c in checks]
-    return csv_text(["name", "location", "lhs", "rhs", "passed"], records), status
+    return payload, ["name", "location", "lhs", "rhs", "passed"], records, 0 if suite.all_passed else 1
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "curvature": _cmd_curvature,
-    "sl": _cmd_sl,
-    "spectrum": _cmd_spectrum,
-    "bounds": _cmd_bounds,
-    "trace": _cmd_trace,
-    "verify": _cmd_verify,
+#: Subcommand -> (handler, help line, tuning flags, own arguments): the table
+#: the parser is built from and run dispatches through.
+_SUBCOMMANDS = {
+    "validate": (_cmd_validate, "check profile admissibility", (), ()),
+    "curvature": (_cmd_curvature, "sample the Gauss curvature K = -f''/2", ("--quad-tol",), (
+        ("--count", dict(type=int, default=201, help="number of sample points (default 201)")),
+    )),
+    "sl": (_cmd_sl, "lowest eigenvalues of one mode operator", ("--rel-tol", "--grid-max"), (
+        ("--k", dict(type=int, default=0, help="Fourier mode (default 0)")),
+        ("--count", dict(type=int, default=8, help="how many eigenvalues (default 8)")),
+    )),
+    "spectrum": (_cmd_spectrum, "assemble the distinct eigenvalues with multiplicities",
+                 ("--rel-tol", "--merge-tol", "--grid-max"), (
+        ("--m-max", dict(type=int, default=6, help="deepest distinct index (default 6)")),
+    )),
+    "bounds": (_cmd_bounds, "closed-form upper-bound table",
+               ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
+        ("--m-max", dict(type=int, default=6, help="deepest index (default 6)")),
+        ("--l-set", dict(default="", help="comma-separated extra trial exponents "
+                                          "(1 and m are always included)")),
+    )),
+    "trace": (_cmd_trace, "reciprocal-eigenvalue sum against 1/k", ("--grid-max",), (
+        ("--k", dict(type=int, default=1, help="Fourier mode, nonzero (default 1)")),
+        ("--terms", dict(type=int, default=100, help="series terms (default 100)")),
+    )),
+    "verify": (_cmd_verify, "run the verification suite",
+               ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
+        ("--m-max", dict(type=int, default=5, help="spectrum depth (default 5)")),
+    )),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser():
+    """The argument parser, built once per process."""
+    parser = argparse.ArgumentParser(
+        prog="revspec",
+        description="Laplace spectra and eigenvalue bounds for rotationally "
+                    "symmetric metrics on the 2-sphere.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, help_line, tuning, own) in _SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_line), tuning, own)
+    return parser
 
 
 def run(argv) -> int:
     """Parse argv (no program name) and execute; returns the exit status."""
     try:
-        args = _parse(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
@@ -316,14 +275,26 @@ def run(argv) -> int:
             broken = endpoint_conditions(profile)[2]
             if broken:
                 raise ProfileError("profile is not admissible: " + "; ".join(broken))
-        text, status = _COMMANDS[args.subcommand](args, profile)
+        payload, header, records, status = _SUBCOMMANDS[args.subcommand][0](args, profile)
     except (QuadratureAccuracyError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (RevspecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        text = csv_text(header, records)
+    if args.out is None:
+        sys.stdout.write(text)
+        return status
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -38,8 +38,9 @@ from .slsolver import (
 
 _MAX_MODE_COUNT = 4096
 
-#: Error budget, relative to max(|value|, 1), of the interlacing,
-#: monotonicity and (in the CLI's verify) bound checks.
+#: Error budget, relative to max(|value|, 1), of the at_most checks
+#: (interlacing, and the sharp and rough bounds in the CLI's verify) and of
+#: the monotonicity check.
 CHECK_BUDGET_REL = 1e-3
 
 
@@ -96,6 +97,12 @@ class VerificationReport(Report):
 def verification_report(checks):
     """The report of ``checks``; all_passed when every one passed."""
     return VerificationReport(checks=tuple(checks), all_passed=all(c.passed for c in checks))
+
+
+def at_most(name, location, lhs, rhs):
+    """The Check lhs <= rhs within an error budget of CHECK_BUDGET_REL * max(|rhs|, 1)."""
+    return Check(name=name, location=location, lhs=lhs, rhs=rhs,
+                 passed=lhs <= rhs + CHECK_BUDGET_REL * max(abs(rhs), 1.0))
 
 
 @dataclass(frozen=True)
@@ -294,17 +301,8 @@ def verify_interlacing(
         if slc is None or len(slc.eigenvalues) <= j_max:
             slc = eigenvalues(p, k, j_max + 1, cfg)
         for j in range(0, j_max + 1):
-            lhs = spectrum.entries[k + j].value
-            rhs = slc.eigenvalues[j]
-            checks.append(
-                Check(
-                    name="interlacing",
-                    location=f"k={k},j={j}",
-                    lhs=lhs,
-                    rhs=rhs,
-                    passed=lhs <= rhs + CHECK_BUDGET_REL * max(abs(rhs), 1.0),
-                )
-            )
+            checks.append(at_most("interlacing", f"k={k},j={j}",
+                                  spectrum.entries[k + j].value, slc.eigenvalues[j]))
     return verification_report(checks)
 
 

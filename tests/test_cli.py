@@ -180,8 +180,8 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys):
 ])
 def test_subcommand_parser_reads_like_the_full_parser(argv, capsys):
     # run parses through the parser it builds once per process; the
-    # arguments, help, errors and exit status must be those of build_parser
-    from revspec.cli import _parse, build_parser
+    # arguments, help, errors and exit status must be those of a fresh parser
+    from revspec.cli import build_parser
 
     def attempt(parse):
         try:
@@ -191,9 +191,9 @@ def test_subcommand_parser_reads_like_the_full_parser(argv, capsys):
         return result, capsys.readouterr()
 
     # the cached parser reads argv twice alike
-    expected = attempt(build_parser().parse_args)
-    assert attempt(_parse) == expected
-    assert attempt(_parse) == expected
+    expected = attempt(build_parser.__wrapped__().parse_args)
+    assert attempt(build_parser().parse_args) == expected
+    assert attempt(build_parser().parse_args) == expected
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--m-max", "4"], ["verify", "--m-max", "3"]])
@@ -471,6 +471,17 @@ def test_out_file(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["passed"] is True
     assert payload["area"] == pytest.approx(4.0 * math.pi)
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # exit 1 means a failed verification check; a report that cannot be
+    # written is a usage error
+    out_path = tmp_path / "missing" / "report.json"
+    status, out, err = run_capture(["sl", "--profile", "canonical", "--out", str(out_path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}")
+    assert not out_path.parent.exists()
 
 
 def test_verify_csv(capsys):

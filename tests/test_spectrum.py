@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,26 @@ def test_near_round_multiplicities_split(eps, bump):
     # mode copies far beyond the solver error
     spec = assemble_spectrum(bump(eps), 4)
     assert [e.multiplicity for e in spec.entries][:8] == [1, 2, 1, 2, 2, 1, 2, 2]
+
+
+def test_near_degenerate_pair_of_one_mode_is_never_merged(tmp_path, capsys):
+    # f = (1 - x^2)(0.1 + 0.9 x^2) is a dumbbell: tunnelling splits mode 4's
+    # lowest pair, 66.912396646769 and 66.912396923197, by 2.76e-7, each
+    # with an error estimate of 6.7e-9. Mode spectra are simple, so the
+    # spectrum either refuses the merge, naming one mode twice, or reports
+    # both values.
+    path = tmp_path / "dumbbell.json"
+    path.write_text(json.dumps({"kind": "polynomial-factor",
+                                "params": {"coefficients": [0.1, 0.0, 0.9]}}))
+    status = run(["spectrum", "--profile", str(path), "--m-max", "4"])
+    captured = capsys.readouterr()
+    if status == 3:
+        assert re.search(r"\(k=(\d+), j=\d+\).*\(k=\1, j=\d+\)", captured.err), captured.err
+    else:
+        assert status == 0
+        pair = [e for e in json.loads(captured.out)["entries"] if abs(e["value"] - 66.9123968) < 1e-6]
+        assert len(pair) == 2
+        assert all(4 in e["modes"] for e in pair)
 
 
 def test_assembly_solves_each_mode_once(paper, monkeypatch):

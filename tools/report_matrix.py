@@ -1,0 +1,151 @@
+"""Run a fixed matrix of revspec CLI calls in-process and record every report.
+
+    python tools/report_matrix.py OUT.json        # run the matrix on this tree's src/
+    python tools/report_matrix.py --compare A B   # list the cases whose records differ
+
+OUT.json maps each case to [exit status, stdout, stderr]. A call that raises
+instead of returning a status records the exception's type as its status.
+To check that a change leaves every report byte-identical, run the tool in
+both trees (copy it into the other one) and compare the two files.
+
+The matrix: canonical, paper-example and the profiles bench/profiles.py
+generates for seeds 1-3, each through validate, curvature, sl, spectrum,
+bounds, trace and verify at several depths, in both formats (484 cases);
+then the failure paths: an inadmissible profile, a merge tolerance below
+the solver errors, a dumbbell whose near-degenerate pair the default merge
+tolerance joins, and an --out path that cannot be written. The profiles
+are written to one fixed directory, so the paths the reports name are the
+same in every tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROFILE_DIR = Path(tempfile.gettempdir()) / "revspec-report-matrix"
+
+#: f = (1 - x^2)(0.1 + 0.9 x^2): two wells whose tunnelling pairs lie closer
+#: than the default merge tolerance from --m-max 4 on.
+DUMBBELL = {"kind": "polynomial-factor", "params": {"coefficients": [0.1, 0.0, 0.9]}}
+#: q = 2 everywhere: the endpoint slopes are +-4, not +-2.
+INADMISSIBLE = {"kind": "polynomial-factor", "params": {"coefficients": [2.0]}}
+
+#: (subcommand, its own arguments) run on every profile.
+COMMANDS = (
+    [("validate", [])]
+    + [("curvature", ["--count", "21"])]
+    + [("sl", ["--k", str(k), "--count", "8"]) for k in range(4)]
+    + [("spectrum", ["--m-max", str(m)]) for m in (0, 1, 3, 6, 8)]
+    + [("bounds", ["--m-max", str(m)]) for m in (1, 5, 10)]
+    + [("bounds", ["--m-max", "4", "--l-set", "2,3"])]
+    + [("trace", ["--k", str(k), "--terms", "50"]) for k in range(1, 4)]
+    + [("verify", ["--m-max", str(m)]) for m in (1, 2, 4, 6)]
+)
+
+
+def _generated_profiles():
+    """name -> JSON spec of the benchmark's generated profiles, seeds 1-3."""
+    spec = importlib.util.spec_from_file_location("bench_profiles", ROOT / "bench" / "profiles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {f"{kind}-{seed}": profile
+            for seed in (1, 2, 3) for kind, profile in module.generate(seed).items()}
+
+
+def _write_profiles(specs):
+    """name -> --profile argument: the builtins by name, each of ``specs``
+    written to PROFILE_DIR."""
+    PROFILE_DIR.mkdir(parents=True, exist_ok=True)
+    paths = {"canonical": "canonical", "paper-example": "paper-example"}
+    for name, profile in specs.items():
+        path = PROFILE_DIR / f"{name}.json"
+        path.write_text(json.dumps(profile, sort_keys=True), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def cases():
+    """case name -> argv, in run order."""
+    generated = _generated_profiles()
+    paths = _write_profiles({**generated, "dumbbell": DUMBBELL, "inadmissible": INADMISSIBLE})
+    out = {}
+
+    def add(name, sub, own, formats=("json", "csv")):
+        for fmt in formats:
+            out[" ".join([name, sub, *own, "--format", fmt])] = [
+                sub, "--profile", paths[name], *own, "--format", fmt]
+
+    for name in ("canonical", "paper-example", *sorted(generated)):
+        for sub, own in COMMANDS:
+            add(name, sub, own)
+    for sub, own in (("validate", []), ("sl", ["--k", "0"]), ("verify", ["--m-max", "1"])):
+        add("inadmissible", sub, own)
+    add("canonical", "spectrum", ["--m-max", "2", "--merge-tol", "1e-30"])
+    for sub in ("spectrum", "verify"):
+        add("dumbbell", sub, ["--m-max", "4"])
+    add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
+    return out
+
+
+def run_matrix():
+    """case name -> [status, stdout, stderr] from revspec.cli.run in this process."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from revspec.cli import run
+
+    records = {}
+    for name, argv in cases().items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                status = run(argv)
+            except Exception as exc:  # noqa: BLE001 (a raise is the record)
+                status = type(exc).__name__
+        records[name] = [status, stdout.getvalue(), stderr.getvalue()]
+    return records
+
+
+def compare(path_a, path_b):
+    """Print each case whose record differs between two matrix files; the
+    number of such cases."""
+    a = json.loads(Path(path_a).read_text(encoding="utf-8"))
+    b = json.loads(Path(path_b).read_text(encoding="utf-8"))
+    differ = 0
+    for name in sorted(set(a) | set(b)):
+        left, right = a.get(name), b.get(name)
+        if left == right:
+            continue
+        differ += 1
+        if left is None or right is None:
+            print(f"{name}: only in {path_a if right is None else path_b}")
+            continue
+        parts = [label for label, x, y in zip(("status", "stdout", "stderr"), left, right) if x != y]
+        print(f"{name}: {', '.join(parts)} differ (status {left[0]} vs {right[0]})")
+    print(f"{len(set(a) | set(b)) - differ} identical, {differ} differ")
+    return differ
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="write the matrix records to this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two matrix files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare) else 0
+    if not args.out:
+        parser.error("give an output file or --compare A B")
+    records = run_matrix()
+    Path(args.out).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(records)} cases written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
