@@ -167,27 +167,19 @@ def _cmd_trace(args, profile):
     return report.to_json_dict(), header, [record], 0
 
 
-def _cmd_verify(args, profile):
-    if args.m_max < 1:
-        raise ProfileError("--m-max must be >= 1")
+def _solver_checks(args, profile):
+    """The spectrum verify assembles and every check read off it: the
+    paper's structural results, the bound table and the trace identities."""
     cfg = _solver_config(args)
-    quad = _quad_config(args)
-    checks = []
-
-    report = validate_profile(profile)
-    checks.append(spectrum_mod.Check(
-        name="profile_admissible", location="-",
-        lhs=float(report.passed), rhs=1.0, passed=report.passed,
-    ))
-
     spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg, args.merge_tol)
-    checks.extend(spectrum_mod.verify_multiplicity_bound(spec).checks)
+    checks = list(spectrum_mod.verify_multiplicity_bound(spec).checks)
     k_max = max(2, min(5, args.m_max + 1))
     checks.extend(spectrum_mod.verify_monotonicity(profile, k_max, cfg, spectrum=spec).checks)
     half = max(1, args.m_max // 2)
     checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec,
                                                   merge_tol=args.merge_tol).checks)
 
+    quad = _quad_config(args)
     for row in bounds_mod.bounds_table(profile, args.m_max, (), quad, spec):
         for name, bound in (("sharp_bound", row.sharp), ("rough_bound", row.rough)):
             checks.append(spectrum_mod.at_most(name, f"m={row.m}", row.computed_lambda, bound))
@@ -207,12 +199,32 @@ def _cmd_verify(args, profile):
         lhs=float(-1 if witness is None else witness), rhs=1.0,
         passed=witness is not None,
     ))
+    return spec.entries, checks
+
+
+def _cmd_verify(args, profile):
+    if args.m_max < 1:
+        raise ProfileError("--m-max must be >= 1")
+    report = validate_profile(profile)
+    checks = [spectrum_mod.Check(
+        name="profile_admissible", location="-",
+        lhs=float(report.passed), rhs=1.0, passed=report.passed,
+    )]
+    # the solver's numbers assume an admissible profile: on any other the
+    # suite is the failed admissibility check alone
+    entries = ()
+    if report.passed:
+        entries, solved = _solver_checks(args, profile)
+        checks.extend(solved)
+    else:
+        for message in report.messages:
+            print(f"note: {message}", file=sys.stderr)
 
     suite = spectrum_mod.verification_report(checks)
     payload = suite.to_json_dict()
     payload["profile"] = args.profile
-    payload["multiplicities"] = [entry.multiplicity for entry in spec.entries]
-    payload["values"] = [entry.value for entry in spec.entries]
+    payload["multiplicities"] = [entry.multiplicity for entry in entries]
+    payload["values"] = [entry.value for entry in entries]
     records = [[c.name, c.location, c.lhs, c.rhs, c.passed] for c in checks]
     return payload, ["name", "location", "lhs", "rhs", "passed"], records, 0 if suite.all_passed else 1
 

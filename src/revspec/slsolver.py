@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import DomainError
 from .profile import MetricProfile, liouville_length
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, gauss_legendre
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, piecewise_rule
 from .report import Report
 
 _MIN_BASIS = 16
@@ -222,20 +222,19 @@ def _jacobi_rows(n, ks, x, scale):
 
 
 def _rule(breaks, n, k):
-    """Assembly nodes and weights: one Gauss-Legendre rule on every piece.
+    """Assembly nodes and weights: the node count this solver needs, laid
+    onto every piece by ``quadrature.piecewise_rule``.
 
     A piece spanning an angle dtheta needs about (n + k) dtheta / 2 nodes
-    for the integrands of mode k in the n-term basis (module docstring), and
-    one count for all pieces keeps one cached rule. Every piece gets
-    min(n + k, ceil(_ANGULAR_NODES (n + k) dtheta_max)) + _EXTRA_NODES
-    nodes, dtheta_max the widest piece's angle; a single piece spans pi and
-    keeps n + k + _EXTRA_NODES.
+    for the integrands of mode k in the n-term basis (module docstring).
+    Every piece gets the widest piece's count,
+    min(n + k, ceil(_ANGULAR_NODES (n + k) dtheta_max)) + _EXTRA_NODES, so
+    one reference rule serves them all; a single piece spans pi and keeps
+    n + k + _EXTRA_NODES.
     """
     ends = np.asarray(breaks, dtype=float)
     widest = float((np.arccos(ends[:-1]) - np.arccos(ends[1:])).max())
-    t, c = gauss_legendre(min(n + k, math.ceil(_ANGULAR_NODES * (n + k) * widest)) + _EXTRA_NODES)
-    a, b = ends[:-1, None], ends[1:, None]
-    return (0.5 * (a + b) + 0.5 * (b - a) * t).ravel(), (0.5 * (b - a) * c).ravel()
+    return piecewise_rule(ends, min(n + k, math.ceil(_ANGULAR_NODES * (n + k) * widest)) + _EXTRA_NODES)
 
 
 def _even_half(p: MetricProfile, x, f, wts):

@@ -128,6 +128,27 @@ def test_inadmissible_endpoints_still_reported(tilted, capsys):
     assert status == 1 and checks == {"profile_admissible": False}
 
 
+@pytest.mark.parametrize("m_max", ["1", "3"])
+def test_verify_fails_admissibility_without_solving(m_max, tmp_path, capsys, monkeypatch):
+    # q = 2 gives f'(+-1) = +-4; a solve of this profile does not converge
+    # by N = 1024, so the suite must stop at its failed admissibility check
+    path = tmp_path / "steep_slopes.json"
+    path.write_text(json.dumps({"kind": "polynomial-factor", "params": {"coefficients": [2.0]}}))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify assembled a spectrum of an inadmissible profile")
+
+    monkeypatch.setattr(revspec.spectrum, "assemble_spectrum", no_solve)
+    status, out, err = run_capture(["verify", "--profile", str(path), "--m-max", m_max], capsys)
+    assert status == 1
+    payload = json.loads(out)
+    assert set(payload) == {"all_passed", "checks", "multiplicities", "profile", "values"}
+    assert payload["all_passed"] is False
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [("profile_admissible", False)]
+    assert payload["values"] == [] and payload["multiplicities"] == []
+    assert err.splitlines() == ["note: f'(-1) = 4, expected 2", "note: f'(1) = -4, expected -2"]
+
+
 @pytest.mark.parametrize("cmd", ["spectrum", "verify"])
 def test_unconverged_mode_slice_exits_3(cmd, capsys):
     # a basis capped at its smallest size gets one solve, so no slice converges

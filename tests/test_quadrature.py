@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.special import roots_legendre
 
 from revspec import QuadratureAccuracyError, QuadratureConfig
-from revspec.quadrature import adaptive_gauss, gauss_jacobi_sqrt_weight, gauss_legendre
+from revspec.quadrature import adaptive_gauss, gauss_jacobi_sqrt_weight, gauss_legendre, piecewise_rule
 
 
 def test_config_validation():
@@ -101,3 +101,26 @@ def test_gauss_legendre_matches_references(n):
         node, weight = _legendre_node_and_weight(n, x[i])
         assert abs(x[i] - node) <= 1e-15
         assert abs(w[i] / weight - 1) <= 1e-13 + 2e-15 / (1.0 - x[i] ** 2)
+
+
+def test_gauss_legendre_keeps_every_size():
+    # a process solving deep spectra asks for many sizes again and again:
+    # none may be evicted and rebuilt
+    first = gauss_legendre(3)
+    for n in range(4, 4 + 80):
+        gauss_legendre(n)
+    again = gauss_legendre(3)
+    assert again[0] is first[0] and again[1] is first[1]
+
+
+def test_piecewise_rule_is_exact_on_each_interval():
+    # a 5-point rule integrates degree 9 exactly, interval by interval, so a
+    # function that is a different polynomial on each one comes out exact
+    # to roundoff
+    edges = np.array([-1.0, -0.2, 0.5, 1.0])
+    x, w = piecewise_rule(edges, 5)
+    assert x.size == w.size == 15
+    assert np.all((x[:5] > -1.0) & (x[:5] < -0.2)) and np.all((x[10:] > 0.5) & (x[10:] < 1.0))
+    fx = np.where(x < -0.2, x**9, np.where(x < 0.5, 3.0 * x**2, 1.0))
+    exact = (0.2**10 - 1.0) / 10.0 + (0.5**3 + 0.2**3) + 0.5
+    assert abs(np.dot(fx, w) - exact) <= 1e-14

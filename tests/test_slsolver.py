@@ -522,17 +522,24 @@ def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
 def _stack_profiles(draw):
     """A polynomial-factor, rational or 9- to 33-knot spline profile with
     q = f / (1 - x^2) near 1, drawn from the benchmark's ranges; the spline
-    carries alternating relative noise of up to 1e-3."""
+    carries alternating relative noise of up to 1e-3. Also an exactly even
+    polynomial factor (no odd coefficient: stacks take the parity fold), a
+    near-even one (an odd coefficient of 1e-9: stacks keep the whole
+    matrix) and the rough 49- and 97-knot Chebyshev splines."""
     poly, w = np.polynomial.polynomial, [1.0, 0.0, -1.0]
     small = st.floats(-0.2, 0.2)
-    kind = draw(st.sampled_from(("polynomial-factor", "rational", "sampled")))
+    kind = draw(st.sampled_from(("polynomial-factor", "rational", "sampled", "even", "near-even", "rough")))
+    if kind == "rough":
+        return _rough_chebyshev(draw(st.sampled_from((49, 97))))
     if kind == "rational":
         den = [1.0, draw(small), draw(st.floats(0.2, 0.8))]
         num = poly.polymul(w, poly.polyadd(den, draw(st.floats(0.1, 0.5)) * np.array(w)))
         return build_profile(ProfileSpec(kind=kind, params={"numerator": num.tolist(), "denominator": den}))
-    q = poly.polyadd([1.0], poly.polymul(w, [draw(st.floats(0.1, 0.5)), draw(small), draw(small)]))
-    if kind == "polynomial-factor":
-        return build_profile(ProfileSpec(kind=kind, params={"coefficients": q.tolist()}))
+    odd = {"even": 0.0, "near-even": 1e-9}.get(kind)
+    q = poly.polyadd([1.0], poly.polymul(w, [draw(st.floats(0.1, 0.5)), draw(small) if odd is None else odd,
+                                            draw(small)]))
+    if kind != "sampled":
+        return build_profile(ProfileSpec(kind="polynomial-factor", params={"coefficients": q.tolist()}))
     i = np.arange(draw(st.integers(9, 33)))
     x = -np.cos(np.pi * i / i[-1])
     f = (1.0 - x * x) * poly.polyval(x, q) * (1.0 + draw(st.floats(0.0, 1e-3)) * (-1.0) ** i)
