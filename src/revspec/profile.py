@@ -18,6 +18,17 @@ closed-form kinds are one piece in powers of x; a sampled profile is its
 clamped cubic spline, piece i in powers of x - x_i with D = 1. One Horner
 evaluator serves every kind: f = N/D, f' = N1/D^2 and f'' = N2/D^3, with
 N1 = N'D - ND' and N2 = N1'D - 2D'N1 formed once, at build time.
+
+The poles close smoothly exactly when f = (1 - x^2) q with q(+-1) = 1, and
+the mode solver integrates q and 1/q. So q gets its own table, built once
+by one rule: on each piece N is divided by each pole factor the piece ends
+on (x + 1 on the first piece, 1 - x on the last, both on a single piece)
+by synthetic division in powers of x - origin, the remainder dropped (it
+is the endpoint defect endpoint_conditions reports), and D is multiplied by
+each factor of 1 - x^2 the piece does not end on. q is then exact to
+rounding up to the poles, where f/(1 - x^2) at a node is not. A profile is
+``even`` when it is one piece with no odd powers in N or D: then f and q
+are even bit for bit, and the solver folds its rule onto the upper half.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,15 +86,20 @@ class MetricProfile:
     """Profile evaluators; immutable and safe to share between workers.
 
     f, df, d2f evaluate the profile and its first two derivatives anywhere
-    in [-1, 1] and accept scalars or arrays. ``breaks`` are the end points
-    of the pieces on which f is smooth: the spline knots of a sampled
-    profile, (-1, 1) for every other kind.
+    in [-1, 1] and accept scalars or arrays; q evaluates f/(1 - x^2) from
+    its own table (module docstring), so it needs no division at the poles.
+    ``even`` is True when f is an even function by construction: one piece
+    with no odd powers in N or D. ``breaks`` are the end points of the
+    pieces on which f is smooth: the spline knots of a sampled profile,
+    (-1, 1) for every other kind.
     """
 
     spec: ProfileSpec
     f: Callable
     df: Callable
     d2f: Callable
+    q: Callable
+    even: bool
     breaks: tuple = (-1.0, 1.0)
 
 
@@ -172,23 +189,43 @@ def _horner(coef, s):
     return out
 
 
+def _divide(column, root):
+    """Quotient of one column by s - root by synthetic division, shifted
+    down one row so the column keeps its length; the remainder is dropped."""
+    return [0.0, *accumulate(column[:-1], lambda acc, c: acc * root + c)]
+
+
+def _pole_quotient(origins, num, den):
+    """Tables of q = N/(D (1 - x^2)) (module docstring): N divided by each
+    pole factor, x + 1 and 1 - x, that its piece ends on, D multiplied by
+    each it does not."""
+    num, pieces = num.copy(), num.shape[1]
+    plus = np.array([np.ones(pieces), 1.0 + origins])  # x + 1 = s + (1 + origin), s = x - origin
+    minus = np.array([-np.ones(pieces), 1.0 - origins])  # 1 - x = -s + (1 - origin)
+    num[:, 0] = _divide(num[:, 0], -plus[1, 0])
+    num[:, -1] = np.negative(_divide(num[:, -1], minus[1, -1]))
+    plus[:, 0] = minus[:, -1] = (0.0, 1.0)
+    return _trim(num), _trim(_mul(_mul(den, plus), minus))
+
+
 def _piecewise_rational(breaks, origins, num, den):
-    """Evaluators f, f', f'' of N/D (module docstring) from the tables
+    """Evaluators f, f', f'' and q of N/D (module docstring) from the tables
     ``num`` and ``den``, piece i in powers of x - origins[i]; points outside
     [breaks[0], breaks[-1]] extend the end pieces."""
     interior, origins = np.asarray(breaks[1:-1], dtype=float), np.asarray(origins, dtype=float)
     n1 = _trim(_mul(_deriv(num), den) - _mul(num, _deriv(den)))
     n2 = _trim(_mul(_deriv(n1), den) - 2.0 * _mul(_deriv(den), n1))
 
-    def evaluator(table, power):
+    def evaluator(table, denominator, power):
         def evaluate(t):
             piece = interior.searchsorted(t, "right")  # piece i holds [breaks[i], breaks[i + 1])
             s = t - origins.take(piece)
-            return _horner(table.take(piece, axis=1), s) / _horner(den.take(piece, axis=1), s) ** power
+            return _horner(table.take(piece, axis=1), s) / _horner(denominator.take(piece, axis=1), s) ** power
 
         return _wrap_scalar(evaluate)
 
-    return evaluator(num, 1), evaluator(n1, 2), evaluator(n2, 3)
+    return (evaluator(num, den, 1), evaluator(n1, den, 2), evaluator(n2, den, 3),
+            evaluator(*_pole_quotient(origins, num, den), 1))
 
 
 def _spline_table(params):
@@ -260,8 +297,9 @@ def build_profile(spec: ProfileSpec) -> MetricProfile:
         breaks, origins, den = tuple(float(v) for v in x), x[:-1], np.ones((1, x.size - 1))
     else:
         raise ProfileError(f"unknown profile kind {spec.kind!r}; expected one of {PROFILE_KINDS}")
-    f, df, d2f = _piecewise_rational(breaks, origins, num, den)
-    return MetricProfile(spec=spec, f=f, df=df, d2f=d2f, breaks=breaks)
+    f, df, d2f, q = _piecewise_rational(breaks, origins, num, den)
+    even = num.shape[1] == 1 and not (num[-2::-2].any() or den[-2::-2].any())  # rows of odd powers
+    return MetricProfile(spec=spec, f=f, df=df, d2f=d2f, q=q, even=even, breaks=breaks)
 
 
 def builtin_profile(name: str) -> MetricProfile:
@@ -284,8 +322,8 @@ def load_profile(path) -> MetricProfile:
         raise ProfileError(f"cannot read profile file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProfileError(f"profile file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ProfileError(f"profile file {path} must be a JSON object with a 'kind' field")
+    if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
+        raise ProfileError(f"profile file {path} must be a JSON object with a string 'kind' field")
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ProfileError("profile 'params' must be a JSON object")
@@ -431,13 +469,13 @@ def liouville_length(p: MetricProfile, q: QuadratureConfig = DEFAULT_QUADRATURE)
 
     The integrand has inverse-square-root endpoint singularities (f vanishes
     linearly at +-1), so it always routes through the endpoint-weighted rule
-    with smooth factor sqrt((1 - x^2)/f).
+    with smooth factor q^(-1/2), q = f/(1 - x^2).
     """
 
     def g(x):
-        fx = np.asarray(p.f(x), dtype=float)
-        if np.any(fx <= 0.0):
+        qx = np.asarray(p.q(x), dtype=float)
+        if np.any(qx <= 0.0):
             raise DomainError("profile must be positive on (-1, 1) to have a Liouville length")
-        return np.sqrt((1.0 - x * x) / fx)
+        return 1.0 / np.sqrt(qx)
 
     return gauss_jacobi_sqrt_weight(g, q.abs_tol)

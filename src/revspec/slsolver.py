@@ -45,9 +45,13 @@ odd-sized rule sits at 0 and keeps its own weight), and the Ritz values are
 the sorted union of theirs. That takes about a quarter of the flops of the
 whole matrix in assembly and in the eigensolve, and drops the cross-parity
 entries that the whole matrix carries as roundoff. The split is read off
-the profile: its breaks must be mirror-symmetric and f at the upper-half
-nodes must equal f at their negatives bit for bit, so a profile that is
-even only to roundoff keeps the whole matrix, as before.
+the profile's ``even`` flag, which profile decides once, from its tables:
+one piece with no odd powers in N or D, so f and q are even bit for bit.
+Every other profile keeps the whole matrix, mirror-symmetric splines and
+profiles even only to roundoff included. The solver never evaluates f: it
+reads q = f/w from the profile's own table (profile module docstring),
+which stays exact to rounding up to the poles, where f/w at a node loses
+digits in proportion to 1/w.
 
 The basis size doubles from max(16, count + 8) until two sizes agree within
 rel_tol. The error estimate is that difference, floored at 1e-10 relative:
@@ -67,10 +71,10 @@ The stack is assembled on the rule of its largest k, which gives every
 smaller mode at least as many nodes per piece as its own rule, so a
 stacked mode's slice has the basis size, error estimates and convergence
 flag of its lone solve, with values moved by roundoff only (under 1e-13
-relative on the benchmark's profiles). The profile is evaluated and tested
-for evenness once per size, and the recurrence takes its N steps once per
-node block for all modes at once; each mode keeps its own rank updates,
-eigensolve and stopping rule, and leaves the stack once its values agree.
+relative on the benchmark's profiles). q is evaluated once per size, and
+the recurrence takes its N steps once per node block for all modes at
+once; each mode keeps its own rank updates, eigensolve and stopping rule,
+and leaves the stack once its values agree.
 Node blocks shrink to _BLOCK_NODES // M for M modes, so a stack's row
 buffer holds no more than a one-mode assembly's 2 N _BLOCK_NODES doubles.
 """
@@ -237,24 +241,15 @@ def _rule(breaks, n, k):
     return piecewise_rule(ends, min(n + k, math.ceil(_ANGULAR_NODES * (n + k) * widest)) + _EXTRA_NODES)
 
 
-def _even_half(p: MetricProfile, x, f, wts):
-    """The rule folded onto its upper half when the profile is even, else None.
-
-    Even means mirror-symmetric breaks and f(-x) == f(x) bit for bit at the
-    upper half of the nodes. The folded rule is that half, (x, f, weights)
-    with the weights doubled; the middle node of an odd-sized rule sits at
-    0 (to roundoff) and keeps its own weight.
-    """
-    ends = np.asarray(p.breaks, dtype=float)
-    if not (ends == -ends[::-1]).all():
-        return None
+def _even_half(x, wts):
+    """The rule folded onto its upper half, for an even profile: the upper
+    half of the nodes, with the weights doubled; the middle node of an
+    odd-sized rule sits at 0 (to roundoff) and keeps its own weight."""
     upper = x.size // 2
-    if not (np.asarray(p.f(-x[upper:]), dtype=float) == f[upper:]).all():
-        return None
     ch = 2.0 * wts[upper:]
     if x.size % 2:
         ch[0] = wts[upper]
-    return x[upper:], f[upper:], ch
+    return x[upper:], ch
 
 
 def _block_sizes(n, parts):
@@ -267,8 +262,11 @@ def _stiffness(p: MetricProfile, ks, n: int):
 
     One tuple of independent blocks per mode: block b of B holds the rows
     and columns j = b, b + B, ... of the mode's stiffness matrix. An even
-    profile (_even_half) gives two, even and odd j, assembled on the folded
-    rule; any other profile one, the whole matrix. Every mode is integrated
+    profile (``p.even``) gives two, even and odd j, assembled on the rule
+    folded by _even_half; any other profile one, the whole matrix. The
+    integrands read the profile only through ``p.q``, evaluated once per
+    assembly at the nodes assembled, and q must be positive and finite
+    there. Every mode is integrated
     by the rule of the stack's largest k, which gives each smaller mode at
     least as many nodes per piece as its own rule would.
 
@@ -282,15 +280,13 @@ def _stiffness(p: MetricProfile, ks, n: int):
     than the 2 n _BLOCK_NODES doubles of a one-mode assembly.
     """
     x, wts = _rule(p.breaks, n, max(ks))
-    f = np.asarray(p.f(x), dtype=float)
-    if not ((f > 0.0).all() and np.isfinite(f).all()):
-        raise DomainError("profile must be positive on (-1, 1) to assemble a mode operator")
-    half = _even_half(p, x, f, wts)
     parts = 1
-    if half is not None:
-        (x, f, wts), parts = half, 2
+    if p.even:
+        (x, wts), parts = _even_half(x, wts), 2
+    q = np.asarray(p.q(x), dtype=float)
+    if not ((q > 0.0).all() and np.isfinite(q).all()):
+        raise DomainError("profile must be positive on (-1, 1) to assemble a mode operator")
     w = (1.0 - x) * (1.0 + x)
-    q = f / w
     kk = np.asarray(ks, dtype=float)[:, None, None]
     j = np.arange(n, dtype=float)[:, None]
     xcoef = -(j + kk)  # w P_j' - k x P_j = -(j + k) x P_j + (2j+2k+1) b_j P_(j-1)
@@ -354,15 +350,14 @@ def _eig(stack, vectors):
     return out
 
 
-def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig, vectors: bool = False):
+def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig):
     """The doubling ladder behind ``eigenvalues``, run on the stack ``ks``.
 
     Every mode starts at n = max(_MIN_BASIS, count + _BASIS_MARGIN). Returns,
-    per mode (in the order of ks), its _slice for ``count``; vectors come
-    with every assembled size when ``vectors`` is set. A mode leaves the
-    stack once its slice stops on agreement; the modes left are assembled
-    together at the next size, until none is left or that size would pass
-    n_max.
+    per mode (in the order of ks), its _slice for ``count``. A mode leaves
+    the stack once its slice stops on agreement; the modes left are
+    assembled together at the next size, until none is left or that size
+    would pass n_max.
     """
     count = int(count)
     if count < 1:
@@ -379,15 +374,15 @@ def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig, vectors: bool
         # Ritz matrix.
         stack = _stiffness(p, ks, 2 * n)
         for i, (values, _) in enumerate(_eig(_leading(stack, n), False)):
-            steps[i].append((n, values, None))
+            steps[i].append((n, values))
         n *= 2
     else:
         stack = _stiffness(p, ks, n)
     while True:
-        for i, (values, vecs) in zip(active, _eig(stack, vectors)):
-            steps[i].append((n, values, vecs))
+        for i, (values, _) in zip(active, _eig(stack, False)):
+            steps[i].append((n, values))
             slices[i] = _slice(ks[i], steps[i], count, cfg)
-        active = [i for i in active if not slices[i][2]]
+        active = [i for i in active if not slices[i][1]]
         if not active or 2 * n > cfg.n_max:
             return slices
         n *= 2
@@ -396,12 +391,12 @@ def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig, vectors: bool
 
 def _slice(k: int, steps, count: int, cfg: SolverConfig):
     """Mode k's slice of its first ``count`` eigenvalues from its ladder
-    steps, the Ritz vectors of the size it stops at, and whether it stopped
-    on agreement. That size is the first whose values agree with the
-    previous size's within rel_tol * max(|lambda|, 1), the ladder's one
-    stopping rule, else the last."""
+    steps, and whether it stopped on agreement. It stops at the first size
+    whose values agree with the previous size's within
+    rel_tol * max(|lambda|, 1), the ladder's one stopping rule, else at the
+    last."""
     prev, err, agreed = None, np.full(count, np.inf), False
-    for n, values, vecs in steps:
+    for n, values in steps:
         values = values[:count]
         scale = np.maximum(np.abs(values), 1.0)
         if prev is not None:
@@ -417,7 +412,7 @@ def _slice(k: int, steps, count: int, cfg: SolverConfig):
         error_estimates=tuple(err.tolist()),
         grid_used=n,
         converged=bool((err <= cfg.rel_tol * scale).all()),
-    ), vecs, agreed
+    ), agreed
 
 
 def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> SLSpectrumSlice:
@@ -446,7 +441,7 @@ def solve_stack(p: MetricProfile, ks, count: int, cfg: SolverConfig = DEFAULT_SO
     eigenvalues each: k -> the slice ``eigenvalues(p, k, count, cfg)``
     gives, with values moved by roundoff only (see the module docstring)."""
     ks = tuple(int(k) for k in ks)
-    return {k: slc for k, (slc, _, _) in zip(ks, _converge(p, ks, count, cfg))}
+    return {k: slc for k, (slc, _) in zip(ks, _converge(p, ks, count, cfg))}
 
 
 def first_eigenvalue(p: MetricProfile, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
@@ -514,14 +509,17 @@ def trace_check(
 def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_SOLVER) -> EigenfunctionSamples:
     """Samples of the j-th eigenfunction of mode k on the 256-cell sample grid.
 
-    The Ritz vector comes from the final solve of the ``eigenvalues`` ladder.
+    The Ritz vector comes from the size the ``eigenvalues`` ladder stops at,
+    assembled once more: that size is always a full assembly, never the
+    leading block of a larger one, so the vector is the ladder's own.
     Samples are normalized to unit discrete L2 norm (sqrt(h * sum u_i^2) = 1)
     with the sign fixed so the first nonzero sample from the left is positive.
     """
     k = abs(int(k))
     if j < 1:
         raise DomainError("eigenfunction index j must be >= 1")
-    slc, vecs, _ = _converge(p, (k,), j, cfg, vectors=True)[0]
+    slc = eigenvalues(p, k, j, cfg)
+    vecs = _eig(_stiffness(p, (k,), slc.grid_used), True)[0][1]
     nodes, h = solver_grid(_SAMPLE_CELLS)
     rows = _jacobi_rows(slc.grid_used, (k,), nodes, (((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))[None])[:, 0]
     u = vecs[:, j - 1] @ rows

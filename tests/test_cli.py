@@ -308,6 +308,16 @@ def test_malformed_profile_file_exits_2(tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("kind", [["canonical"], {"a": 1}])
+def test_profile_file_with_non_string_kind_exits_2(kind, tmp_path, capsys):
+    # exit 1 means a failed check; an unusable profile file is an input error
+    bad = tmp_path / "kind.json"
+    bad.write_text(json.dumps({"kind": kind}))
+    status, out, err = run_capture(["validate", "--profile", str(bad)], capsys)
+    assert status == 2 and not out
+    assert err.startswith("error: ") and "'kind'" in err
+
+
 def test_out_of_range_option_exits_2(capsys):
     for argv, flag in [
         (["sl", "--count", "0"], "--count"),

@@ -174,6 +174,47 @@ def _independent(p):
     return spline(0), spline(1), spline(2)
 
 
+def _independent_q(p):
+    """q = f/(1 - x^2) of the profile p by numpy.polynomial division: the
+    numerator of a one-piece kind divided by 1 - x^2; on a spline, each end
+    piece divided by the pole factor it ends on, and the rest of 1 - x^2
+    divided out pointwise, where it stays away from 0."""
+    kind, params = p.spec.kind, p.spec.params
+    w = Polynomial([1.0, 0.0, -1.0])
+    if kind != "sampled":
+        num, den = w, Polynomial([1.0])
+        if kind == "paper-example":
+            num, den = 2.0 * w, Polynomial([1.0, 0.0, 1.0])
+        elif kind == "polynomial-factor":
+            num = w * Polynomial(params["coefficients"])
+        elif kind == "rational":
+            num, den = Polynomial(params["numerator"]), Polynomial(params["denominator"])
+        quotient = num // w
+        return lambda x: quotient(x) / den(x)
+    knots = np.asarray(p.breaks)
+    table = profile_module._clamped_spline(knots, np.asarray(params["f"], dtype=float), 2.0, -2.0)
+    last = knots.size - 2
+    pieces = []
+    for i in range(last + 1):
+        poly = Polynomial(table[::-1, i])
+        if i == 0:
+            poly = poly // Polynomial([1.0 + knots[i], 1.0])  # x + 1 in powers of x - knots[i]
+        if i == last:
+            poly = poly // Polynomial([1.0 - knots[i], -1.0])  # 1 - x
+        pieces.append(poly)
+
+    def value(x):
+        piece = np.clip(np.searchsorted(knots, x, "right") - 1, 0, last)
+        out = np.empty_like(x)
+        for i, poly in enumerate(pieces):
+            mine = piece == i
+            xi = x[mine]
+            out[mine] = poly(xi - knots[i]) / ((1.0 if i == 0 else 1.0 + xi) * (1.0 if i == last else 1.0 - xi))
+        return out
+
+    return value
+
+
 def _representation_cases():
     yield pytest.param("canonical", None, id="canonical")
     yield pytest.param("paper-example", None, id="paper-example")
@@ -186,29 +227,55 @@ def _representation_cases():
 def test_representation_matches_independent_formulas(name, spec):
     p = builtin_profile(name) if spec is None else build_profile(ProfileSpec(spec["kind"], spec["params"]))
     grids = [np.linspace(-1.0, 1.0, 2001)] + [slsolver._rule(p.breaks, n, k)[0] for n, k in ((32, 0), (258, 1))]
+    # the endpoint conditions f(+-1) = 0, f'(+-1) = -+2 read q(+-1) = 1
+    assert np.max(np.abs(p.q(np.array([-1.0, 1.0])) - 1.0)) <= 1e-12
     if p.spec.kind == "rational" and not _EXTENDED:
         pytest.skip("the rational reference needs a long double wider than double")
     for x in grids:
         f, df, d2f = _independent(p)
         assert np.array_equal(p.f(x), f(x))
-        for mine, theirs in ((p.df(x), df(x)), (p.d2f(x), d2f(x))):
+        for mine, theirs in ((p.df(x), df(x)), (p.d2f(x), d2f(x)), (p.q(x), _independent_q(p)(x))):
             scale = float(np.max(np.abs(theirs)))
             assert np.max(np.abs(mine - theirs)) <= 4 * np.finfo(float).eps * scale
 
 
+def test_q_is_one_at_the_poles_of_the_fixtures(bump, dented, sampled_bump):
+    for p in (bump(0.3), bump(-0.4), dented, sampled_bump):
+        assert np.max(np.abs(p.q(np.array([-1.0, 1.0])) - 1.0)) <= 1e-12
+
+
+def test_pole_term_of_the_paper_example_is_exact(paper):
+    """(1/q - q)/(1 - x^2), the term a residual bound needs, at the N = 1024
+    solver nodes: q = 2/(1 + x^2) gives -(x^2 + 3)/(2 (1 + x^2)). q formed
+    as f/(1 - x^2) at the nodes misses it by 3.1e-6; q's own table leaves
+    only the cancellation in 1/q - q, 2.1e-11."""
+    x = slsolver._rule(paper.breaks, 1024, 0)[0]
+    q = paper.q(x)
+    term = (1.0 / q - q) / ((1.0 - x) * (1.0 + x))
+    assert np.max(np.abs(term + (x * x + 3.0) / (2.0 * (1.0 + x * x)))) <= 1e-10
+
+
 def test_even_profiles_still_split(canonical, paper):
-    # the folded rule needs f(-x) == f(x) bit for bit at the nodes
-    bump = build_profile(ProfileSpec(**_GENERATED(1)["bump"]))
-    for p, even in ((canonical, True), (paper, True), (bump, False)):
-        x, wts = slsolver._rule(p.breaks, 40, 1)
-        assert (slsolver._even_half(p, x, p.f(x), wts) is not None) == even
+    # even means one piece with no odd powers in N or D, so f(-x) == f(x) bit
+    # for bit; a near-even factor and a mirror-symmetric spline are not
+    generated = build_profile(ProfileSpec(**_GENERATED(1)["bump"]))
+    near_even = build_profile(ProfileSpec("polynomial-factor", {"coefficients": [1.3, 1e-9, -0.3, -1e-9]}))
+    half = -np.cos(np.pi * np.arange(12) / 24)
+    x = np.concatenate([half, [0.0], -half[::-1]])
+    spline = build_profile(ProfileSpec("sampled", {"x": x.tolist(), "f": ((1.0 - x * x) * (1.3 - 0.3 * x * x)).tolist()}))
+    odd_den = build_profile(ProfileSpec("rational", {"numerator": [1.0, 0.0, -1.0], "denominator": [1.0, 0.1]}))
+    for p, even in ((canonical, True), (paper, True), (generated, False), (near_even, False), (spline, False),
+                    (odd_den, False)):
+        assert p.even == even
 
 
 def test_constant_rational_has_zero_derivatives():
+    # its numerator has degree below 2: the whole of it is endpoint defect, and q is 0
     p = build_profile(ProfileSpec("rational", {"numerator": [3.0], "denominator": [2.0]}))
     x = np.linspace(-1.0, 1.0, 5)
     assert np.array_equal(p.f(x), np.full(5, 1.5))
     assert not np.any(p.df(x)) and not np.any(p.d2f(x))
+    assert not np.any(p.q(x))
 
 
 @pytest.mark.parametrize(

@@ -383,12 +383,12 @@ def test_parity_blocks_hold_ritz_values_at_roundoff(paper):
     assert np.ptp(values) <= 1e-14 * values[0]
 
 
-#: eigenvalues(near_even_polynomial, k, 4) before the parity split, at
-#: N = 32: an odd term of 1e-9 keeps the whole matrix.
+#: eigenvalues(near_even_polynomial, k, 4) on the whole matrix, at N = 32:
+#: an odd term of 1e-9 keeps it.
 _NEAR_EVEN_VALUES = {
-    0: ["0x0.0p+0", "0x1.3c54923d4e184p+1", "0x1.bf7adc1409abfp+2", "0x1.bad00afff6a11p+3"],
-    1: ["0x1.cfa375c184b07p+0", "0x1.a19fb93ba6213p+2", "0x1.acdecbf2fe7cfp+3", "0x1.68cff444cf9dbp+4"],
-    2: ["0x1.4ca4a9898754bp+2", "0x1.844faf3059886p+3", "0x1.54cf36463b8cdp+4", "0x1.05e80b9f2e7bep+5"],
+    0: ["0x0.0p+0", "0x1.3c54923d4e185p+1", "0x1.bf7adc1409b7bp+2", "0x1.bad00afff6a12p+3"],
+    1: ["0x1.cfa375c184b07p+0", "0x1.a19fb93ba6268p+2", "0x1.acdecbf2fe7d3p+3", "0x1.68cff444cf9b7p+4"],
+    2: ["0x1.4ca4a9898754ap+2", "0x1.844faf3059837p+3", "0x1.54cf36463b8cdp+4", "0x1.05e80b9f2e7e6p+5"],
 }
 
 
@@ -693,7 +693,7 @@ def test_eigenfunction_norm_and_sign_rule(paper, sampled_bump):
             assert u[first] > 0.0, (k, j)
 
 
-def test_eigenfunction_reuses_the_final_solve(paper, monkeypatch):
+def test_eigenfunction_assembles_only_its_final_size_again(paper, monkeypatch):
     assembled = []
     stiffness = slsolver._stiffness
 
@@ -706,8 +706,8 @@ def test_eigenfunction_reuses_the_final_solve(paper, monkeypatch):
     ladder = list(assembled)
     assembled.clear()
     ef = eigenfunction(paper, 2, 3)
-    assert assembled == ladder  # the ladder's sizes, none assembled again
-    assert ef.eigenvalue == pytest.approx(slc.eigenvalues[2], rel=1e-13)
+    assert assembled == ladder + [slc.grid_used]  # the ladder, then its final size for the vectors
+    assert ef.eigenvalue == slc.eigenvalues[2]
 
 
 # ------------------------------------------------------------ serialization

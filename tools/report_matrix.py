@@ -4,18 +4,22 @@
     python tools/report_matrix.py --compare A B   # list the cases whose records differ
 
 OUT.json maps each case to [exit status, stdout, stderr]. A call that raises
-instead of returning a status records the exception's type as its status.
-To check that a change leaves every report byte-identical, run the tool in
-both trees (copy it into the other one) and compare the two files.
+instead of returning a status records the exception's type as its status,
+and writing the matrix then exits 1. To check that a change leaves every
+report byte-identical, run the tool in both trees (copy it into the other
+one) and compare the two files. For each JSON report that differs, the
+comparison prints the largest relative difference among its numbers and
+that number's field path, or a path where something other than a number
+differs.
 
 The matrix: canonical, paper-example and the profiles bench/profiles.py
 generates for seeds 1-3, each through validate, curvature, sl, spectrum,
 bounds, trace and verify at several depths, in both formats (484 cases);
 then the failure paths: an inadmissible profile, a merge tolerance below
 the solver errors, a dumbbell whose near-degenerate pair the default merge
-tolerance joins, and an --out path that cannot be written. The profiles
-are written to one fixed directory, so the paths the reports name are the
-same in every tree.
+tolerance joins, an --out path that cannot be written, and two profile
+files whose kind is not a string. The profiles are written to one fixed
+directory, so the paths the reports name are the same in every tree.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +42,8 @@ PROFILE_DIR = Path(tempfile.gettempdir()) / "revspec-report-matrix"
 DUMBBELL = {"kind": "polynomial-factor", "params": {"coefficients": [0.1, 0.0, 0.9]}}
 #: q = 2 everywhere: the endpoint slopes are +-4, not +-2.
 INADMISSIBLE = {"kind": "polynomial-factor", "params": {"coefficients": [2.0]}}
+#: Profile files whose kind is a list and an object: load_profile rejects both.
+MALFORMED = {"kind-list": {"kind": ["canonical"]}, "kind-object": {"kind": {"a": 1}}}
 
 #: (subcommand, its own arguments) run on every profile.
 COMMANDS = (
@@ -75,7 +82,7 @@ def _write_profiles(specs):
 def cases():
     """case name -> argv, in run order."""
     generated = _generated_profiles()
-    paths = _write_profiles({**generated, "dumbbell": DUMBBELL, "inadmissible": INADMISSIBLE})
+    paths = _write_profiles({**generated, **MALFORMED, "dumbbell": DUMBBELL, "inadmissible": INADMISSIBLE})
     out = {}
 
     def add(name, sub, own, formats=("json", "csv")):
@@ -92,6 +99,8 @@ def cases():
     for sub in ("spectrum", "verify"):
         add("dumbbell", sub, ["--m-max", "4"])
     add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
+    for name in MALFORMED:
+        add(name, "validate", [], formats=("json",))
     return out
 
 
@@ -112,6 +121,33 @@ def run_matrix():
     return records
 
 
+def _numbers(a, b, path=""):
+    """(relative difference, path) of each pair of numbers where the JSON
+    values a and b differ; (inf, path) where anything else differs."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from _numbers(a[key], b[key], f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _numbers(x, y, f"{path}[{i}]")
+    elif a != b:
+        real = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        yield (abs(a - b) / max(abs(a), abs(b)) if real else math.inf), path or "(top)"
+
+
+def _largest_difference(left, right):
+    """A note on the largest relative difference between two JSON reports,
+    or "" when either is not JSON."""
+    try:
+        a, b = json.loads(left), json.loads(right)
+    except json.JSONDecodeError:
+        return ""
+    rel, path = max(_numbers(a, b), default=(0.0, ""))
+    if rel == math.inf:
+        return f"; not only numbers differ, e.g. at {path}"
+    return f"; largest relative difference {rel:.2g} at {path}"
+
+
 def compare(path_a, path_b):
     """Print each case whose record differs between two matrix files; the
     number of such cases."""
@@ -127,7 +163,8 @@ def compare(path_a, path_b):
             print(f"{name}: only in {path_a if right is None else path_b}")
             continue
         parts = [label for label, x, y in zip(("status", "stdout", "stderr"), left, right) if x != y]
-        print(f"{name}: {', '.join(parts)} differ (status {left[0]} vs {right[0]})")
+        note = _largest_difference(left[1], right[1]) if "stdout" in parts else ""
+        print(f"{name}: {', '.join(parts)} differ (status {left[0]} vs {right[0]}){note}")
     print(f"{len(set(a) | set(b)) - differ} identical, {differ} differ")
     return differ
 
@@ -144,7 +181,10 @@ def main(argv=None):
     records = run_matrix()
     Path(args.out).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(records)} cases written to {args.out}")
-    return 0
+    raised = {name: status for name, (status, _, _) in records.items() if isinstance(status, str)}
+    for name, status in raised.items():
+        print(f"{name}: raised {status}")
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
