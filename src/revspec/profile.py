@@ -276,10 +276,13 @@ def build_profile(spec: ProfileSpec) -> MetricProfile:
 
     Every kind becomes one numerator and one denominator table on each
     smooth piece (_piecewise_rational). Malformed parameters raise
-    ProfileError naming the offending field; admissibility (positivity,
+    ProfileError naming the offending field, as does a kind that is not a
+    string; admissibility (positivity,
     endpoint values and slopes) is *not* enforced here -- it is reported by
     validate_profile so that inadmissible profiles can still be examined.
     """
+    if not isinstance(spec.kind, str):
+        raise ProfileError(f"profile 'kind' must be a string, got {spec.kind!r}")
     breaks, origins, den = (-1.0, 1.0), (0.0,), _column([1.0])
     if spec.kind in _BUILTIN_FORMS:
         num, den = (_column(c) for c in _BUILTIN_FORMS[spec.kind])
@@ -322,12 +325,12 @@ def load_profile(path) -> MetricProfile:
         raise ProfileError(f"cannot read profile file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProfileError(f"profile file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
+    if not isinstance(data, dict):
         raise ProfileError(f"profile file {path} must be a JSON object with a string 'kind' field")
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ProfileError("profile 'params' must be a JSON object")
-    return build_profile(ProfileSpec(kind=data["kind"], params=params))
+    return build_profile(ProfileSpec(kind=data.get("kind"), params=params))
 
 
 def resolve_profile(name_or_path) -> MetricProfile:

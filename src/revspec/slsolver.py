@@ -65,18 +65,21 @@ whose mass matrix is still I (on a finer rule than an assembly at n would
 use). The first pair of sizes therefore costs one assembly, at 2n; only
 4n, 8n, ... are assembled afresh.
 
-Modes that share their basis sizes are solved as one stack (_converge on
-a tuple of modes for one count; ``eigenvalues`` is the one-mode stack).
-The stack is assembled on the rule of its largest k, which gives every
-smaller mode at least as many nodes per piece as its own rule, so a
-stacked mode's slice has the basis size, error estimates and convergence
-flag of its lone solve, with values moved by roundoff only (under 1e-13
-relative on the benchmark's profiles). q is evaluated once per size, and
-the recurrence takes its N steps once per node block for all modes at
-once; each mode keeps its own rank updates, eigensolve and stopping rule,
-and leaves the stack once its values agree.
-Node blocks shrink to _BLOCK_NODES // M for M modes, so a stack's row
-buffer holds no more than a one-mode assembly's 2 N _BLOCK_NODES doubles.
+One ladder (_converge) serves every solve. It runs a set of modes through
+the same basis sizes, and after each size asks its caller how many values
+each mode must settle: ``eigenvalues`` runs one mode for a fixed count,
+``spectrum.assemble_spectrum`` all the modes of a spectrum for counts read
+off the ceiling the ladder is still converging (spectrum module
+docstring). At each size every mode still open is assembled in one stack,
+on the rule of its largest k, which gives every smaller mode at least as
+many nodes per piece as its own rule, so a mode's values move by roundoff
+only against its lone assembly (under 1e-13 relative on the benchmark's
+profiles). q is evaluated once per size, and the recurrence takes its N
+steps once per node block for all modes at once; each mode keeps its own
+rank updates, eigensolve and stopping rule, and leaves the ladder once its
+values agree. Node blocks shrink to _BLOCK_NODES // M for M modes, so a
+stack's row buffer holds no more than a one-mode assembly's
+2 N _BLOCK_NODES doubles.
 """
 
 from __future__ import annotations
@@ -350,69 +353,68 @@ def _eig(stack, vectors):
     return out
 
 
-def _converge(p: MetricProfile, ks, count: int, cfg: SolverConfig):
-    """The doubling ladder behind ``eigenvalues``, run on the stack ``ks``.
+def _converge(p: MetricProfile, ks, n: int, cfg: SolverConfig, counts):
+    """The doubling ladder of the modes ``ks`` from basis size n: each
+    mode's slice, {k: slice}.
 
-    Every mode starts at n = max(_MIN_BASIS, count + _BASIS_MARGIN). Returns,
-    per mode (in the order of ks), its _slice for ``count``. A mode leaves
-    the stack once its slice stops on agreement; the modes left are
-    assembled together at the next size, until none is left or that size
-    would pass n_max.
+    After each size, ``counts`` maps the latest Ritz values of every mode
+    of the ladder, {k: values} (a mode that has left keeps those of its
+    last size), to the number of values each mode must settle. A mode
+    leaves with its slice of that many values once they agree with the
+    previous size's (_slice); the modes left are assembled together at the
+    next size, until none is left or that size would pass n_max, where
+    every mode left stops unconverged. A count that needs a basis larger
+    than n_max raises DomainError, as in ``eigenvalues``.
     """
-    count = int(count)
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    n = max(_MIN_BASIS, count + _BASIS_MARGIN)
-    if n > cfg.n_max:
-        raise DomainError(f"count={count} needs a basis larger than n_max={cfg.n_max}")
-
-    steps, slices = [[] for _ in ks], [None] * len(ks)
-    active = list(range(len(ks)))
+    latest, prev, slices = {}, {}, {}
     if 2 * n <= cfg.n_max:
         # The bases are nested, so the first pair of sizes costs one assembly:
         # the leading n basis functions of the 2n stiffness give a size-n
         # Ritz matrix.
         stack = _stiffness(p, ks, 2 * n)
-        for i, (values, _) in enumerate(_eig(_leading(stack, n), False)):
-            steps[i].append((n, values))
+        prev = {k: values for k, (values, _) in zip(ks, _eig(_leading(stack, n), False))}
         n *= 2
     else:
         stack = _stiffness(p, ks, n)
+    active = list(ks)
     while True:
-        for i, (values, _) in zip(active, _eig(stack, False)):
-            steps[i].append((n, values))
-            slices[i] = _slice(ks[i], steps[i], count, cfg)
-        active = [i for i in active if not slices[i][1]]
-        if not active or 2 * n > cfg.n_max:
+        latest.update((k, values) for k, (values, _) in zip(active, _eig(stack, False)))
+        wanted = counts(latest)
+        for k in active:
+            if wanted[k] + _BASIS_MARGIN > cfg.n_max:
+                raise DomainError(f"mode k={k}: count={wanted[k]} needs a basis larger than n_max={cfg.n_max}")
+            slc, agreed = _slice(k, n, latest[k], prev.get(k), wanted[k], cfg)
+            if agreed or 2 * n > cfg.n_max:
+                slices[k] = slc
+        active = [k for k in active if k not in slices]
+        if not active:
             return slices
+        prev.update((k, latest[k]) for k in active)
         n *= 2
-        stack = _stiffness(p, [ks[i] for i in active], n)
+        stack = _stiffness(p, active, n)
 
 
-def _slice(k: int, steps, count: int, cfg: SolverConfig):
-    """Mode k's slice of its first ``count`` eigenvalues from its ladder
-    steps, and whether it stopped on agreement. It stops at the first size
-    whose values agree with the previous size's within
-    rel_tol * max(|lambda|, 1), the ladder's one stopping rule, else at the
-    last."""
-    prev, err, agreed = None, np.full(count, np.inf), False
-    for n, values in steps:
-        values = values[:count]
-        scale = np.maximum(np.abs(values), 1.0)
-        if prev is not None:
-            raw = np.abs(values - prev)
-            err = np.maximum(raw, _ERROR_FLOOR * scale)
-            agreed = bool((raw <= cfg.rel_tol * scale).all())
-            if agreed:
-                break
-        prev = values
+def _slice(k: int, n: int, values, prev, count: int, cfg: SolverConfig):
+    """Mode k's slice of its first ``count`` size-n Ritz values, and whether
+    they agree with the previous size's (``prev``, None at the first size)
+    within rel_tol * max(|lambda|, 1), the ladder's one stopping rule. A
+    value with no previous one to compare has an infinite estimate, and a
+    slice shorter than ``count`` (count > n) never agrees."""
+    values = values[:count]
+    scale = np.maximum(np.abs(values), 1.0)
+    raw = np.full(values.size, np.inf)
+    if prev is not None:
+        m = min(values.size, prev.size)
+        raw[:m] = np.abs(values[:m] - prev[:m])
+    err = np.maximum(raw, _ERROR_FLOOR * scale)
+    whole = values.size == count
     return SLSpectrumSlice(
         k=k,
         eigenvalues=tuple(values.tolist()),
         error_estimates=tuple(err.tolist()),
         grid_used=n,
-        converged=bool((err <= cfg.rel_tol * scale).all()),
-    ), agreed
+        converged=whole and bool((err <= cfg.rel_tol * scale).all()),
+    ), whole and bool((raw <= cfg.rel_tol * scale).all())
 
 
 def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> SLSpectrumSlice:
@@ -424,24 +426,16 @@ def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAUL
     would pass n_max; in the latter case the largest-basis slice is returned
     flagged unconverged rather than raising. Sizes n and 2n come from one
     assembly at 2n (see the module docstring). A slice from a single basis
-    size (2n > n_max) has infinite error estimates. It is the one-mode case
-    of the stacked solve (solve_stack).
+    size (2n > n_max) has infinite error estimates. It is the one-mode,
+    fixed-count case of the ladder (_converge).
     """
-    k = abs(int(k))
-    return _converge(p, (k,), count, cfg)[0][0]
-
-
-#: The largest count whose ladder starts at the smallest basis size: modes
-#: solved for at most this many eigenvalues share every basis size.
-STACK_COUNT = _MIN_BASIS - _BASIS_MARGIN
-
-
-def solve_stack(p: MetricProfile, ks, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> dict:
-    """The modes ``ks`` (k >= 0, distinct) solved as one stack for ``count``
-    eigenvalues each: k -> the slice ``eigenvalues(p, k, count, cfg)``
-    gives, with values moved by roundoff only (see the module docstring)."""
-    ks = tuple(int(k) for k in ks)
-    return {k: slc for k, (slc, _) in zip(ks, _converge(p, ks, count, cfg))}
+    k, count = abs(int(k)), int(count)
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    n = max(_MIN_BASIS, count + _BASIS_MARGIN)
+    if n > cfg.n_max:
+        raise DomainError(f"count={count} needs a basis larger than n_max={cfg.n_max}")
+    return _converge(p, (k,), n, cfg, lambda latest: {k: count})[k]
 
 
 def first_eigenvalue(p: MetricProfile, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
@@ -459,7 +453,7 @@ def trace_checks(
     """Check the reciprocal-eigenvalue identity sum_j 1/lambda_k^j = 1/|k|
     for each mode k of ``ks``, one report per mode.
 
-    Defined for k != 0 only. The slices come from one stacked solve at basis
+    Defined for k != 0 only. The slices come from one stacked assembly at basis
     size 1.25 * terms + 8, which must not exceed n_max, rather than a
     convergence chase: the reciprocal sum is dominated by the low
     eigenvalues, which that size resolves to near roundoff, and the

@@ -11,9 +11,11 @@ which is bounded by 2m + 1, with equality for every m exactly on the round
 sphere. The first mode eigenvalue strictly increases in k, so the first
 eigenvalues of modes 0..m are m + 1 distinct values at or below
 lambda_1^(m): that value caps lambda_m, and only modes k <= m can carry it.
-Assembly solves mode m first for its ceiling, then modes 0, 1, ... below
-it until a mode's first eigenvalue clears it. Eigenvalue copies landing
-within the merge tolerance are identified as one distinct eigenvalue.
+So a spectrum needs each mode's values below that ceiling, and modes
+0..m + 1 run through one basis-size ladder (slsolver._converge) that reads
+the ceiling off mode m as it converges and asks each mode for the values
+below it (assemble_spectrum). Eigenvalue copies landing within the merge
+tolerance are identified as one distinct eigenvalue.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ from .errors import AssemblyError, DomainError
 from .profile import MetricProfile, liouville_length  # noqa: F401 (see above)
 from .report import Report, local
 from .slsolver import (
+    _BASIS_MARGIN,
+    _MIN_BASIS,
     DEFAULT_SOLVER,
-    STACK_COUNT,
     SolverConfig,
+    _converge,
     eigenvalues,
     first_eigenvalue,
-    solve_stack,
 )
-
-_MAX_MODE_COUNT = 4096
 
 #: Error budget, relative to max(|value|, 1), of the at_most checks
 #: (interlacing, and the sharp and rough bounds in the CLI's verify) and of
@@ -64,11 +65,14 @@ class DistinctEigenvalue(Report):
 class GlobalSpectrum(Report):
     """Distinct eigenvalues up to a truncation ceiling, with audit data.
 
-    ``truncation`` is the ceiling, the first eigenvalue of mode m_target.
+    ``truncation`` is the ceiling, the first eigenvalue of mode m_target at
+    the basis size where it left the spectrum's ladder.
     ``per_mode_slices`` maps each solved k to its mode slice: every mode
     that reaches below the ceiling, and the first one that does not (its
     lowest eigenvalue, which stopped the enumeration, is solved anyway).
-    It stays off the wire.
+    Each slice holds every value of its mode up to the guard above the
+    ceiling and one more (at least 8 up to mode m_target). It stays off the
+    wire.
     """
 
     entries: tuple[DistinctEigenvalue, ...]
@@ -138,17 +142,9 @@ def _converged(slc, cfg):
     return slc
 
 
-def _mode_slice_below(p, k, lam_hi, count, cfg):
-    """Solve mode k until its slice provably covers everything below lam_hi."""
-    while True:
-        slc = _converged(eigenvalues(p, k, count, cfg), cfg)
-        if slc.eigenvalues[-1] > lam_hi:
-            return slc
-        if count >= _MAX_MODE_COUNT:
-            raise AssemblyError(
-                f"mode k={k}: more than {_MAX_MODE_COUNT} eigenvalues below ceiling {lam_hi:.6g}"
-            )
-        count *= 2
+def _guard(ceiling):
+    """The ceiling plus the margin every mode's slice must reach past."""
+    return ceiling + max(1.0, 1e-3 * ceiling)
 
 
 def _check_cluster(cluster, tol):
@@ -169,18 +165,22 @@ def assemble_spectrum(
 ) -> GlobalSpectrum:
     """Enumerate the distinct eigenvalues up to at least index m_target.
 
-    The ceiling is the first eigenvalue of mode m_target (see the module
-    docstring). Mode 0 is solved for m_target + 2 values, and mode k >= 1
-    for one more than mode k - 1 holds below the ceiling plus a guard,
-    since lambda_j^(k) >= lambda_j^(k-1). So the counts never grow with k
-    (unless a slice had to be doubled), and from the first mode whose count
-    is at most STACK_COUNT on, every mode up to m_target + 1 is solved for
-    that count in one stacked solve (slsolver.solve_stack) and keeps the
-    slice it gives: that of solving the mode alone for that count, to
-    roundoff. Mode m_target stays out of the stack: its
-    ceiling slice is solved alone, so the truncation is the value
-    ``sl --k m_target`` reports. With merge_tol=None the merge
-    tolerance is 10 times the worst per-eigenvalue error estimate.
+    Modes 0..m_target + 1 run through one basis-size ladder
+    (slsolver._converge) from N = 16. After each size the ceiling is mode
+    m_target's current first Ritz value, the guard is
+    ceiling + max(1, 1e-3 * ceiling), and each mode must settle one value
+    more than it holds at or below the guard. Modes up to m_target settle at
+    least the 8 a ladder from N = 16 compares anyway, so that verify reads
+    its interlacing and monotonicity values from their slices; a higher mode
+    is there for its first value, which stops the enumeration, and settles
+    no more than it must. Ritz values are upper bounds
+    (Courant-Fischer), so a guard read at a coarser size only covers more
+    than the final one. The truncation is mode m_target's first value at
+    the size it left the ladder, and modes are kept up to the first k >= 1
+    whose first value clears the guard: by monotonicity no higher mode
+    reaches below it. If none does, further modes run one ladder each until
+    one does. With merge_tol=None the merge tolerance is 10 times the worst
+    per-eigenvalue error estimate.
     An explicit merge_tol that is not a positive number raises DomainError.
     AssemblyError is raised by an explicit merge_tol at or below the solver
     errors, by a merge of values that cannot coincide, and by a mode slice
@@ -190,27 +190,30 @@ def assemble_spectrum(
         raise DomainError("m_target must be >= 0")
     if merge_tol is not None and not (merge_tol > 0.0):
         raise DomainError(f"the merge tolerance must be positive, got merge_tol={merge_tol!r}")
-    stack = None
-    slices = {m_target: _converged(eigenvalues(p, m_target, 2, cfg), cfg)}
-    ceiling = slices[m_target].eigenvalues[0]
-    lam_hi = ceiling + max(1.0, 1e-3 * ceiling)
+    slices = {}
+    floor = _MIN_BASIS - _BASIS_MARGIN  # the values a ladder from _MIN_BASIS compares anyway
+
+    def counts(latest):
+        guard = _guard((latest[m_target] if m_target in latest else slices[m_target].eigenvalues)[0])
+        return {k: max(1 + int((values <= guard).sum()), floor if k <= m_target else 1)
+                for k, values in latest.items()}
+
+    slices.update(_converge(p, range(m_target + 2), _MIN_BASIS, cfg, counts))
+    ceiling = _converged(slices[m_target], cfg).eigenvalues[0]
+    lam_hi = _guard(ceiling)
 
     members = []  # (value, k, j, error)
-    k, count = 0, m_target + 2
+    k = 0
     while True:
-        if stack is None and count <= STACK_COUNT and k <= m_target + 1:
-            stack = solve_stack(p, [kk for kk in range(k, m_target + 2) if kk not in slices], count, cfg)
-            slices.update((kk, _converged(slc, cfg)) for kk, slc in stack.items())
-        slc = slices.get(k)
-        if slc is None or slc.eigenvalues[-1] <= lam_hi:
-            slc = slices[k] = _mode_slice_below(p, k, lam_hi, count, cfg)
+        if k not in slices:
+            slices.update(_converge(p, (k,), _MIN_BASIS, cfg, counts))
+        slc = _converged(slices[k], cfg)
         if k >= 1 and slc.eigenvalues[0] > lam_hi:
             break  # monotonicity: no higher mode reaches below the ceiling
-        for j, (value, err) in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1):
-            if value <= lam_hi:
-                members.append((value, k, j, err))
-                count = j + 1  # for mode k + 1, as lambda_j^(k+1) >= lambda_j^(k)
+        members.extend((value, k, j, err) for j, (value, err)
+                       in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1) if value <= lam_hi)
         k += 1
+    slices = {kk: slices[kk] for kk in range(k + 1)}
 
     members.sort()
     max_err = max(mem[3] for mem in members)

@@ -156,7 +156,7 @@ def test_unconverged_mode_slice_exits_3(cmd, capsys):
     status, out, err = run_capture(argv, capsys)
     assert status == 3
     assert out == ""
-    # the first mode solved is k = m-max, whose first eigenvalue is the ceiling
+    # the first slice checked is that of k = m-max, whose first eigenvalue is the ceiling
     assert "k=2" in err and "N=16" in err and "error estimate inf" in err
 
 
@@ -264,12 +264,12 @@ def test_verify_assembles_each_mode_once(capsys, monkeypatch):
     status, out, _ = run_capture(["verify", "--profile", "paper-example", "--m-max", "4"], capsys)
     monkeypatch.undo()
     assert status == 0
-    # six mode slices (k = 0..5): the ceiling's mode 4 alone and the other
-    # five in one stack; three trace solves in another stack; each mode
-    # assembled once. One moment table each for validate and the bounds (the
-    # spectrum ceiling is a mode eigenvalue, so it needs none)
+    # six mode slices (k = 0..5) from one stack, the spectrum's ladder, which
+    # settles at its first assembly; three trace solves in another stack; each
+    # mode assembled once. One moment table each for validate and the bounds
+    # (the spectrum ceiling is a mode eigenvalue, so it needs none)
     pairs = [pair for stack in assembled for pair in stack]
-    assert assembled[0] == [(4, 32)] and len(assembled) == 3
+    assert assembled[0] == [(k, 32) for k in range(6)] and len(assembled) == 2
     assert sorted(pairs) == sorted(set(pairs)) == sorted(
         [(k, 32) for k in range(6)] + [(k, 133) for k in (1, 2, 3)])
     assert len(tables) == 2
@@ -666,6 +666,7 @@ def test_bench_tracer_runs_commands(tmp_path, capsys):
     tracer.install()
     try:
         assert modules["cli"].run(["verify", "--profile", "canonical", "--m-max", "2"]) == 0
+        assert modules["cli"].run(["sl", "--profile", "canonical", "--k", "1"]) == 0
         assert modules["cli"].run(["curvature", "--profile", "paper-example", "--count", "11"]) == 0
         paper = tracer.wrap_profile(modules["profile"].builtin_profile("paper-example"), "paper-example")
         rows = modules["bounds"].bounds_table(paper, 5, (2, 3))

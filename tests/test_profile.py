@@ -295,6 +295,18 @@ def test_construction_errors_name_the_field(spec, fragment):
         build_profile(spec)
 
 
+@pytest.mark.parametrize("kind", [["canonical"], {"a": 1}, None], ids=["list", "dict", "none"])
+@pytest.mark.parametrize("entry", ["build_profile", "load_profile"])
+def test_kind_that_is_not_a_string_is_a_profile_error(kind, entry, tmp_path):
+    with pytest.raises(ProfileError, match="kind"):
+        if entry == "build_profile":
+            build_profile(ProfileSpec(kind))
+        else:
+            path = tmp_path / "prof.json"
+            path.write_text(json.dumps({"kind": kind} if kind is not None else {}))
+            load_profile(path)
+
+
 def test_builtin_rejects_unknown_name():
     with pytest.raises(ProfileError):
         builtin_profile("sphere")

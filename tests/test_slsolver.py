@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_jacobi, gammaln
 
 from revspec import (
+    AssemblyError,
     DomainError,
     ProfileSpec,
     SolverConfig,
@@ -467,33 +468,39 @@ _STACK_PROFILES = ["canonical", "paper-example"] + [
     f"{kind}-{seed}" for kind in ("bump", "rational", "sampled") for seed in range(1, 6)]
 
 
+def _assert_slices_match_lone_solves(prof, m_target):
+    """Every slice the spectrum's ladder keeps is converged and lies within
+    the sum of its own and the lone solve's estimates of the slice
+    ``eigenvalues`` gives for the same count."""
+    for k, got in assemble_spectrum(prof, m_target).per_mode_slices.items():
+        alone = eigenvalues(prof, k, len(got.eigenvalues))
+        assert got.k == k and got.converged and alone.converged
+        gap = np.abs(np.subtract(got.eigenvalues, alone.eigenvalues))
+        assert np.all(gap <= np.add(got.error_estimates, alone.error_estimates)), (k, m_target)
+
+
 @pytest.mark.parametrize("name", _STACK_PROFILES)
 def test_stacked_modes_match_lone_solves(name):
-    """Modes 0..7 solved as one stack for any count up to 8 give the slice
-    each mode's lone ladder gives for that count: the same basis size and
-    flag, and values moved by the stack's finer rule only."""
+    """Modes 0..21 of a depth-20 spectrum, most asked for more than 8 values,
+    share one ladder and each keeps a slice that matches its lone solve."""
     if name in ("canonical", "paper-example"):
         prof = builtin_profile(name)
     else:
         kind, seed = name.split("-")
         prof = build_profile(ProfileSpec(**_GENERATED(int(seed))[kind]))
-    for count in range(1, 9):
-        stack = slsolver.solve_stack(prof, range(8), count)
-        assert 8 not in stack
-        for k in range(8):
-            got, alone = stack[k], eigenvalues(prof, k, count)
-            assert (got.k, got.grid_used, got.converged) == (alone.k, alone.grid_used, alone.converged)
-            tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
-            assert np.all(np.abs(np.subtract(got.eigenvalues, alone.eigenvalues)) <= tol), (k, count)
-            assert np.all(np.abs(np.subtract(got.error_estimates, alone.error_estimates)) <= tol)
+    _assert_slices_match_lone_solves(prof, 20)
 
 
 def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
     # at rel_tol = 1e-8 the first 8 values of paper-example's modes 0..2
     # settle by N = 32, mode 5's do not
-    cfg = SolverConfig(n_max=32, rel_tol=1e-8)
     ks = (0, 1, 2, 5)
-    capped = slsolver.solve_stack(paper, ks, 8, cfg)
+
+    def eight(latest):
+        return dict.fromkeys(ks, 8)
+
+    cfg = SolverConfig(n_max=32, rel_tol=1e-8)
+    capped = slsolver._converge(paper, ks, 16, cfg, eight)
     for k in ks:
         got, alone = capped[k], eigenvalues(paper, k, 8, cfg)
         assert (got.grid_used, got.converged) == (alone.grid_used, alone.converged) == (32, k != 5)
@@ -501,8 +508,8 @@ def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
         tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
         assert np.all(np.abs(np.subtract(got.error_estimates, alone.error_estimates)) <= tol)
 
-    # one size more: mode 5 alone is assembled again, and the other modes
-    # keep the slices the capped stack gave them
+    # one size more: only the open mode 5 is assembled again, and the other
+    # modes keep the slices the capped ladder gave them
     assembled = []
     stiffness = slsolver._stiffness
 
@@ -511,11 +518,17 @@ def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
         return stiffness(p, ks, n)
 
     monkeypatch.setattr(slsolver, "_stiffness", counting)
-    wider = slsolver.solve_stack(paper, ks, 8, SolverConfig(n_max=64, rel_tol=1e-8))
+    wider = slsolver._converge(paper, ks, 16, SolverConfig(n_max=64, rel_tol=1e-8), eight)
+    monkeypatch.undo()
     assert assembled == [(ks, 32), ((5,), 64)]
     for k in (0, 1, 2):
         assert wider[k] == capped[k]
-    assert wider[5].grid_used == 64
+    assert wider[5].grid_used == 64 and wider[5].converged
+
+    # a spectrum refuses a mode still open at the basis cap, naming k, N and
+    # its estimate
+    with pytest.raises(AssemblyError, match=r"mode k=3 did not converge .* N=32 \(worst error estimate 1\.6\d*e-06\)"):
+        assemble_spectrum(paper, 3, SolverConfig(n_max=32, rel_tol=1e-8))
 
 
 @st.composite
@@ -523,14 +536,13 @@ def _stack_profiles(draw):
     """A polynomial-factor, rational or 9- to 33-knot spline profile with
     q = f / (1 - x^2) near 1, drawn from the benchmark's ranges; the spline
     carries alternating relative noise of up to 1e-3. Also an exactly even
-    polynomial factor (no odd coefficient: stacks take the parity fold), a
-    near-even one (an odd coefficient of 1e-9: stacks keep the whole
-    matrix) and the rough 49- and 97-knot Chebyshev splines."""
+    polynomial factor (no odd coefficient: stacks take the parity fold) and
+    a near-even one (an odd coefficient of 1e-9: stacks keep the whole
+    matrix). The rough 49- and 97-knot Chebyshev splines are left out: their
+    two-size estimates are known to understate the error (ROADMAP item 2)."""
     poly, w = np.polynomial.polynomial, [1.0, 0.0, -1.0]
     small = st.floats(-0.2, 0.2)
-    kind = draw(st.sampled_from(("polynomial-factor", "rational", "sampled", "even", "near-even", "rough")))
-    if kind == "rough":
-        return _rough_chebyshev(draw(st.sampled_from((49, 97))))
+    kind = draw(st.sampled_from(("polynomial-factor", "rational", "sampled", "even", "near-even")))
     if kind == "rational":
         den = [1.0, draw(small), draw(st.floats(0.2, 0.8))]
         num = poly.polymul(w, poly.polyadd(den, draw(st.floats(0.1, 0.5)) * np.array(w)))
@@ -548,16 +560,9 @@ def _stack_profiles(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
-@given(_stack_profiles(), st.sets(st.integers(0, 12), min_size=1, max_size=6), st.integers(1, 8))
-def test_a_stacked_mode_equals_its_lone_solve(prof, ks, count):
-    stack = slsolver.solve_stack(prof, sorted(ks), count)
-    assert sorted(stack) == sorted(ks)
-    for k in ks:
-        got, alone = stack[k], eigenvalues(prof, k, count)
-        assert (got.grid_used, got.converged) == (alone.grid_used, alone.converged)
-        tol = 1e-13 * np.maximum(np.abs(alone.eigenvalues), 1.0)
-        assert np.all(np.abs(np.subtract(got.eigenvalues, alone.eigenvalues)) <= tol)
-        assert np.all(np.abs(np.subtract(got.error_estimates, alone.error_estimates)) <= tol)
+@given(_stack_profiles(), st.integers(0, 12))
+def test_a_stacked_mode_equals_its_lone_solve(prof, m_target):
+    _assert_slices_match_lone_solves(prof, m_target)
 
 
 def test_trace_checks_read_one_stack_and_one_length(sampled_bump, monkeypatch):

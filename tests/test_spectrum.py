@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from revspec import (
     AssemblyError,
@@ -16,7 +17,7 @@ from revspec import (
     verify_monotonicity,
     verify_multiplicity_bound,
 )
-from revspec import spectrum as spectrum_mod
+from revspec import slsolver, spectrum as spectrum_mod
 from revspec.cli import run
 
 def test_canonical_assembly_values_and_multiplicities(canonical):
@@ -42,8 +43,11 @@ def test_entries_ordered_and_contiguous(canonical_spectrum6, paper_spectrum6):
 
 def test_counting_identity(canonical, paper, canonical_spectrum6, paper_spectrum6):
     for p, spec in ((canonical, canonical_spectrum6), (paper, paper_spectrum6)):
-        # the ceiling is the first eigenvalue of mode m_target = 6
-        assert spec.truncation == first_eigenvalue(p, 6)
+        # the ceiling is the first eigenvalue of mode m_target = 6, read off
+        # the slice the spectrum's ladder kept for it; a lone solve of that
+        # mode agrees to roundoff
+        assert spec.truncation == spec.per_mode_slices[6].eigenvalues[0]
+        assert spec.truncation == pytest.approx(first_eigenvalue(p, 6), rel=1e-13)
         for entry in spec.entries:
             expected = 2 * sum(1 for k in entry.modes if k >= 1) + (1 if 0 in entry.modes else 0)
             assert entry.multiplicity == expected
@@ -104,44 +108,68 @@ def test_near_degenerate_pair_of_one_mode_is_never_merged(tmp_path, capsys):
         assert all(4 in e["modes"] for e in pair)
 
 
+def _recording_stiffness(monkeypatch):
+    """The (modes, basis size) of every slsolver._stiffness call, in order."""
+    assembled = []
+    stiffness = slsolver._stiffness
+
+    def recording(p, ks, n):
+        assembled.append((tuple(ks), n))
+        return stiffness(p, ks, n)
+
+    monkeypatch.setattr(slsolver, "_stiffness", recording)
+    return assembled
+
+
 def test_assembly_solves_each_mode_once(paper, monkeypatch):
-    # mode 0 (count 12) and the ceiling's mode 10 are solved alone; from mode
-    # 1 on every count is at most 8, so modes 1..11 but 10 share one stack
-    solved, stacked = [], []
-    solve_stack = spectrum_mod.solve_stack
-
-    def counting(p, k, count, cfg):
-        solved.append(k)
-        return eigenvalues(p, k, count, cfg)
-
-    def counting_stack(p, ks, count, cfg):
-        stacked.append(list(ks))
-        return solve_stack(p, ks, count, cfg)
-
-    monkeypatch.setattr(spectrum_mod, "eigenvalues", counting)
-    monkeypatch.setattr(spectrum_mod, "solve_stack", counting_stack)
-    spec = assemble_spectrum(paper, 10)
-    assert solved == [10, 0]
-    assert stacked == [[1, 2, 3, 4, 5, 6, 7, 8, 9, 11]]
-    assert sorted(solved + stacked[0]) == sorted(spec.per_mode_slices) == list(range(12))
+    # modes 0..m_target + 1 share one ladder: one assembly per basis size,
+    # and each mode is assembled at consecutive sizes until the one its
+    # slice stops at
+    for m_target in (10, 50):
+        assembled = _recording_stiffness(monkeypatch)
+        spec = assemble_spectrum(paper, m_target)
+        monkeypatch.undo()
+        sizes = [n for _, n in assembled]
+        assert sizes == [32 * 2 ** i for i in range(len(sizes))]
+        assert assembled[0][0] == tuple(range(m_target + 2))
+        assert sorted(spec.per_mode_slices) == list(range(m_target + 2))
+        for k, slc in spec.per_mode_slices.items():
+            assert [n for ks, n in assembled if k in ks] == sizes[:sizes.index(slc.grid_used) + 1]
 
 
 def test_deep_stacked_modes_keep_the_stacks_slices(paper, monkeypatch):
-    # at depth 50 modes 35..51 but the ceiling's 50 share one stack for 8
-    # values; each keeps that slice, whose estimates come from the ladder
-    # steps the stack assembled for all 8
-    stacked = []
-    solve_stack = spectrum_mod.solve_stack
-
-    def recording(p, ks, count, cfg):
-        stacked.append((list(ks), count))
-        return solve_stack(p, ks, count, cfg)
-
-    monkeypatch.setattr(spectrum_mod, "solve_stack", recording)
+    # at depth 50 every mode keeps the ladder's slice at the size it left:
+    # every value up to the guard above the ceiling and one more, and at
+    # least 8 up to mode 50, each within the estimate of its lone solve
+    assembled = _recording_stiffness(monkeypatch)
     spec = assemble_spectrum(paper, 50)
-    assert stacked == [([k for k in range(35, 52) if k != 50], 8)]
-    assert all(len(spec.per_mode_slices[k].eigenvalues) >= 8 for k in stacked[0][0])
-    assert spec.merge_tolerance < 1e-5
+    monkeypatch.undo()
+    assert len(assembled) == 3
+    guard = spec.truncation + max(1.0, 1e-3 * spec.truncation)
+    for k, slc in spec.per_mode_slices.items():
+        below = sum(1 for value in slc.eigenvalues if value <= guard)
+        assert len(slc.eigenvalues) == max(8 if k <= 50 else 1, below + 1)
+        assert slc.eigenvalues[-1] > guard
+    for k in (0, 25, 50):
+        slc = spec.per_mode_slices[k]
+        alone = eigenvalues(paper, k, len(slc.eigenvalues))
+        gap = np.abs(np.subtract(slc.eigenvalues, alone.eigenvalues))
+        assert np.all(gap <= np.add(slc.error_estimates, alone.error_estimates))
+    assert spec.merge_tolerance < 1e-5 * spec.truncation
+
+
+def test_modes_past_the_ladder_run_until_one_clears_the_guard(canonical, monkeypatch):
+    # a guard of 2 * ceiling + 1 puts mode 4's first value (20) below it at
+    # depth 3 (ceiling 12), so the enumeration goes on past the ladder's
+    # modes 0..4 until mode 5 (first value 30) clears it; the entries at or
+    # below the ceiling are those of the usual guard
+    plain = assemble_spectrum(canonical, 3)
+    monkeypatch.setattr(spectrum_mod, "_guard", lambda ceiling: 2.0 * ceiling + 1.0)
+    wide = assemble_spectrum(canonical, 3)
+    assert sorted(wide.per_mode_slices) == list(range(6))
+    assert wide.per_mode_slices[5].eigenvalues[0] == pytest.approx(30.0, rel=1e-12)
+    assert [(e.modes, e.multiplicity) for e in wide.entries] == [(e.modes, e.multiplicity) for e in plain.entries]
+    assert_allclose([e.value for e in wide.entries], [e.value for e in plain.entries], rtol=1e-12, atol=1e-12)
 
 
 def test_degenerate_target_zero(canonical):

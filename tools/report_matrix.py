@@ -14,7 +14,7 @@ differs.
 
 The matrix: canonical, paper-example and the profiles bench/profiles.py
 generates for seeds 1-3, each through validate, curvature, sl, spectrum,
-bounds, trace and verify at several depths, in both formats (484 cases);
+bounds, trace and verify at several depths, in both formats (528 cases);
 then the failure paths: an inadmissible profile, a merge tolerance below
 the solver errors, a dumbbell whose near-degenerate pair the default merge
 tolerance joins, an --out path that cannot be written, and two profile
@@ -50,8 +50,8 @@ COMMANDS = (
     [("validate", [])]
     + [("curvature", ["--count", "21"])]
     + [("sl", ["--k", str(k), "--count", "8"]) for k in range(4)]
-    + [("spectrum", ["--m-max", str(m)]) for m in (0, 1, 3, 6, 8)]
-    + [("bounds", ["--m-max", str(m)]) for m in (1, 5, 10)]
+    + [("spectrum", ["--m-max", str(m)]) for m in (0, 1, 3, 6, 8, 20)]
+    + [("bounds", ["--m-max", str(m)]) for m in (1, 5, 10, 50)]
     + [("bounds", ["--m-max", "4", "--l-set", "2,3"])]
     + [("trace", ["--k", str(k), "--terms", "50"]) for k in range(1, 4)]
     + [("verify", ["--m-max", str(m)]) for m in (1, 2, 4, 6)]
