@@ -174,7 +174,36 @@ def test_trace_canonical(capsys):
     payload = json.loads(out)
     assert payload["target"] == 0.5
     assert payload["partial_sum"] < 0.5
-    assert payload["deviation"] < 1e-2
+    assert payload["deviation"] <= payload["remainder_estimate"]
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper-example"])
+def test_verify_trace_catches_a_1e3_error_in_the_first_eigenvalue(name, capsys, monkeypatch):
+    # lambda_1^1 of the trace stack scaled by 1 + 1e-3 moves the deviation by
+    # about 5e-4, far above a remainder estimate of order 1e-6
+    from revspec import slsolver
+
+    stiffness, eig, traced = slsolver._stiffness, slsolver._eig, []
+
+    def tagging_stiffness(p, ks, n):
+        stack = stiffness(p, ks, n)
+        if tuple(ks) == (1, 2, 3) and n == 70:
+            traced.append(stack)
+        return stack
+
+    def shifted_eig(stack, vectors):
+        out = eig(stack, vectors)
+        if any(stack is seen for seen in traced):
+            out[0][0][0] *= 1.0 + 1e-3
+        return out
+
+    monkeypatch.setattr(slsolver, "_stiffness", tagging_stiffness)
+    monkeypatch.setattr(slsolver, "_eig", shifted_eig)
+    status, out, _ = run_capture(["verify", "--profile", name, "--m-max", "4"], capsys)
+    assert len(traced) == 1
+    assert status == 1
+    failed = [(c["name"], c["location"]) for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == [("trace_identity", "k=1")]
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -271,7 +300,7 @@ def test_verify_assembles_each_mode_once(capsys, monkeypatch):
     pairs = [pair for stack in assembled for pair in stack]
     assert assembled[0] == [(k, 32) for k in range(6)] and len(assembled) == 2
     assert sorted(pairs) == sorted(set(pairs)) == sorted(
-        [(k, 32) for k in range(6)] + [(k, 133) for k in (1, 2, 3)])
+        [(k, 32) for k in range(6)] + [(k, 70) for k in (1, 2, 3)])
     assert len(tables) == 2
 
     paper = revspec.builtin_profile("paper-example")
@@ -421,7 +450,8 @@ def test_spectrum_csv_format(capsys):
         ("curvature_integral", "curvature_integral"), ("messages", "messages"),
     ]),
     (["trace", "--profile", "paper-example", "--k", "2", "--terms", "20"], [
-        (name, name) for name in ("k", "terms_used", "partial_sum", "tail_estimate", "target", "deviation")
+        (name, name) for name in ("k", "terms_used", "partial_sum", "tail_estimate", "target", "deviation",
+                                  "remainder_estimate")
     ]),
 ])
 def test_single_record_csv_matches_json(argv, columns, capsys):

@@ -630,6 +630,35 @@ def test_trace_rejects_invariant_mode(canonical):
         trace_check(canonical, 1, 100, SolverConfig(n_max=64))
 
 
+@pytest.mark.parametrize("z", [0.5, 1.5, 19.5, 20.5, 53.5, 203.5, 1e4])
+def test_trigamma_matches_mpmath(z):
+    # 19.5 takes one recurrence step to the series, 20.5 none
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.psi(1, z)
+        assert float(abs((slsolver.trigamma(z) - ref) / ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("terms", [50, 200])
+def test_trace_remainder_estimate_bounds_the_deviation(canonical, paper, bump, sampled_bump, terms):
+    # the fixtures, a bump, a rational profile, a 25-knot spline (the
+    # benchmark's, seed 1) and a dumbbell: the deviation sits at about half
+    # its estimate (0.44 at most on the dumbbell)
+    rational = build_profile(ProfileSpec("rational", {
+        "numerator": [1.3, 0.1, -1.1, -0.1, -0.2], "denominator": [1.0, 0.1, 0.5]}))
+    spline = build_profile(ProfileSpec(**_GENERATED(1)["sampled"]))
+    dumbbell = build_profile(ProfileSpec("polynomial-factor", {"coefficients": [0.1, 0.0, 0.9]}))
+    for prof in (canonical, paper, bump(0.5), rational, spline, dumbbell):
+        for report in slsolver.trace_checks(prof, (1, 2, 3), terms):
+            assert 0.0 < report.deviation <= 0.6 * report.remainder_estimate, report
+    # q = 3 - 2x^2, as a polynomial and as the 25-knot spline: the O(1) term
+    # of its asymptotics has not settled over j = 26..50, and the deviation
+    # reaches 0.62 of its estimate at 50 terms (0.05 at 200)
+    for prof in (bump(2.0), sampled_bump):
+        for report in slsolver.trace_checks(prof, (1, 2, 3), terms):
+            assert 0.0 < report.deviation <= report.remainder_estimate, report
+
+
 # ---------------------------------------------------------- eigenfunctions
 
 def test_eigenfunction_constant_mode(canonical):
@@ -725,6 +754,7 @@ def test_slice_json_shape(canonical):
 
 def test_trace_json_shape(canonical):
     payload = trace_check(canonical, 1, 10).to_json_dict()
-    assert set(payload) == {"k", "terms_used", "partial_sum", "tail_estimate", "target", "deviation"}
+    assert set(payload) == {"k", "terms_used", "partial_sum", "tail_estimate", "target", "deviation",
+                            "remainder_estimate"}
     assert payload["target"] == 1.0
     json.dumps(payload)
