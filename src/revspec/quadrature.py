@@ -19,8 +19,9 @@ rule or maps one onto intervals (``piecewise_rule``, the same formula for
 the panels and the solver). ``gauss_legendre`` keeps every size it builds:
 the sizes asked for are 25 and the solver's node counts, at most
 n_max + k + 24 for a basis cap n_max and the largest mode k solved, so the
-cache is bounded by the modes a process solves (115 sizes, 0.26 MB, for
-depth-50 spectra of five profiles).
+cache is bounded by the modes a process solves (12 sizes, 23 kB, for
+depth-50 spectra of canonical, paper-example and the benchmark's seed-1
+bump, rational and sampled profiles).
 """
 
 from __future__ import annotations

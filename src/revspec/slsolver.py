@@ -74,12 +74,13 @@ docstring). At each size every mode still open is assembled in one stack,
 on the rule of its largest k, which gives every smaller mode at least as
 many nodes per piece as its own rule, so a mode's values move by roundoff
 only against its lone assembly (under 1e-13 relative on the benchmark's
-profiles). q is evaluated once per size, and the recurrence takes its N
-steps once per node block for all modes at once; each mode keeps its own
-rank updates, eigensolve and stopping rule, and leaves the ladder once its
-values agree. Node blocks shrink to _BLOCK_NODES // M for M modes, so a
-stack's row buffer holds no more than a one-mode assembly's
-2 N _BLOCK_NODES doubles.
+profiles). A stack of M modes is one (M, s, s) array per stiffness block:
+q is evaluated once per size, the recurrence takes its N steps once per
+node block for all modes, each node block adds one batched rank update per
+block, and one eigensolve per block gives every mode's Ritz values. Each
+mode keeps its own stopping rule and leaves the ladder once its values
+agree. Node blocks shrink to _BLOCK_NODES // M for M modes, so a stack's
+row buffer holds no more than a one-mode assembly's 2 N _BLOCK_NODES doubles.
 """
 
 from __future__ import annotations
@@ -268,26 +269,28 @@ def _block_sizes(n, parts):
 
 
 def _stiffness(p: MetricProfile, ks, n: int):
-    """Stiffness blocks of each mode of the stack ``ks`` in the n-term basis.
+    """Stiffness blocks of the stack of modes ``ks`` in the n-term basis.
 
-    One tuple of independent blocks per mode: block b of B holds the rows
-    and columns j = b, b + B, ... of the mode's stiffness matrix. An even
-    profile (``p.even``) gives two, even and odd j, assembled on the rule
-    folded by _even_half; any other profile one, the whole matrix. The
-    integrands read the profile only through ``p.q``, evaluated once per
-    assembly at the nodes assembled, and q must be positive and finite
-    there. Every mode is integrated
-    by the rule of the stack's largest k, which gives each smaller mode at
-    least as many nodes per piece as its own rule would.
+    One (M, s_b, s_b) array per block b of B, M = len(ks): entry i holds
+    the rows and columns j = b, b + B, ... of mode ks[i]'s stiffness matrix.
+    An even profile (``p.even``) gives two blocks, even and odd j, assembled
+    on the rule folded by _even_half; any other profile one, the whole
+    matrix. The integrands read the profile only through ``p.q``, evaluated
+    once per assembly at the nodes assembled, and q must be positive and
+    finite there. Every mode is integrated by the rule of the stack's
+    largest k, which gives each smaller mode at least as many nodes per
+    piece as its own rule would.
 
     With H_j = w^((k-1)/2) P_j and G_j = w^((k-1)/2) (w P_j' - k x P_j), the
     form is sum(q G G) + k^2 sum(H H / q) over the quadrature. The Gegenbauer
     identity w P_j' = -j x P_j + (2j+2k+1) b_j P_(j-1) gives G from the value
-    rows, and each node block adds one rank update R_b R_b^T per mode and
-    stiffness block, with R = [G sqrt(c q), k H sqrt(c / q)] and R_b its
-    rows of block b, written into one buffer per solve. A stack of M modes
-    takes node blocks of _BLOCK_NODES // M, so that buffer never holds more
-    than the 2 n _BLOCK_NODES doubles of a one-mode assembly.
+    rows R = [G sqrt(c q), k H sqrt(c / q)], (M, n, 2m) on m nodes, written
+    into one buffer per solve; each node block adds one batched rank update
+    R_b R_b^T per block, R_b the rows of block b, through one more buffer.
+    Mode 0's k H half is zero, so a lone mode-0 solve multiplies G alone.
+    A stack of M modes takes node blocks of _BLOCK_NODES // M, so the row
+    buffer never holds more than the 2 n _BLOCK_NODES doubles of a one-mode
+    assembly.
     """
     x, wts = _rule(p.breaks, n, max(ks))
     parts = 1
@@ -302,14 +305,14 @@ def _stiffness(p: MetricProfile, ks, n: int):
     xcoef = -(j + kk)  # w P_j' - k x P_j = -(j + k) x P_j + (2j+2k+1) b_j P_(j-1)
     t = 2 * j + 2 * kk
     sub = np.sqrt(j * (j + 2 * kk) * (t + 1) / (t - 1))[:, 1:]  # (2j+2k+1) b_j
-    scale = np.empty((len(ks), x.size))
-    for i, k in enumerate(ks):
-        scale[i] = w ** (0.5 * (k - 1))
+    # one scalar power per mode: numpy takes w ** 0.5 and w ** 2 as sqrt and
+    # square, where an array of exponents goes through pow, an ulp off
+    scale = np.array([w ** (0.5 * (k - 1)) for k in ks])
     root_cq, root_c_q = np.sqrt(wts * q), kk * np.sqrt(wts / q)
     block = min(max(1, _BLOCK_NODES // len(ks)), x.size)
     rows = np.empty((len(ks), n, 2 * block))
-    stiff = [[np.zeros((s, s)) for s in _block_sizes(n, parts)] for _ in ks]
-    update = [np.empty_like(s) for s in stiff[0]]
+    stiff = tuple(np.zeros((len(ks), s, s)) for s in _block_sizes(n, parts))
+    spare = np.empty(stiff[0].size)  # one product buffer for every block; block 0 is the largest
     for lo in range(0, x.size, block):
         sl = slice(lo, lo + block)
         xb = x[sl]
@@ -321,43 +324,37 @@ def _stiffness(p: MetricProfile, ks, n: int):
         g[:, 1:] += np.multiply(sub, h[:, :-1], out=hk[:, 1:])  # hk is scratch until the next line
         g *= root_cq[sl]
         np.multiply(h, root_c_q[:, :, sl], out=hk)
-        for i, k in enumerate(ks):
-            r = rows[i, :, :2 * m if k else m]
-            for b in range(parts):
-                rb = r[b::parts]
-                # R_b @ R_b.T on one buffer: numpy computes it as a symmetric rank update
-                np.matmul(rb, rb.T, out=update[b])
-                stiff[i][b] += update[b]
-    return tuple(tuple(s) for s in stiff)
+        r = rows[:, :, :2 * m if max(ks) else m]
+        for b, s in enumerate(stiff):
+            rb = r[:, b::parts]
+            # R_b @ R_b^T of each mode on one buffer: numpy computes each as a symmetric rank update
+            s += np.matmul(rb, rb.transpose(0, 2, 1), out=spare[:s.size].reshape(s.shape))
+    return stiff
 
 
 def _leading(stack, n):
-    """Each mode's stiffness blocks of its leading n basis functions."""
-    return tuple(tuple(s[:m, :m] for s, m in zip(blocks, _block_sizes(n, len(blocks))))
-                 for blocks in stack)
+    """The stack's stiffness blocks of its leading n basis functions."""
+    return tuple(s[:, :m, :m] for s, m in zip(stack, _block_sizes(n, len(stack))))
 
 
-def _eig(stack, vectors):
-    """Ritz values of each mode's stiffness blocks, ascending: the sorted
-    union of each block's (the mass matrix is I). One (values, vectors)
-    pair per mode; with ``vectors`` the coefficient vectors in the full
-    basis, each block's scattered back to its rows (else None)."""
-    out = []
-    for blocks in stack:
-        parts = len(blocks)
-        if not vectors:
-            out.append((np.sort(np.concatenate([np.linalg.eigvalsh(s) for s in blocks])), None))
-            continue
-        n = sum(len(s) for s in blocks)
-        values, vecs, col = np.empty(n), np.zeros((n, n)), 0
-        for b, s in enumerate(blocks):
-            v, u = np.linalg.eigh(s)
-            values[col:col + v.size] = v
-            vecs[b::parts, col:col + v.size] = u
-            col += v.size
-        order = np.argsort(values, kind="stable")
-        out.append((values[order], vecs[:, order]))
-    return out
+def _eig(stack, vectors=False):
+    """Ritz values of each mode of a stack, ascending: one (M, n) array whose
+    row i is the sorted union of mode i's block values (the mass matrix is
+    I), from one eigensolve per block. With ``vectors``, the pair of that
+    array and the (M, n, n) coefficient vectors in the full basis, each
+    block's scattered back to its rows, column c of mode i belonging to
+    value (i, c)."""
+    if not vectors:
+        return np.sort(np.concatenate([np.linalg.eigvalsh(s) for s in stack], axis=1), axis=1)
+    parts, modes, n = len(stack), len(stack[0]), sum(s.shape[-1] for s in stack)
+    values, vecs, col = np.empty((modes, n)), np.zeros((modes, n, n)), 0
+    for b, s in enumerate(stack):
+        v, u = np.linalg.eigh(s)
+        values[:, col:col + v.shape[1]] = v
+        vecs[:, b::parts, col:col + v.shape[1]] = u
+        col += v.shape[1]
+    order = np.argsort(values, axis=1, kind="stable")
+    return np.take_along_axis(values, order, 1), np.take_along_axis(vecs, order[:, None, :], 2)
 
 
 def _converge(p: MetricProfile, ks, n: int, cfg: SolverConfig, counts):
@@ -379,13 +376,13 @@ def _converge(p: MetricProfile, ks, n: int, cfg: SolverConfig, counts):
         # the leading n basis functions of the 2n stiffness give a size-n
         # Ritz matrix.
         stack = _stiffness(p, ks, 2 * n)
-        prev = {k: values for k, (values, _) in zip(ks, _eig(_leading(stack, n), False))}
+        prev = dict(zip(ks, _eig(_leading(stack, n))))
         n *= 2
     else:
         stack = _stiffness(p, ks, n)
     active = list(ks)
     while True:
-        latest.update((k, values) for k, (values, _) in zip(active, _eig(stack, False)))
+        latest.update(zip(active, _eig(stack)))
         wanted = counts(latest)
         for k in active:
             if wanted[k] + _BASIS_MARGIN > cfg.n_max:
@@ -398,6 +395,7 @@ def _converge(p: MetricProfile, ks, n: int, cfg: SolverConfig, counts):
             return slices
         prev.update((k, latest[k]) for k in active)
         n *= 2
+        del stack  # the last size's blocks go before the next size's are assembled
         stack = _stiffness(p, active, n)
 
 
@@ -501,8 +499,8 @@ def trace_checks(
     if n > cfg.n_max:
         raise DomainError(f"terms={terms} needs a basis larger than n_max={cfg.n_max}")
 
-    lams = [values[:terms] for values, _ in _eig(_stiffness(p, ks, n), False)]
-    if any(np.any(lam <= 0.0) for lam in lams):
+    lams = _eig(_stiffness(p, ks, n))[:, :terms]
+    if np.any(lams <= 0.0):
         raise DomainError("mode eigenvalues must be positive to sum reciprocals")
     scale = (liouville_length(p, q) / math.pi) ** 2
     upper = np.arange(terms // 2 + 1, terms + 1, dtype=float)
@@ -548,7 +546,7 @@ def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_
     if j < 1:
         raise DomainError("eigenfunction index j must be >= 1")
     slc = eigenvalues(p, k, j, cfg)
-    vecs = _eig(_stiffness(p, (k,), slc.grid_used), True)[0][1]
+    vecs = _eig(_stiffness(p, (k,), slc.grid_used), vectors=True)[1][0]
     nodes, h = solver_grid(_SAMPLE_CELLS)
     rows = _jacobi_rows(slc.grid_used, (k,), nodes, (((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))[None])[:, 0]
     u = vecs[:, j - 1] @ rows

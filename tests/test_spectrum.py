@@ -137,6 +137,24 @@ def test_assembly_solves_each_mode_once(paper, monkeypatch):
             assert [n for ks, n in assembled if k in ks] == sizes[:sizes.index(slc.grid_used) + 1]
 
 
+def test_each_stack_makes_one_eigensolve_per_parity_block(paper, monkeypatch):
+    # a stack's Ritz values come from one eigvalsh call per parity block on
+    # all its modes at once: the first assembly is evaluated twice (its
+    # leading half, then whole), every later one once
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(a.shape[0])
+        return eigvalsh(a)
+
+    assembled = _recording_stiffness(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assemble_spectrum(paper, 50)
+    monkeypatch.undo()
+    assert len(solved) == 2 * (len(assembled) + 1) == 8
+    assert solved == [len(ks) for ks, _ in assembled[:1] + assembled for _ in range(2)]
+
+
 def test_deep_stacked_modes_keep_the_stacks_slices(paper, monkeypatch):
     # at depth 50 every mode keeps the ladder's slice at the size it left:
     # every value up to the guard above the ceiling and one more, and at
