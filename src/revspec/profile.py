@@ -471,8 +471,9 @@ def liouville_length(p: MetricProfile, q: QuadratureConfig = DEFAULT_QUADRATURE)
     """Length of [-1, 1] in the Liouville normal form: integral of f^(-1/2).
 
     The integrand has inverse-square-root endpoint singularities (f vanishes
-    linearly at +-1), so it always routes through the endpoint-weighted rule
-    with smooth factor q^(-1/2), q = f/(1 - x^2).
+    linearly at +-1), so it is integrated as (1 - x^2)^(-1/2) p.q^(-1/2),
+    p.q = f/(1 - x^2), by gauss_jacobi_sqrt_weight over the profile's
+    pieces, within q.abs_tol relative to max(T, 1).
     """
 
     def g(x):
@@ -481,4 +482,4 @@ def liouville_length(p: MetricProfile, q: QuadratureConfig = DEFAULT_QUADRATURE)
             raise DomainError("profile must be positive on (-1, 1) to have a Liouville length")
         return 1.0 / np.sqrt(qx)
 
-    return gauss_jacobi_sqrt_weight(g, q.abs_tol)
+    return gauss_jacobi_sqrt_weight(g, p.breaks, q.abs_tol)

@@ -1,27 +1,26 @@
 """Quadrature rules for profile integrals and mode assembly.
 
-Two rules cover everything the package integrates:
+One rule covers everything the package integrates: Gauss-Legendre rules
+laid onto intervals, for integrands that are smooth on each of the
+profile's pieces and at worst continuous at their ends. The moments f^l
+and f^l K, all of them in one pass, and the Liouville length int f^(-1/2)
+of the trace tail run on 25-point panels (``adaptive_gauss``) under one
+convergence loop and one relative tolerance; the mode solver's Galerkin
+forms run on one rule per piece whose size the solver chooses. The
+Liouville integrand has inverse-square-root endpoint behaviour, because
+admissible profiles vanish linearly at x = +-1: the substitution
+x = -cos t removes it (``gauss_jacobi_sqrt_weight``).
 
-* Gauss-Legendre rules laid onto intervals, for integrands that are smooth
-  on each of the profile's pieces and at worst continuous at their ends:
-  the moments f^l and f^l K, all of them in one pass, on 25-point panels
-  (``adaptive_gauss``), and the mode solver's Galerkin forms, on one rule
-  per piece whose size the solver chooses;
-* a Gauss-Chebyshev rule, the Gauss-Jacobi rule with weight (1-x^2)^(-1/2),
-  for integrands with inverse-square-root endpoint behaviour, which appear
-  because admissible profiles vanish linearly at x = +-1 (the Liouville
-  length int f^(-1/2) of the trace tail).
-
-Both are computed here with numpy alone: Gauss-Chebyshev in closed form,
-Gauss-Legendre (``gauss_legendre``) by Newton's method from closed-form
-starting nodes. This module is the only one that builds a Gauss-Legendre
-rule or maps one onto intervals (``piecewise_rule``, the same formula for
-the panels and the solver). ``gauss_legendre`` keeps every size it builds:
-the sizes asked for are 25 and the solver's node counts, at most
-n_max + k + 24 for a basis cap n_max and the largest mode k solved, so the
-cache is bounded by the modes a process solves (12 sizes, 23 kB, for
-depth-50 spectra of canonical, paper-example and the benchmark's seed-1
-bump, rational and sampled profiles).
+The rule is computed here with numpy alone (``gauss_legendre``), by
+Newton's method from closed-form starting nodes. This module is the only
+one that builds a Gauss-Legendre rule or maps one onto intervals
+(``piecewise_rule``, the same formula for the panels and the solver).
+``gauss_legendre`` keeps every size it builds: the sizes asked for are 25
+and the solver's node counts, at most n_max + k + 24 for a basis cap n_max
+and the largest mode k solved, so the cache is bounded by the modes a
+process solves (12 sizes, 23 kB, for depth-50 spectra of canonical,
+paper-example and the benchmark's seed-1 bump, rational and sampled
+profiles).
 """
 
 from __future__ import annotations
@@ -75,14 +74,14 @@ ROUNDOFF_FLOOR = 1e-14
 _BLOCK = 16384
 
 ADAPTIVE_DOUBLINGS = 10  #: adaptive_gauss gives up beyond 1024 panels per piece
-JACOBI_DOUBLINGS = 8  #: gauss_jacobi_sqrt_weight gives up beyond 16 * 2^8 = 4096 nodes
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Accuracy contract for the integral operations.
 
-    ``abs_tol`` is the tolerance each integral must meet, relative to
+    ``abs_tol`` is the tolerance every integral (the moments, the curvature
+    sign indicator and the Liouville length) must meet, relative to
     max(|integral|, 1): absolute for integrals up to 1, relative above.
     """
 
@@ -137,23 +136,13 @@ def adaptive_gauss(fn, breaks, abs_tol):
     )
 
 
-def gauss_jacobi_sqrt_weight(g, abs_tol):
-    """Integrate (1-x^2)^(-1/2) * g(x) over [-1, 1] for smooth g.
+def gauss_jacobi_sqrt_weight(g, breaks, abs_tol):
+    """Integrate (1-x^2)^(-1/2) * g(x) over [-1, 1] for g smooth on each
+    piece between consecutive ``breaks``.
 
-    Gauss-Chebyshev nodes cos((2i+1) pi / 2n) with weights pi / n absorb the
-    endpoint singularity; the node count doubles from 16, at most
-    JACOBI_DOUBLINGS times, until two successive estimates agree to ``abs_tol``.
+    x = -cos t turns the integral into that of g(-cos t) over [0, pi], which
+    has no endpoint singularity and is smooth on each piece's angles
+    arccos(-breaks), so ``adaptive_gauss`` integrates it there, under its
+    relative tolerance and error path.
     """
-    n = 16
-    prev = None
-    for _ in range(JACOBI_DOUBLINGS + 1):
-        x = -np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-        val = float(np.sum(g(x))) * np.pi / n
-        if prev is not None and abs(val - prev) <= abs_tol:
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureAccuracyError(
-        f"Gauss-Chebyshev rule did not settle to {abs_tol:.3e} within {n // 2} nodes",
-        best_estimate=prev,
-    )
+    return adaptive_gauss(lambda t: g(-np.cos(t)), np.arccos(np.negative(breaks)), abs_tol)

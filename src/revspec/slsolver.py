@@ -65,22 +65,25 @@ whose mass matrix is still I (on a finer rule than an assembly at n would
 use). The first pair of sizes therefore costs one assembly, at 2n; only
 4n, 8n, ... are assembled afresh.
 
-One ladder (_converge) serves every solve. It runs a set of modes through
-the same basis sizes, and after each size asks its caller how many values
-each mode must settle: ``eigenvalues`` runs one mode for a fixed count,
-``spectrum.assemble_spectrum`` all the modes of a spectrum for counts read
-off the ceiling the ladder is still converging (spectrum module
-docstring). At each size every mode still open is assembled in one stack,
-on the rule of its largest k, which gives every smaller mode at least as
-many nodes per piece as its own rule, so a mode's values move by roundoff
-only against its lone assembly (under 1e-13 relative on the benchmark's
-profiles). A stack of M modes is one (M, s, s) array per stiffness block:
-q is evaluated once per size, the recurrence takes its N steps once per
-node block for all modes, each node block adds one batched rank update per
-block, and one eigensolve per block gives every mode's Ritz values. Each
-mode keeps its own stopping rule and leaves the ladder once its values
-agree. Node blocks shrink to _BLOCK_NODES // M for M modes, so a stack's
-row buffer holds no more than a one-mode assembly's 2 N _BLOCK_NODES doubles.
+One ladder (_converge) serves every convergence chase. It runs a set of
+modes through the same basis sizes, and after each size asks its caller how
+many values each mode must settle: ``eigenvalues`` runs one mode for a
+fixed count, ``spectrum.assemble_spectrum`` all the modes of a spectrum for
+counts read off the ceiling the ladder is still converging (spectrum module
+docstring). Two solves are outside it: ``trace_checks`` makes one stack at
+a fixed size, and ``eigenfunction`` makes one more assembly, at the size
+its ``eigenvalues`` ladder stopped at, for its vector. At each size every
+mode still open is assembled in one stack, on the rule of its largest k,
+which gives every smaller mode at least as many nodes per piece as its own
+rule, so a mode's values move by roundoff only against its lone assembly
+(under 1e-13 relative on the benchmark's profiles). A stack of M modes is
+one (M, s, s) array per stiffness block: q is evaluated once per size, the
+recurrence takes its N steps once per node block for all modes, each node
+block adds one batched rank update per block, and one eigensolve per block
+gives every mode's Ritz values. Each mode keeps its own stopping rule and
+leaves the ladder once its values agree. Node blocks shrink to
+_BLOCK_NODES // M for M modes, so a stack's row buffer holds no more than a
+one-mode assembly's 2 N _BLOCK_NODES doubles.
 """
 
 from __future__ import annotations

@@ -128,6 +128,22 @@ def test_inadmissible_endpoints_still_reported(tilted, capsys):
     assert status == 1 and checks == {"profile_admissible": False}
 
 
+def test_sampled_profile_off_zero_at_an_endpoint(tmp_path, capsys):
+    # the spline takes the admissible slopes, so f(-1) = 0.1 is its one defect
+    path = tmp_path / "lifted.json"
+    path.write_text(json.dumps({"kind": "sampled", "params": {"x": [-1.0, 0.0, 1.0], "f": [0.1, 1.0, 0.0]}}))
+    status, out, _ = run_capture(["validate", "--profile", str(path)], capsys)
+    report = json.loads(out)
+    assert status == 0 and report["passed"] is False
+    assert [m.split(" (")[0] for m in report["messages"]] == ["f does not vanish at the endpoints"]
+    status, out, err = run_capture(["spectrum", "--profile", str(path), "--m-max", "2"], capsys)
+    assert (status, out) == (2, "")
+    assert "f does not vanish at the endpoints" in err
+    status, out, _ = run_capture(["verify", "--profile", str(path), "--m-max", "2"], capsys)
+    assert status == 1
+    assert [(c["name"], c["passed"]) for c in json.loads(out)["checks"]] == [("profile_admissible", False)]
+
+
 @pytest.mark.parametrize("m_max", ["1", "3"])
 def test_verify_fails_admissibility_without_solving(m_max, tmp_path, capsys, monkeypatch):
     # q = 2 gives f'(+-1) = +-4; a solve of this profile does not converge
@@ -331,10 +347,19 @@ def test_missing_profile_file_exits_2(capsys):
 
 def test_malformed_profile_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{]")
-    status, _, err = run_capture(["validate", "--profile", str(bad)], capsys)
-    assert status == 2
-    assert "JSON" in err
+    for text, fragment in [
+        ("{]", "JSON"),
+        ("[1, 2]", "must be a JSON object"),
+        (json.dumps({"kind": "canonical", "params": [1]}), "'params' must be a JSON object"),
+        (json.dumps({"kind": "polynomial-factor", "params": {"coefficients": ["a", 1]}}),
+         "must be a sequence of real numbers"),
+        (json.dumps({"kind": "sampled", "params": {"x": [-1.0], "f": [0.0]}}),
+         "needs at least the two endpoint samples"),
+    ]:
+        bad.write_text(text)
+        status, out, err = run_capture(["validate", "--profile", str(bad)], capsys)
+        assert (status, out) == (2, ""), text
+        assert fragment in err, text
 
 
 @pytest.mark.parametrize("kind", [["canonical"], {"a": 1}])

@@ -38,11 +38,13 @@ def test_budget_exhaustion_carries_best_estimate():
 
 
 def test_jacobi_budget_exhaustion_carries_best_estimate():
-    # |x| has a kink at 0, so the estimates settle only like 1/n^2
+    # |x - 0.3| has a kink inside a piece, so the estimates settle only like 1/n^2
     with pytest.raises(QuadratureAccuracyError) as info:
-        gauss_jacobi_sqrt_weight(np.abs, 1e-13)
-    assert "4096 nodes" in str(info.value)
-    assert info.value.best_estimate == pytest.approx(2.0, abs=1e-6)  # int |x| / sqrt(1 - x^2)
+        gauss_jacobi_sqrt_weight(lambda x: np.abs(x - 0.3), (-1.0, 1.0), 1e-13)
+    assert "1024 panels" in str(info.value)
+    # int |x - c| / sqrt(1 - x^2) = 2 sqrt(1 - c^2) + 2 c asin(c)
+    exact = 2.0 * math.sqrt(0.91) + 0.6 * math.asin(0.3)
+    assert info.value.best_estimate == pytest.approx(exact, abs=1e-6)
 
 
 def test_adaptive_gauss_deterministic():
@@ -65,13 +67,13 @@ def test_stacked_rows_equal_row_by_row():
 
 def test_jacobi_arcsine_weight():
     # integral of (1-x^2)^(-1/2) dx = pi
-    val = gauss_jacobi_sqrt_weight(lambda x: np.ones_like(x), 1e-13)
+    val = gauss_jacobi_sqrt_weight(lambda x: np.ones_like(x), (-1.0, 1.0), 1e-13)
     assert val == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_jacobi_polynomial_factor():
     # integral of x^2 / sqrt(1-x^2) = pi/2
-    val = gauss_jacobi_sqrt_weight(lambda x: x * x, 1e-13)
+    val = gauss_jacobi_sqrt_weight(lambda x: x * x, (-1.0, 1.0), 1e-13)
     assert val == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -290,6 +291,26 @@ def test_verify_reads_mode_slices_from_the_spectrum(paper, paper_spectrum6, monk
     monkeypatch.undo()
     deep = verify_monotonicity(paper, top + 2, spectrum=paper_spectrum6)
     assert deep.all_passed and len(deep.checks) == top + 1
+
+
+def test_interlacing_solves_a_mode_whose_slice_is_too_short(paper, paper_spectrum6, monkeypatch):
+    # a slice holding fewer than j_max + 1 values is solved again, that mode alone
+    j_max = 3
+    slices = dict(paper_spectrum6.per_mode_slices)
+    slices[2] = dataclasses.replace(slices[2], eigenvalues=slices[2].eigenvalues[:j_max],
+                                    error_estimates=slices[2].error_estimates[:j_max])
+    short = dataclasses.replace(paper_spectrum6, per_mode_slices=slices)
+    solved = []
+
+    def recording(p, k, count, cfg):
+        solved.append((k, count))
+        return eigenvalues(p, k, count, cfg)
+
+    monkeypatch.setattr(spectrum_mod, "eigenvalues", recording)
+    report = verify_interlacing(paper, 3, j_max, spectrum=short)
+    assert report.all_passed and solved == [(2, j_max + 1)]
+    rhs = [c.rhs for c in report.checks if c.location.startswith("k=2,")]
+    assert rhs == list(eigenvalues(paper, 2, j_max + 1).eigenvalues)
 
 
 def test_canonical_comparison_equality_counts_as_below(canonical_spectrum6):
