@@ -42,9 +42,6 @@ from .slsolver import DEFAULT_SOLVER, SolverConfig
 _TUNING_FLAGS = {
     "--rel-tol": dict(type=float, default=1e-6,
                       help="solver relative eigenvalue tolerance (default 1e-6)"),
-    "--merge-tol": dict(type=float, default=None,
-                        help="eigenvalue merge tolerance (default: 10 times the worst "
-                             "solver error estimate)"),
     "--quad-tol": dict(type=float, default=1e-10,
                        help="quadrature tolerance, relative to max(|integral|, 1) (default 1e-10)"),
     "--grid-max": dict(type=int, default=DEFAULT_SOLVER.n_max,
@@ -125,7 +122,7 @@ def _cmd_sl(args, profile):
 def _cmd_spectrum(args, profile):
     if args.m_max < 0:
         raise ProfileError("--m-max must be >= 0")
-    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args), args.merge_tol)
+    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args))
     records = [[entry.m, entry.value, entry.multiplicity, ";".join(map(str, sorted(entry.modes)))]
                for entry in spec.entries]
     return spec.to_json_dict(), ["m", "value", "multiplicity", "modes"], records, 0
@@ -145,8 +142,7 @@ def _cmd_bounds(args, profile):
         raise ProfileError("--m-max must be >= 1")
     l_set = _parse_l_set(args.l_set)
     try:
-        spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args),
-                                              args.merge_tol)
+        spec = spectrum_mod.assemble_spectrum(profile, args.m_max, _solver_config(args))
     except AssemblyError as exc:
         print(f"note: computed eigenvalues unavailable ({exc})", file=sys.stderr)
         spec = None
@@ -171,13 +167,12 @@ def _solver_checks(args, profile):
     """The spectrum verify assembles and every check read off it: the
     paper's structural results, the bound table and the trace identities."""
     cfg = _solver_config(args)
-    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg, args.merge_tol)
+    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg)
     checks = list(spectrum_mod.verify_multiplicity_bound(spec).checks)
     k_max = max(2, min(5, args.m_max + 1))
     checks.extend(spectrum_mod.verify_monotonicity(profile, k_max, cfg, spectrum=spec).checks)
     half = max(1, args.m_max // 2)
-    checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec,
-                                                  merge_tol=args.merge_tol).checks)
+    checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec).checks)
 
     quad = _quad_config(args)
     for row in bounds_mod.bounds_table(profile, args.m_max, (), quad, spec):
@@ -242,11 +237,11 @@ _SUBCOMMANDS = {
         ("--count", dict(type=int, default=8, help="how many eigenvalues (default 8)")),
     )),
     "spectrum": (_cmd_spectrum, "assemble the distinct eigenvalues with multiplicities",
-                 ("--rel-tol", "--merge-tol", "--grid-max"), (
+                 ("--rel-tol", "--grid-max"), (
         ("--m-max", dict(type=int, default=6, help="deepest distinct index (default 6)")),
     )),
     "bounds": (_cmd_bounds, "closed-form upper-bound table",
-               ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
+               ("--rel-tol", "--quad-tol", "--grid-max"), (
         ("--m-max", dict(type=int, default=6, help="deepest index (default 6)")),
         ("--l-set", dict(default="", help="comma-separated extra trial exponents "
                                           "(1 and m are always included)")),
@@ -256,7 +251,7 @@ _SUBCOMMANDS = {
         ("--terms", dict(type=int, default=100, help="series terms (default 100)")),
     )),
     "verify": (_cmd_verify, "run the verification suite",
-               ("--rel-tol", "--merge-tol", "--quad-tol", "--grid-max"), (
+               ("--rel-tol", "--quad-tol", "--grid-max"), (
         ("--m-max", dict(type=int, default=5, help="spectrum depth (default 5)")),
     )),
 }

@@ -14,8 +14,9 @@ lambda_1^(m): that value caps lambda_m, and only modes k <= m can carry it.
 So a spectrum needs each mode's values below that ceiling, and modes
 0..m + 1 run through one basis-size ladder (slsolver._converge) that reads
 the ceiling off mode m as it converges and asks each mode for the values
-below it (assemble_spectrum). Eigenvalue copies landing within the merge
-tolerance are identified as one distinct eigenvalue.
+below it (assemble_spectrum). Neighbouring mode values that lie within ten
+times the larger of their own error estimates are identified as one
+distinct eigenvalue.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class GlobalSpectrum(Report):
     Each slice holds every value of its mode up to the guard above the
     ceiling and one more (at least 8 up to mode m_target). It stays off the
     wire.
+    ``merge_tolerance`` is 10 times the worst error estimate among the
+    retained mode values. It bounds the gap of every join, sets how close
+    to zero lambda_0 is snapped to 0, and is the largest distance an
+    entry's value is taken to have from the true eigenvalue.
     """
 
     entries: tuple[DistinctEigenvalue, ...]
@@ -148,21 +153,22 @@ def _guard(ceiling):
     return ceiling + max(1.0, 1e-3 * ceiling)
 
 
-def _check_cluster(cluster, tol):
-    """AssemblyError if a cluster holds two values of one mode (mode spectra
-    are simple) or the first values of two modes (they increase in k)."""
+def _check_cluster(cluster):
+    """AssemblyError if a cluster of (value, k, j, error) members holds two
+    values of one mode (mode spectra are simple) or the first values of two
+    modes (they increase in k)."""
     ks = [mem[1] for mem in cluster]
     if len(set(ks)) < len(ks) or sum(1 for mem in cluster if mem[2] == 1) > 1:
-        joined = ", ".join(f"(k={mem[1]}, j={mem[2]})" for mem in cluster)
-        raise AssemblyError(f"merge tolerance {tol:.3e} joins mode eigenvalues that cannot "
-                            f"coincide into one eigenvalue: {joined}")
+        joined = ", ".join(f"(k={k}, j={j}) = {value!r} (estimate {err:.1e})"
+                           for value, k, j, err in cluster)
+        raise AssemblyError(f"the merge joins mode eigenvalues that cannot coincide "
+                            f"into one eigenvalue: {joined}")
 
 
 def assemble_spectrum(
     p: MetricProfile,
     m_target: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    merge_tol: Optional[float] = None,
 ) -> GlobalSpectrum:
     """Enumerate the distinct eigenvalues up to at least index m_target.
 
@@ -180,17 +186,16 @@ def assemble_spectrum(
     the size it left the ladder, and modes are kept up to the first k >= 1
     whose first value clears the guard: by monotonicity no higher mode
     reaches below it. If none does, further modes run one ladder each until
-    one does. With merge_tol=None the merge tolerance is 10 times the worst
-    per-eigenvalue error estimate.
-    An explicit merge_tol that is not a positive number raises DomainError.
-    AssemblyError is raised by an explicit merge_tol at or below the solver
-    errors, by a merge of values that cannot coincide, and by a mode slice
-    that misses rel_tol by the basis cap (naming k, N and the estimate).
+    one does. Two neighbouring sorted mode values join when they lie within
+    10 times the larger of their own error estimates, so a loose value joins
+    only its own neighbours; merge_tolerance, 10 times the worst estimate,
+    bounds every join. AssemblyError is raised by a merge of values that
+    cannot coincide (naming them with their values and estimates) and by a
+    mode slice that misses rel_tol by the basis cap (naming k, N and the
+    estimate).
     """
     if m_target < 0:
         raise DomainError("m_target must be >= 0")
-    if merge_tol is not None and not (merge_tol > 0.0):
-        raise DomainError(f"the merge tolerance must be positive, got merge_tol={merge_tol!r}")
     slices = {}
     floor = _MIN_BASIS - _BASIS_MARGIN  # the values a ladder from _MIN_BASIS compares anyway
 
@@ -217,26 +222,15 @@ def assemble_spectrum(
     slices = {kk: slices[kk] for kk in range(k + 1)}
 
     members.sort()
-    max_err = max(mem[3] for mem in members)
-    if merge_tol is None:
-        tol = 10.0 * max_err
-    else:
-        tol = float(merge_tol)
-        if tol <= max_err:
-            worst = max(members, key=lambda mem: mem[3])
-            raise AssemblyError(
-                f"merge_tol={tol:.3e} does not exceed the largest solver error estimate "
-                f"{max_err:.3e} at (k={worst[1]}, j={worst[2]})"
-            )
-
-    clusters = []
-    for mem in members:
-        if clusters and mem[0] - clusters[-1][-1][0] <= tol:
+    tol = 10.0 * max(mem[3] for mem in members)
+    clusters = [[members[0]]]
+    for prev, mem in zip(members, members[1:]):
+        if mem[0] - prev[0] <= 10.0 * max(prev[3], mem[3]):
             clusters[-1].append(mem)
         else:
             clusters.append([mem])
     for cluster in clusters:
-        _check_cluster(cluster, tol)
+        _check_cluster(cluster)
     kept = [cl for cl in clusters if cl[0][0] <= ceiling]
 
     entries = []
@@ -285,20 +279,20 @@ def verify_interlacing(
     j_max: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
     spectrum: Optional[GlobalSpectrum] = None,
-    merge_tol: Optional[float] = None,
 ) -> VerificationReport:
     """Check lambda_(k+j) <= lambda_k^(j+1) for 1 <= k <= k_max, 0 <= j <= j_max.
 
     The distinct eigenvalues come from an assembled spectrum of depth
-    k_max + j_max (assembled here, with merge_tol, unless a deep enough one
-    is supplied), and so do the mode values wherever its slice of mode k
-    holds j_max + 1 of them; the other modes are solved here. The comparison
-    allows an error budget of CHECK_BUDGET_REL * max(|rhs|, 1).
+    k_max + j_max (assembled here unless a deep enough one is supplied), and
+    so do the mode values wherever its slice of mode k holds j_max + 1 of
+    them; the other modes are solved here. The spectrum merges by
+    assemble_spectrum's rule. The comparison allows an error budget of
+    CHECK_BUDGET_REL * max(|rhs|, 1).
     """
     if k_max < 1 or j_max < 1:
         raise DomainError("k_max and j_max must be >= 1")
     if spectrum is None or len(spectrum.entries) <= k_max + j_max:
-        spectrum = assemble_spectrum(p, k_max + j_max, cfg, merge_tol)
+        spectrum = assemble_spectrum(p, k_max + j_max, cfg)
     checks = []
     for k in range(1, k_max + 1):
         slc = spectrum.per_mode_slices.get(k)

@@ -229,7 +229,7 @@ def test_unknown_flag_exits_2(capsys):
 def test_flag_the_subcommand_does_not_read_exits_2(capsys):
     # each tuning flag is offered only where it is read
     assert run_capture(["validate", "--profile", "canonical", "--quad-tol", "1e-8"], capsys)[0] == 2
-    assert run_capture(["sl", "--profile", "canonical", "--merge-tol", "1e-3"], capsys)[0] == 2
+    assert run_capture(["sl", "--profile", "canonical", "--quad-tol", "1e-3"], capsys)[0] == 2
     assert run_capture(["trace", "--profile", "canonical", "--rel-tol", "1e-8"], capsys)[0] == 2
     assert run_capture(["spectrum", "--profile", "canonical", "--quad-tol", "1e-8"], capsys)[0] == 2
 
@@ -240,7 +240,7 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys):
     ["sl", "--profile", "canonical", "--format", "xml"],
     ["trace", "--profile", "canonical", "--rel-tol", "1e-8"],
     ["trace", "--profile", "canonical", "extra"],
-    ["sl", "--profile", "canonical", "--k", "x", "--merge-tol", "1e-3"],
+    ["sl", "--profile", "canonical", "--k", "x", "--quad-tol", "1e-3"],
     ["bounds", "--profile", "canonical", "--m-max", "4", "--l-set", "2,3"],
     ["verify", "--prof", "paper-example"],
 ])
@@ -273,21 +273,20 @@ def test_default_quad_tol_leaves_reports_unchanged(argv, capsys):
 
 def test_verify_merge_tol_reaches_every_assembly(capsys, monkeypatch):
     # at --m-max 1 the interlacing check needs depth 2 and assembles its own
-    # spectrum; that one must merge with the user's tolerance too
+    # spectrum, with the same solver settings and merge rule
     from revspec import spectrum as spectrum_mod
 
     assembled = []
     assemble = spectrum_mod.assemble_spectrum
 
-    def recording(p, m_target, cfg=spectrum_mod.DEFAULT_SOLVER, merge_tol=None):
-        assembled.append((m_target, merge_tol))
-        return assemble(p, m_target, cfg, merge_tol)
+    def recording(p, m_target, cfg=spectrum_mod.DEFAULT_SOLVER):
+        assembled.append((m_target, cfg))
+        return assemble(p, m_target, cfg)
 
     monkeypatch.setattr(spectrum_mod, "assemble_spectrum", recording)
-    status, _, _ = run_capture(["verify", "--profile", "canonical", "--m-max", "1", "--merge-tol", "0.5"],
-                               capsys)
+    status, _, _ = run_capture(["verify", "--profile", "canonical", "--m-max", "1"], capsys)
     assert status == 0
-    assert assembled == [(1, 0.5), (2, 0.5)]
+    assert assembled == [(1, spectrum_mod.DEFAULT_SOLVER), (2, spectrum_mod.DEFAULT_SOLVER)]
 
 
 def test_verify_assembles_each_mode_once(capsys, monkeypatch):
@@ -386,16 +385,6 @@ def test_out_of_range_option_exits_2(capsys):
         assert flag in err, argv
 
 
-@pytest.mark.parametrize("cmd", ["spectrum", "bounds", "verify"])
-@pytest.mark.parametrize("merge_tol", ["nan", "0", "-1"])
-def test_non_positive_merge_tol_exits_2(cmd, merge_tol, capsys):
-    argv = [cmd, "--profile", "canonical", "--m-max", "3", "--merge-tol", merge_tol]
-    status, out, err = run_capture(argv, capsys)
-    assert status == 2
-    assert out == ""
-    assert "merge tolerance must be positive" in err
-
-
 def test_bounds_notes_only_numerical_assembly_failures(tmp_path, capsys):
     # an unconverged mode slice leaves the bound table with a note ...
     status, out, err = run_capture(["bounds", "--profile", "paper-example", "--m-max", "2",
@@ -425,21 +414,18 @@ def test_tuning_flag_defaults_match_the_library():
     assert args.quad_tol == DEFAULT_QUADRATURE.abs_tol
 
 
-def test_tiny_merge_tol_exits_3(capsys):
-    status, _, err = run_capture(
-        ["spectrum", "--profile", "canonical", "--m-max", "2", "--merge-tol", "1e-30"], capsys
-    )
-    assert status == 3
-    assert "merge_tol" in err
-
-
-def test_merge_tol_joining_one_mode_exits_3(capsys):
-    status, out, err = run_capture(
-        ["spectrum", "--profile", "canonical", "--m-max", "3", "--merge-tol", "10"], capsys
-    )
+def test_merge_tol_joining_one_mode_exits_3(tmp_path, capsys):
+    # the dumbbell f = (1 - x^2)(0.1 + 0.9 x^2) splits mode 5's lowest pair
+    # by less than its own error estimates: the merge joins one mode twice,
+    # which cannot be, so the spectrum is refused rather than printed
+    path = tmp_path / "dumbbell.json"
+    path.write_text(json.dumps({"kind": "polynomial-factor",
+                                "params": {"coefficients": [0.1, 0.0, 0.9]}}))
+    status, out, err = run_capture(["spectrum", "--profile", str(path), "--m-max", "6"], capsys)
     assert status == 3
     assert out == ""
     assert "cannot coincide" in err
+    assert "(k=5, j=1)" in err and "(k=5, j=2)" in err
 
 
 def test_validate_file_profile_and_determinism(tmp_path, capsys):

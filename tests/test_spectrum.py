@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import re
 
 import numpy as np
 import pytest
@@ -9,8 +8,10 @@ from numpy.testing import assert_allclose
 from revspec import (
     AssemblyError,
     DomainError,
+    ProfileSpec,
     SolverConfig,
     assemble_spectrum,
+    build_profile,
     canonical_comparison,
     eigenvalues,
     first_eigenvalue,
@@ -20,6 +21,9 @@ from revspec import (
 )
 from revspec import slsolver, spectrum as spectrum_mod
 from revspec.cli import run
+
+from conftest import bench_module
+
 
 def test_canonical_assembly_values_and_multiplicities(canonical):
     spec = assemble_spectrum(canonical, 3)
@@ -76,9 +80,41 @@ def test_merge_tolerance_dominates_errors(canonical_spectrum6):
     assert spec.merge_tolerance > worst
 
 
-def test_explicit_merge_tol_below_errors_raises(canonical):
-    with pytest.raises(AssemblyError, match="merge_tol"):
-        assemble_spectrum(canonical, 2, merge_tol=1e-30)
+def _gaps_beyond_own_estimates(spec):
+    """The neighbouring members of an entry that lie farther apart than 10
+    times the larger of their own error estimates."""
+    gaps = []
+    for entry in spec.entries:
+        members = sorted(entry.members, key=lambda mem: mem[2])
+        gaps.extend((entry.m, a, b) for a, b in zip(members, members[1:])
+                    if b[2] - a[2] > 10.0 * max(a[3], b[3]))
+    return gaps
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-2])
+def test_loose_solver_keeps_the_multiplicities(paper, rel_tol):
+    # a looser rel_tol leaves some high mode value with a large estimate
+    # (merge_tolerance 1.0 here); the merge reads each pair's own estimates,
+    # so the low entries keep the modes and multiplicities of the default
+    default = assemble_spectrum(paper, 20)
+    loose = assemble_spectrum(paper, 20, SolverConfig(rel_tol=rel_tol))
+    assert loose.merge_tolerance > 0.1
+    assert ([(e.modes, e.multiplicity) for e in loose.entries[:21]]
+            == [(e.modes, e.multiplicity) for e in default.entries[:21]])
+    assert _gaps_beyond_own_estimates(loose) == []
+
+
+def test_close_values_of_two_modes_stay_apart():
+    # the seed-2 sampled bench profile at depth 50: mode 9's third value and
+    # mode 5's sixth lie 1.8e-3 apart, with estimates of about 1e-8 each,
+    # far closer than the depth-50 merge tolerance
+    profile = build_profile(ProfileSpec(**bench_module("profiles").generate(2)["sampled"]))
+    spec = assemble_spectrum(profile, 50)
+    near = [e for e in spec.entries if abs(e.value - 117.094) < 2e-3]
+    assert [(e.modes, e.multiplicity) for e in near] == [({9}, 2), ({5}, 2)]
+    assert near[0].value == pytest.approx(117.093139, abs=1e-6)
+    assert near[1].value == pytest.approx(117.094946, abs=1e-6)
+    assert _gaps_beyond_own_estimates(spec) == []
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
@@ -92,21 +128,32 @@ def test_near_round_multiplicities_split(eps, bump):
 def test_near_degenerate_pair_of_one_mode_is_never_merged(tmp_path, capsys):
     # f = (1 - x^2)(0.1 + 0.9 x^2) is a dumbbell: tunnelling splits mode 4's
     # lowest pair, 66.912396646769 and 66.912396923197, by 2.76e-7, each
-    # with an error estimate of 6.7e-9. Mode spectra are simple, so the
-    # spectrum either refuses the merge, naming one mode twice, or reports
-    # both values.
+    # with an error estimate of 6.7e-9. Mode spectra are simple, and the
+    # pair lies 41 estimates apart, so it stays two values. At --m-max 4 the
+    # first is the truncation and the last entry, the second lies above it.
     path = tmp_path / "dumbbell.json"
     path.write_text(json.dumps({"kind": "polynomial-factor",
                                 "params": {"coefficients": [0.1, 0.0, 0.9]}}))
     status = run(["spectrum", "--profile", str(path), "--m-max", "4"])
     captured = capsys.readouterr()
-    if status == 3:
-        assert re.search(r"\(k=(\d+), j=\d+\).*\(k=\1, j=\d+\)", captured.err), captured.err
-    else:
-        assert status == 0
-        pair = [e for e in json.loads(captured.out)["entries"] if abs(e["value"] - 66.9123968) < 1e-6]
-        assert len(pair) == 2
-        assert all(4 in e["modes"] for e in pair)
+    assert status == 0, captured.err
+    report = json.loads(captured.out)
+    last = report["entries"][-1]
+    assert (last["modes"], last["multiplicity"]) == ([4], 2)
+    assert last["value"] == report["truncation"] == pytest.approx(66.912396646769, abs=1e-8)
+
+
+def test_check_cluster_refuses_what_cannot_coincide():
+    # members are (value, k, j, error estimate); mode spectra are simple, and
+    # first values strictly increase in k
+    check = spectrum_mod._check_cluster
+    check([(6.0, 0, 3, 1e-9), (6.0, 1, 2, 1e-9), (6.0, 2, 1, 1e-9)])
+    for cluster, named in [
+        ([(5.0, 3, 1, 1e-8), (5.0, 3, 2, 1e-8)], r"\(k=3, j=1\) = 5\.0 \(estimate 1\.0e-08\), \(k=3, j=2\)"),
+        ([(7.0, 1, 1, 2e-9), (7.0, 2, 1, 3e-9)], r"\(k=1, j=1\) = 7\.0 \(estimate 2\.0e-09\), \(k=2, j=1\)"),
+    ]:
+        with pytest.raises(AssemblyError, match=named):
+            check(cluster)
 
 
 def _recording_stiffness(monkeypatch):
@@ -202,12 +249,6 @@ def test_degenerate_target_zero(canonical):
 def test_m_target_negative_rejected(canonical):
     with pytest.raises(DomainError):
         assemble_spectrum(canonical, -1)
-
-
-@pytest.mark.parametrize("merge_tol", [float("nan"), 0.0, -1.0])
-def test_merge_tol_must_be_positive(canonical, merge_tol):
-    with pytest.raises(DomainError, match="merge tolerance must be positive"):
-        assemble_spectrum(canonical, 3, merge_tol=merge_tol)
 
 
 def test_verify_depths_rejected(canonical):

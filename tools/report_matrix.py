@@ -15,11 +15,12 @@ differs.
 The matrix: canonical, paper-example and the profiles bench/profiles.py
 generates for seeds 1-3, each through validate, curvature, sl, spectrum,
 bounds, trace and verify at several depths, in both formats (528 cases);
-then the failure paths: an inadmissible profile, a merge tolerance below
-the solver errors, a dumbbell whose near-degenerate pair the default merge
-tolerance joins, an --out path that cannot be written, and two profile
-files whose kind is not a string. The profiles are written to one fixed
-directory, so the paths the reports name are the same in every tree.
+then paper-example's spectrum under a loose --rel-tol, and the failure
+paths: an inadmissible profile, a dumbbell whose tunnelling pairs lie
+apart at depth 4 but within their own error estimates at depth 6, an
+--out path that cannot be written, and two profile files whose kind is not
+a string. The profiles are written to one fixed directory, so the paths
+the reports name are the same in every tree.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PROFILE_DIR = Path(tempfile.gettempdir()) / "revspec-report-matrix"
 
-#: f = (1 - x^2)(0.1 + 0.9 x^2): two wells whose tunnelling pairs lie closer
-#: than the default merge tolerance from --m-max 4 on.
+#: f = (1 - x^2)(0.1 + 0.9 x^2): two wells whose tunnelling pairs draw
+#: closer as k grows. Mode 4's pair (the --m-max 4 ceiling) lies 41 of its
+#: error estimates apart; mode 5's, reached from --m-max 5 on, within them.
 DUMBBELL = {"kind": "polynomial-factor", "params": {"coefficients": [0.1, 0.0, 0.9]}}
 #: q = 2 everywhere: the endpoint slopes are +-4, not +-2.
 INADMISSIBLE = {"kind": "polynomial-factor", "params": {"coefficients": [2.0]}}
@@ -95,9 +97,10 @@ def cases():
             add(name, sub, own)
     for sub, own in (("validate", []), ("sl", ["--k", "0"]), ("verify", ["--m-max", "1"])):
         add("inadmissible", sub, own)
-    add("canonical", "spectrum", ["--m-max", "2", "--merge-tol", "1e-30"])
+    add("paper-example", "spectrum", ["--m-max", "20", "--rel-tol", "1e-3"])
     for sub in ("spectrum", "verify"):
         add("dumbbell", sub, ["--m-max", "4"])
+    add("dumbbell", "spectrum", ["--m-max", "6"])
     add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
     for name in MALFORMED:
         add(name, "validate", [], formats=("json",))
