@@ -8,13 +8,11 @@ distinct eigenvalues together with their verification checks.
 
 from .bounds import (
     BoundsRow,
-    ResidualDiagnostic,
     bounds_table,
     negative_curvature_bound,
     ray_bound,
     rough_bound,
     sharp_bound,
-    trial_residual,
 )
 from .errors import (
     AssemblyError,
@@ -89,7 +87,6 @@ __all__ = [
     "ProfileSpec",
     "QuadratureAccuracyError",
     "QuadratureConfig",
-    "ResidualDiagnostic",
     "RevspecError",
     "SLSpectrumSlice",
     "SolverConfig",
@@ -117,7 +114,6 @@ __all__ = [
     "rough_bound",
     "sharp_bound",
     "trace_check",
-    "trial_residual",
     "validate_profile",
     "verify_interlacing",
     "verify_monotonicity",

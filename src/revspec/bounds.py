@@ -12,14 +12,20 @@ cheap rough bound valid for all m. When int f dx >= 2 the rough bound's
 leading coefficient drops below 1 and yields lambda_m <= m^2 + const with
 const < 1, so the gap to the round-sphere value m^2 + m grows without
 bound -- and the profile must carry negative curvature somewhere.
+
+The l = m bound is the Rayleigh quotient of u = f^(m/2) in mode m itself,
+
+    sharp(m) = m^2 int f^(m-1) (1 + f'^2/4) dx / int f^m dx,
+
+so sharp_bound(p, m) - first_eigenvalue(p, m) >= 0, with equality exactly
+when f^(m/2) is an eigenfunction of mode m; a positive gap at some m
+certifies a non-canonical metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, InapplicabilityError
 # curvature_sign_indicator, integrate_curvature_moment and integrate_moment are
@@ -33,7 +39,6 @@ from .profile import (  # noqa: F401 (see above)
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .report import Report
-from .slsolver import solver_grid
 
 
 @dataclass(frozen=True)
@@ -55,22 +60,6 @@ class BoundsRow(Report):
     computed_lambda: Optional[float]
 
 
-@dataclass(frozen=True)
-class ResidualDiagnostic:
-    """How far the trial function f^(m/2) is from a genuine eigenfunction.
-
-    residual_norm is the discrete L2 norm of L_m[f^(m/2)] - rho * f^(m/2)
-    with rho the trial function's Rayleigh quotient. It vanishes (to
-    discretization accuracy) for every m exactly when the profile is the
-    round sphere, so a persistently positive residual certifies a
-    non-canonical metric.
-    """
-
-    m: int
-    residual_norm: float
-    note: str
-
-
 def ray_bound(p: MetricProfile, m: int, l: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Trial-function bound for lambda_m with exponent l >= 1."""
     if m < 1:
@@ -86,7 +75,8 @@ def _ray(m, l, moment_lo, moment_hi, curv):
 
 
 def sharp_bound(p: MetricProfile, m: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """The l = m trial bound; equality for all m characterizes the round sphere."""
+    """The l = m trial bound, the Rayleigh quotient of f^(m/2) in mode m;
+    equality for all m characterizes the round sphere."""
     return ray_bound(p, m, m, q)
 
 
@@ -159,50 +149,3 @@ def bounds_table(
         )
     return rows
 
-
-def trial_residual(p: MetricProfile, m: int, n: int = 256) -> ResidualDiagnostic:
-    """Residual of the trial function u = f^(m/2) under the mode-m operator.
-
-    The operator is applied in closed form via the product rule,
-
-        L_m[f^(m/2)] = m^2 f^(m/2 - 1) (1 - f'^2/4) + m f^(m/2) K,
-
-    sampled on the n-cell grid ``solver_grid(n)``; rho is the discrete
-    Rayleigh quotient of the samples. Applying a difference operator instead
-    would bury the diagnostic: the trial function of odd m has square-root
-    endpoint behaviour a stencil cannot differentiate, leaving an O(1)
-    boundary artifact in the norm at every grid size, whereas the closed
-    form is exact where the evaluators are. The note reports the residual on
-    a doubled grid: a residual that shrinks with the grid is sampling error
-    (round sphere); one that persists certifies that u is genuinely not an
-    eigenfunction.
-    """
-    if m < 1:
-        raise DomainError("eigenvalue index m must be >= 1")
-    if n < 3:
-        raise DomainError("the sampling grid needs n >= 3 cells")
-
-    def norm_at(cells):
-        nodes, h = solver_grid(cells)
-        f = np.asarray(p.f(nodes), dtype=float)
-        if np.any(f <= 0.0):
-            raise DomainError("profile must be positive on (-1, 1)")
-        df = np.asarray(p.df(nodes), dtype=float)
-        curv = -0.5 * np.asarray(p.d2f(nodes), dtype=float)
-        u = f ** (0.5 * m)
-        applied = m * m * f ** (0.5 * m - 1.0) * (1.0 - 0.25 * df * df) + m * u * curv
-        rho = float(np.sum(u * applied) / np.sum(u * u))
-        resid = applied - rho * u
-        return float(np.sqrt(h * np.sum(resid * resid))), rho
-
-    primary, rho = norm_at(n)
-    refined, _ = norm_at(2 * n)
-    if primary <= 10.0 * abs(primary - refined) or primary < 1e-10:
-        interpretation = "residual tracks discretization error; u behaves like an eigenfunction"
-    else:
-        interpretation = "residual persists under refinement; u is not an eigenfunction"
-    note = (
-        f"rho={rho:.12g}; grid {n}: {primary:.6e}; "
-        f"grid {2 * n}: {refined:.6e}; {interpretation}"
-    )
-    return ResidualDiagnostic(m=m, residual_norm=primary, note=note)

@@ -196,12 +196,6 @@ class EigenfunctionSamples:
     grid_used: int
 
 
-def solver_grid(n: int):
-    """Cell centers and spacing of the n-cell sample grid on [-1, 1]."""
-    h = 2.0 / n
-    return -1.0 + h * (np.arange(n) + 0.5), h
-
-
 def _jacobi_rows(n, ks, x, scale):
     """scale * P_j^(k,k)(x) for j < n and each mode k of the stack ``ks``.
 
@@ -550,7 +544,8 @@ def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_
         raise DomainError("eigenfunction index j must be >= 1")
     slc = eigenvalues(p, k, j, cfg)
     vecs = _eig(_stiffness(p, (k,), slc.grid_used), vectors=True)[1][0]
-    nodes, h = solver_grid(_SAMPLE_CELLS)
+    h = 2.0 / _SAMPLE_CELLS
+    nodes = -1.0 + h * (np.arange(_SAMPLE_CELLS) + 0.5)  # cell centers
     rows = _jacobi_rows(slc.grid_used, (k,), nodes, (((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))[None])[:, 0]
     u = vecs[:, j - 1] @ rows
     u = u / (math.sqrt(h) * float(np.linalg.norm(u)))

@@ -14,9 +14,11 @@ lambda_1^(m): that value caps lambda_m, and only modes k <= m can carry it.
 So a spectrum needs each mode's values below that ceiling, and modes
 0..m + 1 run through one basis-size ladder (slsolver._converge) that reads
 the ceiling off mode m as it converges and asks each mode for the values
-below it (assemble_spectrum). Neighbouring mode values that lie within ten
-times the larger of their own error estimates are identified as one
-distinct eigenvalue.
+below it (assemble_spectrum). Neighbouring values of two different modes
+that lie within ten times the larger of their own error estimates are
+identified as one distinct eigenvalue; two values of one mode never are,
+since each mode spectrum is simple. lambda_0 is 0 exactly: mode 0's first
+eigenfunction is the constant.
 """
 
 from __future__ import annotations
@@ -75,9 +77,9 @@ class GlobalSpectrum(Report):
     ceiling and one more (at least 8 up to mode m_target). It stays off the
     wire.
     ``merge_tolerance`` is 10 times the worst error estimate among the
-    retained mode values. It bounds the gap of every join, sets how close
-    to zero lambda_0 is snapped to 0, and is the largest distance an
-    entry's value is taken to have from the true eigenvalue.
+    retained mode values. It bounds the gap of every join and is the
+    largest distance an entry's value is taken to have from the true
+    eigenvalue.
     """
 
     entries: tuple[DistinctEigenvalue, ...]
@@ -186,13 +188,17 @@ def assemble_spectrum(
     the size it left the ladder, and modes are kept up to the first k >= 1
     whose first value clears the guard: by monotonicity no higher mode
     reaches below it. If none does, further modes run one ladder each until
-    one does. Two neighbouring sorted mode values join when they lie within
-    10 times the larger of their own error estimates, so a loose value joins
-    only its own neighbours; merge_tolerance, 10 times the worst estimate,
-    bounds every join. AssemblyError is raised by a merge of values that
-    cannot coincide (naming them with their values and estimates) and by a
-    mode slice that misses rel_tol by the basis cap (naming k, N and the
-    estimate).
+    one does. Mode 0's first value enters the merge as exactly 0.0: its
+    stiffness row is exactly zero, the constant eigenfunction's. Two
+    neighbouring sorted mode values join when they belong to different
+    modes and lie within 10 times the larger of their own error estimates,
+    so a loose value joins only its own neighbours, and one mode's values,
+    which are distinct eigenvalues however close, never join each other;
+    merge_tolerance, 10 times the worst estimate, bounds every join.
+    AssemblyError is raised by a merge of values that cannot coincide, such
+    as a chain k = 5, 3, 5 (naming them with their values and estimates),
+    and by a mode slice that misses rel_tol by the basis cap (naming k, N
+    and the estimate).
     """
     if m_target < 0:
         raise DomainError("m_target must be >= 0")
@@ -216,16 +222,15 @@ def assemble_spectrum(
         slc = _converged(slices[k], cfg)
         if k >= 1 and slc.eigenvalues[0] > lam_hi:
             break  # monotonicity: no higher mode reaches below the ceiling
-        members.extend((value, k, j, err) for j, (value, err)
+        members.extend((0.0 if (k, j) == (0, 1) else value, k, j, err) for j, (value, err)
                        in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1) if value <= lam_hi)
         k += 1
     slices = {kk: slices[kk] for kk in range(k + 1)}
 
     members.sort()
-    tol = 10.0 * max(mem[3] for mem in members)
     clusters = [[members[0]]]
     for prev, mem in zip(members, members[1:]):
-        if mem[0] - prev[0] <= 10.0 * max(prev[3], mem[3]):
+        if mem[1] != prev[1] and mem[0] - prev[0] <= 10.0 * max(prev[3], mem[3]):
             clusters[-1].append(mem)
         else:
             clusters.append([mem])
@@ -236,8 +241,6 @@ def assemble_spectrum(
     entries = []
     for m, cluster in enumerate(kept):
         value = sum(mem[0] for mem in cluster) / len(cluster)
-        if m == 0 and abs(value) <= max(tol, 1e-8):
-            value = 0.0  # the invariant mode's constant eigenfunction
         modes = frozenset(mem[1] for mem in cluster)
         multiplicity = 2 * sum(1 for kk in modes if kk >= 1) + (1 if 0 in modes else 0)
         entries.append(
@@ -252,7 +255,7 @@ def assemble_spectrum(
 
     return GlobalSpectrum(
         entries=tuple(entries),
-        merge_tolerance=tol,
+        merge_tolerance=10.0 * max(mem[3] for mem in members),
         truncation=ceiling,
         per_mode_slices=slices,
     )

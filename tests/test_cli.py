@@ -414,18 +414,20 @@ def test_tuning_flag_defaults_match_the_library():
     assert args.quad_tol == DEFAULT_QUADRATURE.abs_tol
 
 
-def test_merge_tol_joining_one_mode_exits_3(tmp_path, capsys):
+def test_one_modes_close_pair_stays_two_entries(tmp_path, capsys):
     # the dumbbell f = (1 - x^2)(0.1 + 0.9 x^2) splits mode 5's lowest pair
-    # by less than its own error estimates: the merge joins one mode twice,
-    # which cannot be, so the spectrum is refused rather than printed
+    # by less than its own error estimates; mode spectra are simple, so the
+    # two values are two eigenvalues, each of multiplicity 2. At --m-max 5
+    # the first is the truncation and the last entry, the second lies above
     path = tmp_path / "dumbbell.json"
     path.write_text(json.dumps({"kind": "polynomial-factor",
                                 "params": {"coefficients": [0.1, 0.0, 0.9]}}))
-    status, out, err = run_capture(["spectrum", "--profile", str(path), "--m-max", "6"], capsys)
-    assert status == 3
-    assert out == ""
-    assert "cannot coincide" in err
-    assert "(k=5, j=1)" in err and "(k=5, j=2)" in err
+    for m_max, count in ((5, 1), (6, 2), (8, 2)):
+        status, out, err = run_capture(["spectrum", "--profile", str(path), "--m-max", str(m_max)], capsys)
+        assert (status, err) == (0, ""), m_max
+        pair = [e for e in json.loads(out)["entries"] if 5 in e["modes"]][:2]
+        assert [(e["modes"], e["multiplicity"]) for e in pair] == [([5], 2)] * count, m_max
+    assert 0.0 < pair[1]["value"] - pair[0]["value"] < 1e-8
 
 
 def test_validate_file_profile_and_determinism(tmp_path, capsys):

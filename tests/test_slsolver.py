@@ -25,7 +25,7 @@ from revspec import (
 from revspec import slsolver
 from revspec.cli import run
 
-from conftest import bench_module
+from conftest import bench_module, generated_profiles
 from oracles import oracle_mode_eigenvalues, sphere_mode_eigenvalue
 
 _GENERATED = bench_module("profiles").generate  # the benchmark's profiles for a seed
@@ -541,36 +541,8 @@ def test_stack_flags_an_unconvergeable_mode_alone(paper, monkeypatch):
         assemble_spectrum(paper, 3, SolverConfig(n_max=32, rel_tol=1e-8))
 
 
-@st.composite
-def _stack_profiles(draw):
-    """A polynomial-factor, rational or 9- to 33-knot spline profile with
-    q = f / (1 - x^2) near 1, drawn from the benchmark's ranges; the spline
-    carries alternating relative noise of up to 1e-3. Also an exactly even
-    polynomial factor (no odd coefficient: stacks take the parity fold) and
-    a near-even one (an odd coefficient of 1e-9: stacks keep the whole
-    matrix). The rough 49- and 97-knot Chebyshev splines are left out: their
-    two-size estimates are known to understate the error (ROADMAP item 2)."""
-    poly, w = np.polynomial.polynomial, [1.0, 0.0, -1.0]
-    small = st.floats(-0.2, 0.2)
-    kind = draw(st.sampled_from(("polynomial-factor", "rational", "sampled", "even", "near-even")))
-    if kind == "rational":
-        den = [1.0, draw(small), draw(st.floats(0.2, 0.8))]
-        num = poly.polymul(w, poly.polyadd(den, draw(st.floats(0.1, 0.5)) * np.array(w)))
-        return build_profile(ProfileSpec(kind=kind, params={"numerator": num.tolist(), "denominator": den}))
-    odd = {"even": 0.0, "near-even": 1e-9}.get(kind)
-    q = poly.polyadd([1.0], poly.polymul(w, [draw(st.floats(0.1, 0.5)), draw(small) if odd is None else odd,
-                                            draw(small)]))
-    if kind != "sampled":
-        return build_profile(ProfileSpec(kind="polynomial-factor", params={"coefficients": q.tolist()}))
-    i = np.arange(draw(st.integers(9, 33)))
-    x = -np.cos(np.pi * i / i[-1])
-    f = (1.0 - x * x) * poly.polyval(x, q) * (1.0 + draw(st.floats(0.0, 1e-3)) * (-1.0) ** i)
-    f[0] = f[-1] = 0.0
-    return build_profile(ProfileSpec(kind=kind, params={"x": x.tolist(), "f": f.tolist()}))
-
-
 @settings(derandomize=True, deadline=None, max_examples=50)
-@given(_stack_profiles(), st.integers(0, 12))
+@given(generated_profiles(), st.integers(0, 12))
 def test_a_stacked_mode_equals_its_lone_solve(prof, m_target):
     _assert_slices_match_lone_solves(prof, m_target)
 

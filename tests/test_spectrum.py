@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from revspec import (
@@ -22,7 +23,7 @@ from revspec import (
 from revspec import slsolver, spectrum as spectrum_mod
 from revspec.cli import run
 
-from conftest import bench_module
+from conftest import bench_module, dumbbell, dumbbells, generated_profiles
 
 
 def test_canonical_assembly_values_and_multiplicities(canonical):
@@ -141,6 +142,35 @@ def test_near_degenerate_pair_of_one_mode_is_never_merged(tmp_path, capsys):
     last = report["entries"][-1]
     assert (last["modes"], last["multiplicity"]) == ([4], 2)
     assert last["value"] == report["truncation"] == pytest.approx(66.912396646769, abs=1e-8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(generated_profiles(), dumbbells), st.integers(0, 8))
+@example(dumbbell(0.1), 6)
+@example(dumbbell(0.3), 8)
+def test_merge_keeps_each_mode_simple_and_lambda0_exact(prof, m_target):
+    # no entry holds one mode twice (mode spectra are simple), and entry 0
+    # is exactly 0 from mode 0 alone (the constant eigenfunction)
+    spec = assemble_spectrum(prof, m_target)
+    assert (spec.entries[0].value, spec.entries[0].modes) == (0.0, {0})
+    for entry in spec.entries:
+        modes = [k for k, _, _, _ in entry.members]
+        assert len(set(modes)) == len(modes), entry
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(st.one_of(generated_profiles(), dumbbells), st.integers(0, 8))
+@example(dumbbell(0.05), 8)
+@example(dumbbell(0.1), 6)
+def test_merged_members_lie_within_their_estimates(prof, m_target):
+    # each member of an entry lies within its own error estimate of the
+    # Ritz value of its mode at basis size 1024
+    spec = assemble_spectrum(prof, m_target)
+    ks = sorted({k for entry in spec.entries for k, _, _, _ in entry.members})
+    reference = dict(zip(ks, slsolver._eig(slsolver._stiffness(prof, tuple(ks), 1024))))
+    for entry in spec.entries:
+        for k, j, value, err in entry.members:
+            assert abs(value - reference[k][j - 1]) <= err, (entry.m, k, j)
 
 
 def test_check_cluster_refuses_what_cannot_coincide():

@@ -15,12 +15,13 @@ differs.
 The matrix: canonical, paper-example and the profiles bench/profiles.py
 generates for seeds 1-3, each through validate, curvature, sl, spectrum,
 bounds, trace and verify at several depths, in both formats (528 cases);
-then paper-example's spectrum under a loose --rel-tol, and the failure
-paths: an inadmissible profile, a dumbbell whose tunnelling pairs lie
-apart at depth 4 but within their own error estimates at depth 6, an
---out path that cannot be written, and two profile files whose kind is not
-a string. The profiles are written to one fixed directory, so the paths
-the reports name are the same in every tree.
+then paper-example's spectrum under a loose --rel-tol; two dumbbells,
+whose tunnelling pairs lie apart at depth 4 but within their own error
+estimates at depth 6 (and at depth 30 on the wider neck), each pair still
+two eigenvalues of one mode; and the failure paths: an inadmissible
+profile, an --out path that cannot be written, and two profile files whose
+kind is not a string. The profiles are written to one fixed directory, so
+the paths the reports name are the same in every tree.
 """
 
 from __future__ import annotations
@@ -40,8 +41,12 @@ PROFILE_DIR = Path(tempfile.gettempdir()) / "revspec-report-matrix"
 
 #: f = (1 - x^2)(0.1 + 0.9 x^2): two wells whose tunnelling pairs draw
 #: closer as k grows. Mode 4's pair (the --m-max 4 ceiling) lies 41 of its
-#: error estimates apart; mode 5's, reached from --m-max 5 on, within them.
+#: error estimates apart; mode 5's, reached from --m-max 5 on, within them,
+#: and is reported as two entries all the same: mode spectra are simple.
 DUMBBELL = {"kind": "polynomial-factor", "params": {"coefficients": [0.1, 0.0, 0.9]}}
+#: f = (1 - x^2)(0.3 + 0.7 x^2), a wider neck: its pairs come within their
+#: estimates from --m-max 30 on.
+DUMBBELL_WIDE = {"kind": "polynomial-factor", "params": {"coefficients": [0.3, 0.0, 0.7]}}
 #: q = 2 everywhere: the endpoint slopes are +-4, not +-2.
 INADMISSIBLE = {"kind": "polynomial-factor", "params": {"coefficients": [2.0]}}
 #: Profile files whose kind is a list and an object: load_profile rejects both.
@@ -84,7 +89,8 @@ def _write_profiles(specs):
 def cases():
     """case name -> argv, in run order."""
     generated = _generated_profiles()
-    paths = _write_profiles({**generated, **MALFORMED, "dumbbell": DUMBBELL, "inadmissible": INADMISSIBLE})
+    paths = _write_profiles({**generated, **MALFORMED, "dumbbell": DUMBBELL, "dumbbell-wide": DUMBBELL_WIDE,
+                             "inadmissible": INADMISSIBLE})
     out = {}
 
     def add(name, sub, own, formats=("json", "csv")):
@@ -101,6 +107,7 @@ def cases():
     for sub in ("spectrum", "verify"):
         add("dumbbell", sub, ["--m-max", "4"])
     add("dumbbell", "spectrum", ["--m-max", "6"])
+    add("dumbbell-wide", "spectrum", ["--m-max", "30"])
     add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
     for name in MALFORMED:
         add(name, "validate", [], formats=("json",))
