@@ -17,7 +17,11 @@ tables of a numerator N and a denominator D in powers of x - origin. The
 closed-form kinds are one piece in powers of x; a sampled profile is its
 clamped cubic spline, piece i in powers of x - x_i with D = 1. One Horner
 evaluator serves every kind: f = N/D, f' = N1/D^2 and f'' = N2/D^3, with
-N1 = N'D - ND' and N2 = N1'D - 2D'N1 formed once, at build time.
+N1 = N'D - ND' and N2 = N1'D - 2D'N1 formed once, at build time. It takes
+two shortcuts, read off the tables and neither moving a bit: a one-piece
+table is evaluated from its one column, with no piece lookup, and a
+denominator table that is identically 1 (canonical, the polynomial
+factors, f, f' and f'' of every spline) is neither evaluated nor divided by.
 
 The poles close smoothly exactly when f = (1 - x^2) q with q(+-1) = 1, and
 the mode solver integrates q and 1/q. So q gets its own table, built once
@@ -211,16 +215,29 @@ def _pole_quotient(origins, num, den):
 def _piecewise_rational(breaks, origins, num, den):
     """Evaluators f, f', f'' and q of N/D (module docstring) from the tables
     ``num`` and ``den``, piece i in powers of x - origins[i]; points outside
-    [breaks[0], breaks[-1]] extend the end pieces."""
+    [breaks[0], breaks[-1]] extend the end pieces. Each evaluator locates
+    the pieces, takes their coefficient columns and divides by D ** power,
+    except where its tables make a step an identity: one piece needs no
+    lookup and D = 1 no division."""
     interior, origins = np.asarray(breaks[1:-1], dtype=float), np.asarray(origins, dtype=float)
     n1 = _trim(_mul(_deriv(num), den) - _mul(num, _deriv(den)))
     n2 = _trim(_mul(_deriv(n1), den) - 2.0 * _mul(_deriv(den), n1))
 
+    one_piece, origin = origins.size == 1, float(origins[0])
+
     def evaluator(table, denominator, power):
+        unit = denominator.shape[0] == 1 and bool(np.all(denominator == 1.0))
+        column, den_column = table[:, 0].tolist(), denominator[:, 0].tolist()
+
         def evaluate(t):
-            piece = interior.searchsorted(t, "right")  # piece i holds [breaks[i], breaks[i + 1])
-            s = t - origins.take(piece)
-            return _horner(table.take(piece, axis=1), s) / _horner(denominator.take(piece, axis=1), s) ** power
+            if one_piece:
+                s, coef, den = t - origin if origin else t, column, den_column
+            else:
+                piece = interior.searchsorted(t, "right")  # piece i holds [breaks[i], breaks[i + 1])
+                s, coef = t - origins.take(piece), table.take(piece, axis=1)
+                den = None if unit else denominator.take(piece, axis=1)
+            value = _horner(coef, s)
+            return value if unit else value / _horner(den, s) ** power
 
         return _wrap_scalar(evaluate)
 
@@ -411,19 +428,21 @@ def moment_table(p: MetricProfile, l_max: int, q: QuadratureConfig = DEFAULT_QUA
     within q.abs_tol relative to max(|integral|, 1). The powers are a
     running product, so high ones underflow gracefully to 0 where f is
     small; the integrand is 0 where f <= 0 (roundoff right at the
-    endpoints).
+    endpoints). The f^l rows and the f^l K rows are written into one
+    buffer, the stack of rows the quadrature integrates.
     """
     if l_max < 0:
         raise DomainError("moment exponent l must be >= 0")
 
     def rows(x):
         fx = np.asarray(p.f(x), dtype=float)
-        powers = np.empty((l_max + 1, x.size))
+        out = np.empty((2 * (l_max + 1), x.size))
+        powers = out[: l_max + 1]
         powers[0] = fx > 0.0
         powers[1:] = np.maximum(fx, 0.0)
         np.cumprod(powers, axis=0, out=powers)
-        curv = -0.5 * np.asarray(p.d2f(x), dtype=float)
-        return np.concatenate([powers, powers * curv])
+        np.multiply(powers, -0.5 * np.asarray(p.d2f(x), dtype=float), out=out[l_max + 1:])
+        return out
 
     table = adaptive_gauss(rows, p.breaks, q.abs_tol)
     return table[: l_max + 1], table[l_max + 1:]

@@ -4,14 +4,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
 from revspec import (
+    BUILTIN_NAMES,
     DomainError,
     ProfileError,
     ProfileSpec,
+    QuadratureAccuracyError,
     QuadratureConfig,
     build_profile,
     builtin_profile,
@@ -21,11 +24,12 @@ from revspec import (
     integrate_moment,
     liouville_length,
     load_profile,
+    moment_table,
     validate_profile,
 )
 from revspec import profile as profile_module, slsolver
 
-from conftest import bench_module
+from conftest import bench_module, generated_profiles
 
 QUAD = QuadratureConfig()
 _GENERATED = bench_module("profiles").generate  # the benchmark's profiles for a seed
@@ -279,6 +283,89 @@ def test_constant_rational_has_zero_derivatives():
     assert not np.any(p.q(x))
 
 
+def _general_rule(breaks, origins, num, den):
+    """f, f', f'' and q of the tables by the general rule, whatever the
+    tables hold: locate each point's piece, take its coefficient columns,
+    run Horner's rule on N and on D, and divide by D ** power."""
+    interior, origins = np.asarray(breaks[1:-1], dtype=float), np.asarray(origins, dtype=float)
+    trim, mul, deriv = profile_module._trim, profile_module._mul, profile_module._deriv
+    n1 = trim(mul(deriv(num), den) - mul(num, deriv(den)))
+    n2 = trim(mul(deriv(n1), den) - 2.0 * mul(deriv(den), n1))
+
+    def horner(coef, s):
+        out = np.full_like(s, coef[0])
+        for row in coef[1:]:
+            out *= s
+            out += row
+        return out
+
+    def rule(table, denominator, power):
+        def evaluate(x):
+            t = np.asarray(x, dtype=float)
+            piece = interior.searchsorted(t, "right")
+            s = t - origins.take(piece)
+            out = horner(table.take(piece, axis=1), s) / horner(denominator.take(piece, axis=1), s) ** power
+            return float(out) if np.ndim(x) == 0 else out
+
+        return evaluate
+
+    return (rule(num, den, 1), rule(n1, den, 2), rule(n2, den, 3),
+            rule(*profile_module._pole_quotient(origins, num, den), 1))
+
+
+def _built_with_general_rule(spec):
+    """The profile of spec, and the general rule on the tables it was built from."""
+    tables, evaluators = [], profile_module._piecewise_rational
+
+    def record(*args):
+        tables.append(args)
+        return evaluators(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profile_module, "_piecewise_rational", record)
+        p = build_profile(spec)
+    return p, _general_rule(*tables[0])
+
+
+def _assert_general_rule_bit_for_bit(spec):
+    p, reference = _built_with_general_rule(spec)
+    grid = np.sort(np.concatenate([np.linspace(-1.0, 1.0, 601), p.breaks, [-1.0 - 1e-3, 0.3, 1.0 + 1e-3, -0.0]]))
+    points = [0.3, -1.0, 1.0, p.breaks[len(p.breaks) // 2], np.array(0.3), np.array(-1.0),
+              grid, grid[::-1], grid[np.random.default_rng(3).permutation(grid.size)]]
+    for mine, theirs in zip((p.f, p.df, p.d2f, p.q), reference):
+        for x in points:
+            got, want = mine(x), theirs(x)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (spec, x)
+
+
+def _bit_identity_specs():
+    for name in BUILTIN_NAMES:
+        yield pytest.param(ProfileSpec(name), id=name)
+    for seed in (1, 2):
+        for name, spec in _GENERATED(seed).items():
+            yield pytest.param(ProfileSpec(spec["kind"], spec["params"]), id=f"{name}-{seed}")
+    yield pytest.param(ProfileSpec("sampled", {"x": [-1.0, 1.0], "f": [0.0, 0.0]}), id="two-samples")
+    yield pytest.param(ProfileSpec("rational", {"numerator": [1.0, 0.0, -1.0], "denominator": [1.0]}),
+                       id="rational-over-1")
+    yield pytest.param(ProfileSpec("rational", {"numerator": [1.0, 0.0, -1.0], "denominator": [1.0, 0.0]}),
+                       id="rational-over-untrimmed-1")
+    yield pytest.param(ProfileSpec("rational", {"numerator": [3.0], "denominator": [2.0]}), id="constant")
+
+
+@pytest.mark.parametrize("spec", _bit_identity_specs())
+def test_evaluators_equal_the_general_rule_bit_for_bit(spec):
+    # one-piece and unit-denominator tables skip the piece lookup and the
+    # division; neither shortcut may move a bit
+    _assert_general_rule_bit_for_bit(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_profiles())
+def test_generated_evaluators_equal_the_general_rule_bit_for_bit(p):
+    _assert_general_rule_bit_for_bit(p.spec)
+
+
 @pytest.mark.parametrize(
     "spec, fragment",
     [
@@ -449,6 +536,50 @@ def test_high_moment_log_space(canonical):
 def test_moment_rejects_negative_exponent(canonical):
     with pytest.raises(DomainError):
         integrate_moment(canonical, -1, QUAD)
+
+
+def _concatenated_moments(p, l_max):
+    """moment_table with its rows stacked by np.concatenate, as it once was."""
+
+    def rows(x):
+        fx = np.asarray(p.f(x), dtype=float)
+        powers = np.empty((l_max + 1, x.size))
+        powers[0] = fx > 0.0
+        powers[1:] = np.maximum(fx, 0.0)
+        np.cumprod(powers, axis=0, out=powers)
+        curv = -0.5 * np.asarray(p.d2f(x), dtype=float)
+        return np.concatenate([powers, powers * curv])
+
+    table = profile_module.adaptive_gauss(rows, p.breaks, QUAD.abs_tol)
+    return table[: l_max + 1], table[l_max + 1:]
+
+
+def _moment_cases():
+    for name in BUILTIN_NAMES:
+        yield pytest.param(ProfileSpec(name), id=name)
+    yield pytest.param(ProfileSpec("polynomial-factor", {"coefficients": [3.0, 0.0, -2.0]}), id="bump-2")
+    yield pytest.param(ProfileSpec("polynomial-factor", {"coefficients": [-1.0, 0.0, 2.0]}), id="dented")
+    yield pytest.param(None, id="sampled_bump")
+    for seed in (1, 2, 3):
+        for name, spec in _GENERATED(seed).items():
+            yield pytest.param(ProfileSpec(spec["kind"], spec["params"]), id=f"{name}-{seed}")
+
+
+def _stacked_moments(moments, p, l_max):
+    """The rows (I, C) of moments(p, l_max) stacked, or the best estimate of
+    the QuadratureAccuracyError it raises (dented does not settle at depth 50)."""
+    try:
+        return np.concatenate(moments(p, l_max))
+    except QuadratureAccuracyError as exc:
+        return exc.best_estimate
+
+
+@pytest.mark.parametrize("spec", _moment_cases())
+def test_moment_table_equals_concatenated_rows_bit_for_bit(spec, sampled_bump):
+    p = sampled_bump if spec is None else build_profile(spec)
+    for l_max in (0, 1, 50):
+        mine = _stacked_moments(lambda p, l: moment_table(p, l, QUAD), p, l_max)
+        assert mine.tobytes() == _stacked_moments(_concatenated_moments, p, l_max).tobytes(), l_max
 
 
 def test_moments_strictly_positive(canonical, paper, bump):
