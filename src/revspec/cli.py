@@ -177,7 +177,9 @@ def _solver_checks(args, profile):
     quad = _quad_config(args)
     for row in bounds_mod.bounds_table(profile, args.m_max, (), quad, spec):
         for name, bound in (("sharp_bound", row.sharp), ("rough_bound", row.rough)):
-            checks.append(spectrum_mod.at_most(name, f"m={row.m}", row.computed_lambda, bound))
+            # a bound cell's error is its table's quadrature contract
+            checks.append(spectrum_mod.at_most(name, f"m={row.m}", row.computed_lambda, bound,
+                                               spec.reach(row.m) + quad.abs_tol * max(abs(bound), 1.0)))
 
     # 50 terms, one stack at N = 70: the trigamma tail leaves a remainder of
     # order terms^-3, and each identity must hold within its own estimate

@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-# rough_bound and liouville_length are not called here. bench/tracing.py
-# rebinds both names on this module, and its install fails on a missing one.
+# rough_bound, liouville_length and first_eigenvalue are not called here.
+# bench/tracing.py rebinds these names on this module, and its install fails
+# on a missing one.
 from .bounds import rough_bound  # noqa: F401 (see above)
 from .errors import AssemblyError, DomainError
 from .profile import MetricProfile, liouville_length  # noqa: F401 (see above)
@@ -39,13 +40,8 @@ from .slsolver import (
     SolverConfig,
     _converge,
     eigenvalues,
-    first_eigenvalue,
+    first_eigenvalue,  # noqa: F401 (see above)
 )
-
-#: Error budget, relative to max(|value|, 1), of the at_most checks:
-#: interlacing, monotonicity, and the sharp and rough bounds in the CLI's
-#: verify.
-CHECK_BUDGET_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,21 @@ class GlobalSpectrum(Report):
     ceiling and one more (at least 8 up to mode m_target). It stays off the
     wire.
     ``merge_tolerance`` is 10 times the worst error estimate among the
-    retained mode values. It bounds the gap of every join and is the
-    largest distance an entry's value is taken to have from the true
-    eigenvalue.
+    retained mode values. It bounds the gap of every join and every entry's
+    reach, and is the reach of an entry that carries no members (one
+    decoded by from_json_dict).
     """
 
     entries: tuple[DistinctEigenvalue, ...]
     merge_tolerance: float
     truncation: float
     per_mode_slices: dict = local(default_factory=dict, repr=False)
+
+    def reach(self, m):
+        """How far entry m's value is taken to lie from the true eigenvalue:
+        10 times the largest estimate among its members, the farthest a join
+        spans (merge_tolerance if it carries none)."""
+        return max((10.0 * mem[3] for mem in self.entries[m].members), default=self.merge_tolerance)
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,12 @@ def verification_report(checks):
     return VerificationReport(checks=checks, all_passed=all(c.passed for c in checks))
 
 
-def at_most(name, location, lhs, rhs):
-    """The Check lhs <= rhs within an error budget of CHECK_BUDGET_REL * max(|rhs|, 1)."""
-    return Check(name=name, location=location, lhs=lhs, rhs=rhs,
-                 passed=lhs <= rhs + CHECK_BUDGET_REL * max(abs(rhs), 1.0))
+def at_most(name, location, lhs, rhs, slack):
+    """The Check lhs <= rhs, passed when lhs <= rhs + slack. Each caller sums
+    into the slack the error estimates of the two numbers it compares: an
+    entry's reach (GlobalSpectrum.reach), a mode value's own estimate, a
+    bound's quadrature tolerance."""
+    return Check(name=name, location=location, lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
 
 
 @dataclass(frozen=True)
@@ -289,8 +293,8 @@ def verify_interlacing(
     k_max + j_max (assembled here unless a deep enough one is supplied), and
     so do the mode values wherever its slice of mode k holds j_max + 1 of
     them; the other modes are solved here. The spectrum merges by
-    assemble_spectrum's rule. The comparison allows an error budget of
-    CHECK_BUDGET_REL * max(|rhs|, 1).
+    assemble_spectrum's rule. Each comparison allows the entry's reach plus
+    the mode value's own error estimate.
     """
     if k_max < 1 or j_max < 1:
         raise DomainError("k_max and j_max must be >= 1")
@@ -302,8 +306,8 @@ def verify_interlacing(
         if slc is None or len(slc.eigenvalues) <= j_max:
             slc = eigenvalues(p, k, j_max + 1, cfg)
         for j in range(0, j_max + 1):
-            checks.append(at_most("interlacing", f"k={k},j={j}",
-                                  spectrum.entries[k + j].value, slc.eigenvalues[j]))
+            checks.append(at_most("interlacing", f"k={k},j={j}", spectrum.entries[k + j].value,
+                                  slc.eigenvalues[j], spectrum.reach(k + j) + slc.error_estimates[j]))
     return verification_report(checks)
 
 
@@ -315,27 +319,28 @@ def verify_monotonicity(
 ) -> VerificationReport:
     """Check that the first mode eigenvalue does not decrease over k = 1..k_max.
 
-    The first eigenvalue of mode k is read from the mode slices of
-    ``spectrum`` where it holds one, and solved here otherwise. Each check
-    is ``at_most`` on the values of k and k + 1: non-strict, with an error
-    budget of CHECK_BUDGET_REL * max(|next value|, 1).
+    The first eigenvalue of mode k and its error estimate are read from the
+    mode slices of ``spectrum`` where it holds one, and solved here
+    otherwise. Each check is ``at_most`` on the values of k and k + 1:
+    non-strict, with the sum of their two estimates as slack.
     """
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
     slices = spectrum.per_mode_slices if spectrum is not None else {}
-    firsts = [slices[k].eigenvalues[0] if k in slices else first_eigenvalue(p, k, cfg)
-              for k in range(1, k_max + 1)]
+    firsts = [slices[k] if k in slices else eigenvalues(p, k, 1, cfg) for k in range(1, k_max + 1)]
     return verification_report(
-        at_most("first_eigenvalue_monotonicity", f"k={k}->{k + 1}", lhs, rhs)
-        for k, (lhs, rhs) in enumerate(zip(firsts, firsts[1:]), start=1))
+        at_most("first_eigenvalue_monotonicity", f"k={k}->{k + 1}", a.eigenvalues[0], b.eigenvalues[0],
+                a.error_estimates[0] + b.error_estimates[0])
+        for k, (a, b) in enumerate(zip(firsts, firsts[1:]), start=1))
 
 
 def canonical_comparison(s: GlobalSpectrum) -> CanonicalComparison:
-    """Compare each eigenvalue with m(m+1), allowing max(1e-9, 1e-6 m(m+1))."""
+    """Compare each eigenvalue with m(m+1), allowing the entry's reach: the
+    round-sphere value is exact, so the entry's own error is all the slack."""
     rows = []
     for entry in s.entries:
         canonical = float(entry.m * entry.m + entry.m)
-        below = entry.value <= canonical + max(1e-9, 1e-6 * canonical)
+        below = entry.value <= canonical + s.reach(entry.m)
         rows.append(CanonicalRow(m=entry.m, value=entry.value, canonical_value=canonical,
                                  below_canonical=below))
     witnesses = {k: next((row.m for row in rows[k:] if row.below_canonical), None)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -220,6 +221,27 @@ def test_verify_trace_catches_a_1e3_error_in_the_first_eigenvalue(name, capsys, 
     assert status == 1
     failed = [(c["name"], c["location"]) for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == [("trace_identity", "k=1")]
+
+
+def test_verify_catches_a_1e6_error_in_lambda_2(capsys, monkeypatch):
+    # on the round sphere lambda_2 = 6 meets interlacing and the sharp bound
+    # with equality; 6 (1 + 1e-6) lies far outside the solver's own
+    # estimates, so exactly the checks that compare lambda_2 with 6 fail
+    from revspec import spectrum as spectrum_mod
+
+    assemble = spectrum_mod.assemble_spectrum
+
+    def perturbed(p, m_target, cfg=spectrum_mod.DEFAULT_SOLVER):
+        spec = assemble(p, m_target, cfg)
+        entries = list(spec.entries)
+        entries[2] = dataclasses.replace(entries[2], value=entries[2].value * (1.0 + 1e-6))
+        return dataclasses.replace(spec, entries=tuple(entries))
+
+    monkeypatch.setattr(spectrum_mod, "assemble_spectrum", perturbed)
+    status, out, _ = run_capture(["verify", "--profile", "canonical", "--m-max", "4"], capsys)
+    assert status == 1
+    failed = [(c["name"], c["location"]) for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == [("interlacing", "k=1,j=1"), ("interlacing", "k=2,j=0"), ("sharp_bound", "m=2")]
 
 
 def test_unknown_flag_exits_2(capsys):

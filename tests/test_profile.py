@@ -360,7 +360,7 @@ def test_evaluators_equal_the_general_rule_bit_for_bit(spec):
     _assert_general_rule_bit_for_bit(spec)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(generated_profiles())
 def test_generated_evaluators_equal_the_general_rule_bit_for_bit(p):
     _assert_general_rule_bit_for_bit(p.spec)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from revspec import (
     AssemblyError,
     DomainError,
+    GlobalSpectrum,
     ProfileSpec,
     SolverConfig,
     assemble_spectrum,
@@ -402,6 +405,33 @@ def test_bump_witness_exists(bump):
     spec = assemble_spectrum(bump(-0.5), 4)
     comp = canonical_comparison(spec)
     assert comp.witnesses[1] is not None
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper"])
+def test_decoded_spectrum_checks_within_the_merge_tolerance(name, request):
+    # members stay off the wire, so every decoded entry reaches as far as
+    # the spectrum's merge_tolerance, which bounds every entry's own reach
+    p, spec = request.getfixturevalue(name), request.getfixturevalue(f"{name}_spectrum6")
+    decoded = GlobalSpectrum.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+    assert all(entry.members == () for entry in decoded.entries)
+    assert [decoded.reach(m) for m in range(len(decoded.entries))] == [spec.merge_tolerance] * len(spec.entries)
+    assert max(spec.reach(m) for m in range(len(spec.entries))) <= spec.merge_tolerance
+    assert canonical_comparison(decoded).witnesses == canonical_comparison(spec).witnesses
+    assert verify_interlacing(p, 2, 2, spectrum=decoded).all_passed
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.one_of(generated_profiles(), dumbbells))
+def test_verify_passes_and_hersch_holds(prof):
+    # every check of verify holds within the estimates of the numbers it
+    # compares, and lambda_1 <= 2 within its entry's reach: Hersch,
+    # lambda_1 * area <= 8 pi with area 4 pi
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profile.json"
+        path.write_text(json.dumps({"kind": prof.spec.kind, "params": prof.spec.params}))
+        assert run(["verify", "--profile", str(path), "--m-max", "4", "--out", str(Path(tmp) / "r.json")]) == 0
+    spec = assemble_spectrum(prof, 4)
+    assert spec.entries[1].value <= 2.0 + spec.reach(1)
 
 
 def test_truncation_covers_requested_depth(paper_spectrum6):

@@ -18,7 +18,9 @@ bounds, trace and verify at several depths, in both formats (528 cases);
 then paper-example's spectrum under a loose --rel-tol; two dumbbells,
 whose tunnelling pairs lie apart at depth 4 but within their own error
 estimates at depth 6 (and at depth 30 on the wider neck), each pair still
-two eigenvalues of one mode; and the failure paths: an inadmissible
+two eigenvalues of one mode; a near-round profile's verify, whose checks
+hold within about 1e-5 of equality, so that a change to the checks' slack
+that flips an outcome shows here; and the failure paths: an inadmissible
 profile, an --out path that cannot be written, and two profile files whose
 kind is not a string. The profiles are written to one fixed directory, so
 the paths the reports name are the same in every tree.
@@ -47,6 +49,10 @@ DUMBBELL = {"kind": "polynomial-factor", "params": {"coefficients": [0.1, 0.0, 0
 #: f = (1 - x^2)(0.3 + 0.7 x^2), a wider neck: its pairs come within their
 #: estimates from --m-max 30 on.
 DUMBBELL_WIDE = {"kind": "polynomial-factor", "params": {"coefficients": [0.3, 0.0, 0.7]}}
+#: q = 0.99999 + 1e-5 x^2, within 1e-5 of the round sphere: at --m-max 6
+#: its tightest checks, interlacing at k=1, j=0 and both bounds at m=1,
+#: hold with a relative margin of 1.2e-5.
+NEAR_ROUND = {"kind": "polynomial-factor", "params": {"coefficients": [0.99999, 0.0, 1e-5]}}
 #: q = 2 everywhere: the endpoint slopes are +-4, not +-2.
 INADMISSIBLE = {"kind": "polynomial-factor", "params": {"coefficients": [2.0]}}
 #: Profile files whose kind is a list and an object: load_profile rejects both.
@@ -90,7 +96,7 @@ def cases():
     """case name -> argv, in run order."""
     generated = _generated_profiles()
     paths = _write_profiles({**generated, **MALFORMED, "dumbbell": DUMBBELL, "dumbbell-wide": DUMBBELL_WIDE,
-                             "inadmissible": INADMISSIBLE})
+                             "near-round": NEAR_ROUND, "inadmissible": INADMISSIBLE})
     out = {}
 
     def add(name, sub, own, formats=("json", "csv")):
@@ -108,6 +114,7 @@ def cases():
         add("dumbbell", sub, ["--m-max", "4"])
     add("dumbbell", "spectrum", ["--m-max", "6"])
     add("dumbbell-wide", "spectrum", ["--m-max", "30"])
+    add("near-round", "verify", ["--m-max", "6"])
     add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
     for name in MALFORMED:
         add(name, "validate", [], formats=("json",))
