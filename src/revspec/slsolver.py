@@ -53,17 +53,19 @@ reads q = f/w from the profile's own table (profile module docstring),
 which stays exact to rounding up to the poles, where f/w at a node loses
 digits in proportion to 1/w.
 
-The basis size doubles from max(16, count + 8) until two sizes agree within
-rel_tol. The error estimate is that difference, floored at 1e-10 relative:
-below that both sizes sit at roundoff and the difference stops bounding the
-error. Smooth profiles converge spectrally, splines algebraically. The
-bases are nested and the rule for size 2n integrates the mass form of every
-smaller basis to roundoff, so the rows and columns of the leading n basis
-functions in the size-2n stiffness (of a split profile, the first ceil(n/2)
-of the even block and floor(n/2) of the odd one) are a size-n Ritz matrix
-whose mass matrix is still I (on a finer rule than an assembly at n would
-use). The first pair of sizes therefore costs one assembly, at 2n; only
-4n, 8n, ... are assembled afresh.
+The basis size starts at 2 max(16, count + 8) (at max(16, count + 8) if
+that passes n_max) and doubles until a size agrees with its own leading
+half within rel_tol. The bases are nested and the rule for size n
+integrates the mass form of every smaller basis to roundoff, so the rows
+and columns of the leading n/2 basis functions in the size-n stiffness (of
+a split profile, the first ceil(n/4) of the even block and floor(n/4) of
+the odd one) are a size-n/2 Ritz matrix whose mass matrix is still I (on a
+finer rule than an assembly at n/2 would use). Each size is therefore one
+assembly, and its error estimate is the difference of its Ritz values from
+those of its leading half, floored at 1e-10 relative: below that both sit
+at roundoff and the difference stops bounding the error, so rel_tol may
+not be smaller. Smooth profiles converge spectrally, splines
+algebraically.
 
 One ladder (_converge) serves every convergence chase. It runs a set of
 modes through the same basis sizes, and after each size asks its caller how
@@ -80,10 +82,11 @@ rule, so a mode's values move by roundoff only against its lone assembly
 one (M, s, s) array per stiffness block: q is evaluated once per size, the
 recurrence takes its N steps once per node block for all modes, each node
 block adds one batched rank update per block, and one eigensolve per block
-gives every mode's Ritz values. Each mode keeps its own stopping rule and
-leaves the ladder once its values agree. Node blocks shrink to
-_BLOCK_NODES // M for M modes, so a stack's row buffer holds no more than a
-one-mode assembly's 2 N _BLOCK_NODES doubles.
+gives every mode's Ritz values, one more those of its leading half. Each
+mode is judged on its own and leaves the ladder once its slice is
+converged. Node blocks shrink to _BLOCK_NODES // M for M modes, so a
+stack's row buffer holds no more than a one-mode assembly's
+2 N _BLOCK_NODES doubles.
 """
 
 from __future__ import annotations
@@ -133,8 +136,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_max < _MIN_BASIS:
             raise ValueError(f"n_max must be >= {_MIN_BASIS}")
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
+        if not (self.rel_tol >= _ERROR_FLOOR):
+            raise ValueError(f"rel_tol must be at least {_ERROR_FLOOR:g}, the floor of the error estimates")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -358,78 +361,72 @@ def _converge(p: MetricProfile, ks, n: int, cfg: SolverConfig, counts):
     """The doubling ladder of the modes ``ks`` from basis size n: each
     mode's slice, {k: slice}.
 
-    After each size, ``counts`` maps the latest Ritz values of every mode
-    of the ladder, {k: values} (a mode that has left keeps those of its
-    last size), to the number of values each mode must settle. A mode
-    leaves with its slice of that many values once they agree with the
-    previous size's (_slice); the modes left are assembled together at the
-    next size, until none is left or that size would pass n_max, where
-    every mode left stops unconverged. A count that needs a basis larger
-    than n_max raises DomainError, as in ``eigenvalues``.
+    The first size is 2n, whose leading half is size n, or n alone if 2n
+    would pass n_max. At each size the modes still open are assembled in
+    one stack, and each is judged against the stack's own leading half
+    (_slice). After each size, ``counts`` maps the latest Ritz values of
+    every mode of the ladder, {k: values} (a mode that has left keeps those
+    of its last size), to the number of values each mode must settle. A
+    mode leaves with its slice of that many values once the slice is
+    converged; the modes left go on to the next size, until none is left or
+    that size would pass n_max, where every mode left stops unconverged. A
+    count that needs a basis larger than n_max raises DomainError, as in
+    ``eigenvalues``.
     """
-    latest, prev, slices = {}, {}, {}
+    latest, slices = {}, {}
     if 2 * n <= cfg.n_max:
-        # The bases are nested, so the first pair of sizes costs one assembly:
-        # the leading n basis functions of the 2n stiffness give a size-n
-        # Ritz matrix.
-        stack = _stiffness(p, ks, 2 * n)
-        prev = dict(zip(ks, _eig(_leading(stack, n))))
         n *= 2
-    else:
-        stack = _stiffness(p, ks, n)
-    active = list(ks)
+    active = tuple(ks)
     while True:
+        stack = _stiffness(p, active, n)
+        halves = _eig(_leading(stack, n // 2))
         latest.update(zip(active, _eig(stack)))
+        del stack  # this size's blocks go before the next size's are assembled
         wanted = counts(latest)
-        for k in active:
+        for k, half in zip(active, halves):
             if wanted[k] + _BASIS_MARGIN > cfg.n_max:
                 raise DomainError(f"mode k={k}: count={wanted[k]} needs a basis larger than n_max={cfg.n_max}")
-            slc, agreed = _slice(k, n, latest[k], prev.get(k), wanted[k], cfg)
-            if agreed or 2 * n > cfg.n_max:
+            slc = _slice(k, n, latest[k], half, wanted[k], cfg)
+            if slc.converged or 2 * n > cfg.n_max:
                 slices[k] = slc
-        active = [k for k in active if k not in slices]
+        active = tuple(k for k in active if k not in slices)
         if not active:
             return slices
-        prev.update((k, latest[k]) for k in active)
         n *= 2
-        del stack  # the last size's blocks go before the next size's are assembled
-        stack = _stiffness(p, active, n)
 
 
-def _slice(k: int, n: int, values, prev, count: int, cfg: SolverConfig):
-    """Mode k's slice of its first ``count`` size-n Ritz values, and whether
-    they agree with the previous size's (``prev``, None at the first size)
-    within rel_tol * max(|lambda|, 1), the ladder's one stopping rule. A
-    value with no previous one to compare has an infinite estimate, and a
-    slice shorter than ``count`` (count > n) never agrees."""
+def _slice(k: int, n: int, values, half, count: int, cfg: SolverConfig):
+    """Mode k's slice of its first ``count`` size-n Ritz values, each value's
+    estimate its distance from the value of the leading half (``half``, the
+    size-n/2 Ritz values), floored at _ERROR_FLOOR relative. The slice is
+    converged when it holds ``count`` values and every estimate is within
+    rel_tol * max(|lambda|, 1), the ladder's one stopping rule; a value past
+    the half has an infinite estimate."""
     values = values[:count]
     scale = np.maximum(np.abs(values), 1.0)
-    raw = np.full(values.size, np.inf)
-    if prev is not None:
-        m = min(values.size, prev.size)
-        raw[:m] = np.abs(values[:m] - prev[:m])
-    err = np.maximum(raw, _ERROR_FLOOR * scale)
-    whole = values.size == count
+    err = np.full(values.size, np.inf)
+    m = min(values.size, half.size)
+    err[:m] = np.maximum(np.abs(values[:m] - half[:m]), _ERROR_FLOOR * scale[:m])
     return SLSpectrumSlice(
         k=k,
         eigenvalues=tuple(values.tolist()),
         error_estimates=tuple(err.tolist()),
         grid_used=n,
-        converged=whole and bool((err <= cfg.rel_tol * scale).all()),
-    ), whole and bool((raw <= cfg.rel_tol * scale).all())
+        converged=values.size == count and bool((err <= cfg.rel_tol * scale).all()),
+    )
 
 
 def eigenvalues(p: MetricProfile, k: int, count: int, cfg: SolverConfig = DEFAULT_SOLVER) -> SLSpectrumSlice:
     """First ``count`` eigenvalues of the mode-k operator.
 
     Negative k is folded to |k| (conjugate modes have equal spectra). The
-    basis size doubles from n = max(16, count + 8) until two sizes agree
-    within rel_tol * max(|lambda|, 1) for every eigenvalue or the next size
-    would pass n_max; in the latter case the largest-basis slice is returned
-    flagged unconverged rather than raising. Sizes n and 2n come from one
-    assembly at 2n (see the module docstring). A slice from a single basis
-    size (2n > n_max) has infinite error estimates. It is the one-mode,
-    fixed-count case of the ladder (_converge).
+    basis size doubles from 2n, n = max(16, count + 8), until the values of
+    a size agree with those of its own leading half within
+    rel_tol * max(|lambda|, 1) or the next size would pass n_max; in the
+    latter case the largest-basis slice is returned flagged unconverged
+    rather than raising. If 2n passes n_max, size n is the only one, and
+    its values past its leading half have infinite error estimates. It is
+    the one-mode, fixed-count case of the ladder (_converge).
     """
     k, count = abs(int(k)), int(count)
     if count < 1:
@@ -534,8 +531,7 @@ def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_
     """Samples of the j-th eigenfunction of mode k on the 256-cell sample grid.
 
     The Ritz vector comes from the size the ``eigenvalues`` ladder stops at,
-    assembled once more: that size is always a full assembly, never the
-    leading block of a larger one, so the vector is the ladder's own.
+    assembled once more, so the vector is the ladder's own.
     Samples are normalized to unit discrete L2 norm (sqrt(h * sum u_i^2) = 1)
     with the sign fixed so the first nonzero sample from the left is positive.
     """

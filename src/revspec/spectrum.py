@@ -189,11 +189,15 @@ def assemble_spectrum(
     no more than it must. Ritz values are upper bounds
     (Courant-Fischer), so a guard read at a coarser size only covers more
     than the final one. The truncation is mode m_target's first value at
-    the size it left the ladder, and modes are kept up to the first k >= 1
-    whose first value clears the guard: by monotonicity no higher mode
-    reaches below it. If none does, further modes run one ladder each until
-    one does. Mode 0's first value enters the merge as exactly 0.0: its
-    stiffness row is exactly zero, the constant eigenfunction's. Two
+    the size it left the ladder, and modes are kept up to the first
+    k > m_target whose first value clears the guard: by monotonicity no
+    lower mode k >= 1 clears it and no higher one reaches below it. If none
+    of the ladder's modes does, further modes run one ladder each until one
+    does. A mode's first Ritz value bounds its eigenvalue from above, so the
+    walk may read it before the mode's slice is checked; the slices are
+    checked in ascending k once the walk stops. Mode 0's first value enters
+    the merge as exactly 0.0: its stiffness row is exactly zero, the
+    constant eigenfunction's. Two
     neighbouring sorted mode values join when they belong to different
     modes and lie within 10 times the larger of their own error estimates,
     so a loose value joins only its own neighbours, and one mode's values,
@@ -218,20 +222,17 @@ def assemble_spectrum(
     ceiling = _converged(slices[m_target], cfg).eigenvalues[0]
     lam_hi = _guard(ceiling)
 
-    members = []  # (value, k, j, error)
-    k = 0
+    k = m_target + 1
     while True:
         if k not in slices:
             slices.update(_converge(p, (k,), _MIN_BASIS, cfg, counts))
-        slc = _converged(slices[k], cfg)
-        if k >= 1 and slc.eigenvalues[0] > lam_hi:
+        if slices[k].eigenvalues[0] > lam_hi:
             break  # monotonicity: no higher mode reaches below the ceiling
-        members.extend((0.0 if (k, j) == (0, 1) else value, k, j, err) for j, (value, err)
-                       in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1) if value <= lam_hi)
         k += 1
-    slices = {kk: slices[kk] for kk in range(k + 1)}
-
-    members.sort()
+    members = sorted((0.0 if (slc.k, j) == (0, 1) else value, slc.k, j, err)  # (value, k, j, error)
+                     for slc in (_converged(slices[kk], cfg) for kk in range(k + 1))
+                     for j, (value, err) in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1)
+                     if value <= lam_hi)
     clusters = [[members[0]]]
     for prev, mem in zip(members, members[1:]):
         if mem[1] != prev[1] and mem[0] - prev[0] <= 10.0 * max(prev[3], mem[3]):

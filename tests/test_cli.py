@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -168,13 +169,27 @@ def test_verify_fails_admissibility_without_solving(m_max, tmp_path, capsys, mon
 
 @pytest.mark.parametrize("cmd", ["spectrum", "verify"])
 def test_unconverged_mode_slice_exits_3(cmd, capsys):
-    # a basis capped at its smallest size gets one solve, so no slice converges
-    argv = [cmd, "--profile", "paper-example", "--m-max", "2", "--grid-max", "16", "--rel-tol", "1e-12"]
+    # a basis capped at its smallest size gets one solve, and no slice's 8
+    # values agree with those of its leading half
+    argv = [cmd, "--profile", "paper-example", "--m-max", "2", "--grid-max", "16"]
     status, out, err = run_capture(argv, capsys)
     assert status == 3
     assert out == ""
     # the first slice checked is that of k = m-max, whose first eigenvalue is the ceiling
-    assert "k=2" in err and "N=16" in err and "error estimate inf" in err
+    assert "k=2" in err and "N=16" in err
+    assert float(re.search(r"worst error estimate (\S+)\)", err).group(1)) > 1e-6
+
+
+@pytest.mark.parametrize("cmd", ["sl", "spectrum", "bounds", "verify"])
+def test_rel_tol_below_the_estimate_floor_exits_2(cmd, capsys):
+    # below 1e-10 the estimates cannot tell a converged slice, so the flag
+    # is refused before any solve, with no report and no bounds note; the
+    # floor itself is accepted
+    argv = [cmd, "--profile", "paper-example"] + (["--m-max", "1"] if cmd != "sl" else [])
+    status, out, err = run_capture(argv + ["--rel-tol", "1e-11"], capsys)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and "1e-10" in err and "note:" not in err
+    assert run_capture(argv + ["--rel-tol", "1e-10"], capsys)[::2] == (0, "")
 
 
 def test_trace_rejects_invariant_mode(capsys):
@@ -410,7 +425,7 @@ def test_out_of_range_option_exits_2(capsys):
 def test_bounds_notes_only_numerical_assembly_failures(tmp_path, capsys):
     # an unconverged mode slice leaves the bound table with a note ...
     status, out, err = run_capture(["bounds", "--profile", "paper-example", "--m-max", "2",
-                                    "--grid-max", "16", "--rel-tol", "1e-12"], capsys)
+                                    "--grid-max", "16"], capsys)
     assert status == 0 and err.startswith("note: computed eigenvalues unavailable")
     assert [row["computed_lambda"] for row in json.loads(out)["rows"]] == [None, None]
     # ... while an input the assembly rejects exits 2, as in spectrum
@@ -610,7 +625,8 @@ def test_json_reports_reparse_into_types(capsys):
     assert status == 0
     reparsed(SLSpectrumSlice, json.loads(out))
 
-    # one basis size fits under --grid-max 64, so the estimates are Infinity
+    # one basis size fits under --grid-max 64, so the values past its
+    # leading half have Infinity as their estimates
     status, out, _ = run_capture(
         ["sl", "--profile", "paper-example", "--count", "40", "--grid-max", "64"], capsys
     )

@@ -49,6 +49,10 @@ def test_config_validation():
         SolverConfig(n_max=15)  # below the smallest basis size, 16
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=0.0)
+    # below the estimates' floor no slice could tell it converged
+    with pytest.raises(ValueError, match="1e-10"):
+        SolverConfig(rel_tol=1e-11)
+    assert SolverConfig(rel_tol=1e-10).rel_tol == slsolver._ERROR_FLOOR
 
 
 def test_canonical_k1_first_three(canonical):
@@ -114,18 +118,28 @@ def test_first_eigenvalue_monotone_in_k(paper, bump):
 
 
 def test_unconverged_slice_is_flagged(paper):
-    cfg = SolverConfig(n_max=32, rel_tol=1e-12)
-    slc = eigenvalues(paper, 1, 3, cfg)
+    # the 8th value at N = 32 moves by 2e-7 from its leading half's, far
+    # above the floor
+    cfg = SolverConfig(n_max=32, rel_tol=1e-10)
+    slc = eigenvalues(paper, 1, 8, cfg)
     assert not slc.converged
     assert slc.grid_used == 32
     assert max(slc.error_estimates) > 1e-12
 
 
-def test_single_solve_has_no_error_estimate(paper):
-    # n_max == the starting basis size leaves no second size to estimate against
+def test_single_size_is_judged_against_its_leading_half(paper):
+    # n_max below twice the starting basis size leaves one size, judged like
+    # every other against its own leading half: at N = 16 the first three
+    # values of mode 1 lie within 1e-6 of those of the leading 8
     slc = eigenvalues(paper, 1, 3, SolverConfig(n_max=16))
-    assert not slc.converged
-    assert all(math.isinf(err) for err in slc.error_estimates)
+    assert slc.converged and slc.grid_used == 16
+    half = _ritz(paper, 1, 8)[:3]
+    assert_allclose(slc.error_estimates, np.maximum(np.abs(np.subtract(slc.eigenvalues, half)),
+                                                    1e-10 * np.maximum(slc.eigenvalues, 1.0)), rtol=1e-6)
+    # a value past the leading half has nothing to compare with
+    slc = eigenvalues(paper, 1, 9, SolverConfig(n_max=17))
+    assert not slc.converged and slc.grid_used == 17
+    assert math.isinf(slc.error_estimates[8]) and not any(map(math.isinf, slc.error_estimates[:8]))
 
 
 def test_count_too_large_for_grid_cap(canonical):
@@ -148,12 +162,10 @@ def test_raw_estimates_converge_and_richardson_accelerates(paper):
     on top. The N = 16 -> 32 step gains at least 2x, and from N = 32 on the
     values sit within the 1e-10 relative floor of an N = 128 solve.
     """
-    ref = np.array(eigenvalues(paper, 0, 8, SolverConfig(n_max=128, rel_tol=1e-30)).eigenvalues)
+    ref = _ritz(paper, 0, 128)[:8]
     errors = []
     for n in (16, 32, 64):
-        slc = eigenvalues(paper, 0, 8, SolverConfig(n_max=n, rel_tol=1e-30))
-        assert slc.grid_used == n
-        errors.append(np.max(np.abs(np.array(slc.eigenvalues) - ref) / np.maximum(ref, 1.0)))
+        errors.append(np.max(np.abs(_ritz(paper, 0, n)[:8] - ref) / np.maximum(ref, 1.0)))
     assert errors[0] / errors[1] >= 2.0
     assert max(errors[1:]) <= 1e-10
 
@@ -166,8 +178,7 @@ def test_canonical_k0_richardson_floor(canonical):
     """
     exact = np.array([sphere_mode_eigenvalue(0, j) for j in range(1, 5)])
     for n in (16, 32, 64):
-        slc = eigenvalues(canonical, 0, 4, SolverConfig(n_max=n, rel_tol=1e-30))
-        assert np.max(np.abs(np.array(slc.eigenvalues) - exact)) < 1e-10
+        assert np.max(np.abs(_ritz(canonical, 0, n)[:4] - exact)) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["canonical", "paper-example"])
@@ -200,12 +211,11 @@ def test_paper_lambda1_agrees_across_entry_points(paper, capsys):
 def test_sampled_estimates_bound_distance_to_tight_solve(sampled_bump):
     prof = sampled_bump
     assert len(prof.breaks) == 25
-    tight_cfg = SolverConfig(n_max=128, rel_tol=1e-12)
     for k in range(4):
         loose = eigenvalues(prof, k, 8)
-        tight = eigenvalues(prof, k, 8, tight_cfg)
+        tight = _ritz(prof, k, 128)[:8]
         assert loose.converged, k
-        distance = np.abs(np.array(loose.eigenvalues) - np.array(tight.eigenvalues))
+        distance = np.abs(np.array(loose.eigenvalues) - tight)
         assert np.all(distance <= loose.error_estimates), k
 
 

@@ -220,8 +220,8 @@ def test_assembly_solves_each_mode_once(paper, monkeypatch):
 
 def test_each_stack_makes_one_eigensolve_per_parity_block(paper, monkeypatch):
     # a stack's Ritz values come from one eigvalsh call per parity block on
-    # all its modes at once: the first assembly is evaluated twice (its
-    # leading half, then whole), every later one once
+    # all its modes at once, and every assembly is evaluated twice: its
+    # leading half, then whole
     solved, eigvalsh = [], np.linalg.eigvalsh
 
     def counting(a):
@@ -232,8 +232,33 @@ def test_each_stack_makes_one_eigensolve_per_parity_block(paper, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assemble_spectrum(paper, 50)
     monkeypatch.undo()
-    assert len(solved) == 2 * (len(assembled) + 1) == 8
-    assert solved == [len(ks) for ks, _ in assembled[:1] + assembled for _ in range(2)]
+    assert len(solved) == 2 * 2 * len(assembled) == 12
+    assert solved == [len(ks) for ks, _ in assembled for _ in range(4)]
+
+
+def _meets_rel_tol(slc, count, rel_tol):
+    """Whether the slice holds ``count`` values, each estimate within
+    rel_tol * max(|lambda|, 1)."""
+    scale = np.maximum(np.abs(slc.eigenvalues), 1.0)
+    return len(slc.eigenvalues) == count and bool(np.all(np.array(slc.error_estimates) <= rel_tol * scale))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(generated_profiles(), st.integers(0, 4), st.integers(1, 8), st.sampled_from((16, 32, 128)),
+       st.sampled_from((1e-10, 1e-6, 1e-3)))
+def test_converged_is_exactly_the_estimates_meeting_rel_tol(prof, k, count, n_max, rel_tol):
+    # one verdict: a slice is converged exactly when its estimates say so,
+    # whether the cap cut its ladder short or not; a spectrum keeps only
+    # converged slices, so each of them meets rel_tol
+    cfg = SolverConfig(n_max=n_max, rel_tol=rel_tol)
+    slc = eigenvalues(prof, k, count, cfg)
+    assert slc.converged == _meets_rel_tol(slc, count, rel_tol)
+    try:
+        spec = assemble_spectrum(prof, k, cfg)
+    except AssemblyError:
+        return
+    for got in spec.per_mode_slices.values():
+        assert got.converged and _meets_rel_tol(got, len(got.eigenvalues), rel_tol), got.k
 
 
 def test_deep_stacked_modes_keep_the_stacks_slices(paper, monkeypatch):

@@ -14,16 +14,18 @@ differs.
 
 The matrix: canonical, paper-example and the profiles bench/profiles.py
 generates for seeds 1-3, each through validate, curvature, sl, spectrum,
-bounds, trace and verify at several depths, in both formats (528 cases);
+bounds, trace and verify at several depths, in both formats (550 cases;
+sl --count 32 shows the estimates of sizes past the first);
 then paper-example's spectrum under a loose --rel-tol; two dumbbells,
 whose tunnelling pairs lie apart at depth 4 but within their own error
 estimates at depth 6 (and at depth 30 on the wider neck), each pair still
 two eigenvalues of one mode; a near-round profile's verify, whose checks
 hold within about 1e-5 of equality, so that a change to the checks' slack
 that flips an outcome shows here; and the failure paths: an inadmissible
-profile, an --out path that cannot be written, and two profile files whose
-kind is not a string. The profiles are written to one fixed directory, so
-the paths the reports name are the same in every tree.
+profile, an --out path that cannot be written, a --rel-tol below the
+estimates' floor, and two profile files whose kind is not a string. The
+profiles are written to one fixed directory, so the paths the reports name
+are the same in every tree.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ COMMANDS = (
     [("validate", [])]
     + [("curvature", ["--count", "21"])]
     + [("sl", ["--k", str(k), "--count", "8"]) for k in range(4)]
+    + [("sl", ["--k", "0", "--count", "32"])]
     + [("spectrum", ["--m-max", str(m)]) for m in (0, 1, 3, 6, 8, 20)]
     + [("bounds", ["--m-max", str(m)]) for m in (1, 5, 10, 50)]
     + [("bounds", ["--m-max", "4", "--l-set", "2,3"])]
@@ -116,6 +119,7 @@ def cases():
     add("dumbbell-wide", "spectrum", ["--m-max", "30"])
     add("near-round", "verify", ["--m-max", "6"])
     add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
+    add("canonical", "sl", ["--rel-tol", "1e-11"], formats=("json",))
     for name in MALFORMED:
         add(name, "validate", [], formats=("json",))
     return out
