@@ -4,7 +4,8 @@ Subcommands mirror the library pipeline: profile validation, curvature
 tables, per-mode eigenvalue slices, global spectrum assembly, bound tables,
 reciprocal-sum trace checks, and a one-shot verification suite. Reports go
 to stdout (or --out) as JSON or CSV and are byte-identical across runs for
-identical inputs.
+identical inputs. JSON text is ``report.json_text``, the text of
+``json.dumps(payload, indent=2, sort_keys=True)`` from the C encoder.
 
 Exit codes: 0 success (and, for verify, all checks passed); 1 a verification
 check failed; 2 usage error (bad flags, unreadable or malformed profile,
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -34,7 +34,7 @@ from .profile import (
     validate_profile,
 )
 from .quadrature import QuadratureConfig
-from .report import csv_text
+from .report import csv_text, json_text
 from .slsolver import DEFAULT_SOLVER, SolverConfig
 
 
@@ -102,7 +102,7 @@ def _cmd_curvature(args, profile):
     ks = curvature_at(profile, xs)
     fs = np.asarray(profile.f(xs), dtype=float)
     indicator = curvature_sign_indicator(profile, _quad_config(args))
-    records = [[float(x), float(f), float(k)] for x, f, k in zip(xs, fs, ks)]
+    records = list(zip(xs.tolist(), fs.tolist(), ks.tolist()))
     payload = {
         "samples": [{"x": x, "f": f, "K": k} for x, f, k in records],
         "sign_indicator": indicator.to_json_dict(),
@@ -293,7 +293,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text(payload) + "\n"
     else:
         text = csv_text(header, records)
     if args.out is None:

@@ -21,7 +21,8 @@ N1 = N'D - ND' and N2 = N1'D - 2D'N1 formed once, at build time. It takes
 two shortcuts, read off the tables and neither moving a bit: a one-piece
 table is evaluated from its one column, with no piece lookup, and a
 denominator table that is identically 1 (canonical, the polynomial
-factors, f, f' and f'' of every spline) is neither evaluated nor divided by.
+factors, f, f' and f'' of every spline) is neither evaluated nor divided by,
+and its N1 and N2 are built as N' and N1', with no products.
 
 The poles close smoothly exactly when f = (1 - x^2) q with q(+-1) = 1, and
 the mode solver integrates q and 1/q. So q gets its own table, built once
@@ -212,6 +213,23 @@ def _pole_quotient(origins, num, den):
     return _trim(num), _trim(_mul(_mul(den, plus), minus))
 
 
+def _is_unit(den):
+    """Whether a denominator table is identically 1."""
+    return den.shape[0] == 1 and bool(np.all(den == 1.0))
+
+
+def _derivative_numerators(num, den):
+    """The tables N1 = N'D - ND' and N2 = N1'D - 2D'N1. For D = 1 they are
+    N' and N1', formed directly and bit for bit the same: the general
+    rule's sums start from 0.0, which turns a -0.0 into 0.0, and so does
+    adding 0.0."""
+    if _is_unit(den):
+        n1 = _trim(_deriv(num) + 0.0)
+        return n1, _trim(_deriv(n1))
+    n1 = _trim(_mul(_deriv(num), den) - _mul(num, _deriv(den)))
+    return n1, _trim(_mul(_deriv(n1), den) - 2.0 * _mul(_deriv(den), n1))
+
+
 def _piecewise_rational(breaks, origins, num, den):
     """Evaluators f, f', f'' and q of N/D (module docstring) from the tables
     ``num`` and ``den``, piece i in powers of x - origins[i]; points outside
@@ -220,13 +238,11 @@ def _piecewise_rational(breaks, origins, num, den):
     except where its tables make a step an identity: one piece needs no
     lookup and D = 1 no division."""
     interior, origins = np.asarray(breaks[1:-1], dtype=float), np.asarray(origins, dtype=float)
-    n1 = _trim(_mul(_deriv(num), den) - _mul(num, _deriv(den)))
-    n2 = _trim(_mul(_deriv(n1), den) - 2.0 * _mul(_deriv(den), n1))
-
+    n1, n2 = _derivative_numerators(num, den)
     one_piece, origin = origins.size == 1, float(origins[0])
 
     def evaluator(table, denominator, power):
-        unit = denominator.shape[0] == 1 and bool(np.all(denominator == 1.0))
+        unit = _is_unit(denominator)
         column, den_column = table[:, 0].tolist(), denominator[:, 0].tolist()
 
         def evaluate(t):

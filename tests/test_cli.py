@@ -666,6 +666,29 @@ def test_json_reports_reparse_into_types(capsys):
     assert reparsed(VerificationReport, payload).all_passed
 
 
+@pytest.mark.parametrize("profile", ["canonical", "paper-example"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["curvature"], ["sl", "--k", "1"], ["sl", "--count", "40", "--grid-max", "64"],
+    ["spectrum", "--m-max", "4"], ["bounds", "--m-max", "4", "--l-set", "2,3"],
+    ["trace", "--k", "2", "--terms", "20"], ["verify", "--m-max", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_json_report_is_the_stdlib_rendering_of_its_payload(argv, profile, capsys, monkeypatch):
+    from revspec import cli
+
+    handler, *rest = cli._SUBCOMMANDS[argv[0]]
+    payloads = []
+
+    def recording(args, p):
+        result = handler(args, p)
+        payloads.append(result[0])
+        return result
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, argv[0], (recording, *rest))
+    status, out, _ = run_capture([*argv, "--profile", profile], capsys)
+    assert status == 0
+    assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_quad_tol_reaches_the_trace_length(capsys, monkeypatch):
     from revspec import QuadratureConfig, slsolver
 

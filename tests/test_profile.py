@@ -283,14 +283,19 @@ def test_constant_rational_has_zero_derivatives():
     assert not np.any(p.q(x))
 
 
+def _general_derivatives(num, den):
+    """N1 = N'D - ND' and N2 = N1'D - 2D'N1 by the products, whatever D is."""
+    trim, mul, deriv = profile_module._trim, profile_module._mul, profile_module._deriv
+    n1 = trim(mul(deriv(num), den) - mul(num, deriv(den)))
+    return n1, trim(mul(deriv(n1), den) - 2.0 * mul(deriv(den), n1))
+
+
 def _general_rule(breaks, origins, num, den):
     """f, f', f'' and q of the tables by the general rule, whatever the
     tables hold: locate each point's piece, take its coefficient columns,
     run Horner's rule on N and on D, and divide by D ** power."""
     interior, origins = np.asarray(breaks[1:-1], dtype=float), np.asarray(origins, dtype=float)
-    trim, mul, deriv = profile_module._trim, profile_module._mul, profile_module._deriv
-    n1 = trim(mul(deriv(num), den) - mul(num, deriv(den)))
-    n2 = trim(mul(deriv(n1), den) - 2.0 * mul(deriv(den), n1))
+    n1, n2 = _general_derivatives(num, den)
 
     def horner(coef, s):
         out = np.full_like(s, coef[0])
@@ -313,8 +318,8 @@ def _general_rule(breaks, origins, num, den):
             rule(*profile_module._pole_quotient(origins, num, den), 1))
 
 
-def _built_with_general_rule(spec):
-    """The profile of spec, and the general rule on the tables it was built from."""
+def _built_with_tables(spec):
+    """The profile of spec, and the (breaks, origins, num, den) it was built from."""
     tables, evaluators = [], profile_module._piecewise_rational
 
     def record(*args):
@@ -324,11 +329,16 @@ def _built_with_general_rule(spec):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(profile_module, "_piecewise_rational", record)
         p = build_profile(spec)
-    return p, _general_rule(*tables[0])
+    return p, tables[0]
 
 
 def _assert_general_rule_bit_for_bit(spec):
-    p, reference = _built_with_general_rule(spec)
+    p, tables = _built_with_tables(spec)
+    # the derivative tables too, signs of zeros included: with D = 1 the
+    # build forms N1 = N' and N2 = N1' with no products
+    for mine, general in zip(profile_module._derivative_numerators(*tables[2:]), _general_derivatives(*tables[2:])):
+        assert mine.shape == general.shape and mine.tobytes() == general.tobytes(), spec
+    reference = _general_rule(*tables)
     grid = np.sort(np.concatenate([np.linspace(-1.0, 1.0, 601), p.breaks, [-1.0 - 1e-3, 0.3, 1.0 + 1e-3, -0.0]]))
     points = [0.3, -1.0, 1.0, p.breaks[len(p.breaks) // 2], np.array(0.3), np.array(-1.0),
               grid, grid[::-1], grid[np.random.default_rng(3).permutation(grid.size)]]
@@ -342,12 +352,15 @@ def _assert_general_rule_bit_for_bit(spec):
 def _bit_identity_specs():
     for name in BUILTIN_NAMES:
         yield pytest.param(ProfileSpec(name), id=name)
-    for seed in (1, 2):
+    for seed in (1, 2, 3):
         for name, spec in _GENERATED(seed).items():
             yield pytest.param(ProfileSpec(spec["kind"], spec["params"]), id=f"{name}-{seed}")
     yield pytest.param(ProfileSpec("sampled", {"x": [-1.0, 1.0], "f": [0.0, 0.0]}), id="two-samples")
     yield pytest.param(ProfileSpec("rational", {"numerator": [1.0, 0.0, -1.0], "denominator": [1.0]}),
                        id="rational-over-1")
+    # N' holds a -0.0, which the general rule's sums turn into 0.0
+    yield pytest.param(ProfileSpec("rational", {"numerator": [1.0, -0.0, -1.0], "denominator": [1.0]}),
+                       id="signed-zero-over-1")
     yield pytest.param(ProfileSpec("rational", {"numerator": [1.0, 0.0, -1.0], "denominator": [1.0, 0.0]}),
                        id="rational-over-untrimmed-1")
     yield pytest.param(ProfileSpec("rational", {"numerator": [3.0], "denominator": [2.0]}), id="constant")
@@ -355,8 +368,8 @@ def _bit_identity_specs():
 
 @pytest.mark.parametrize("spec", _bit_identity_specs())
 def test_evaluators_equal_the_general_rule_bit_for_bit(spec):
-    # one-piece and unit-denominator tables skip the piece lookup and the
-    # division; neither shortcut may move a bit
+    # one-piece and unit-denominator tables skip the piece lookup, the
+    # division and the derivative products; no shortcut may move a bit
     _assert_general_rule_bit_for_bit(spec)
 
 
