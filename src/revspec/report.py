@@ -1,13 +1,12 @@
 """The wire formats of the CLI reports: JSON dictionaries, JSON text and CSV text.
 
-Every report type derives from ``Report``, whose ``to_json_dict`` and
-``from_json_dict`` walk the dataclass fields. The encoder turns tuples and
-lists into arrays, frozensets into sorted arrays and dicts into objects
-with sorted string keys (the int-keyed dicts of the reports); nested
-reports encode recursively. The decoder reads the field annotations, so
-``tuple[Check, ...]`` comes back as a tuple of Check and ``dict[int, float]``
-with int keys. Fields declared with ``local`` hold audit data that stays in
-memory: they are left off the wire and take their default on decode.
+Every report type derives from ``Report``, whose ``to_json_dict`` walks the
+dataclass fields. Reports are written, never read back, so this is an
+encoder only. It turns tuples and lists into arrays, frozensets into
+sorted arrays and dicts into objects with sorted string keys (the
+int-keyed dicts of the reports); nested reports encode recursively.
+Fields declared with ``local`` hold audit data that stays in memory: they
+are left off the wire.
 
 ``json_text`` renders a payload exactly as ``json.dumps(payload, indent=2,
 sort_keys=True)`` does, byte for byte, but through the C encoder, which
@@ -26,13 +25,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import typing
 
 _LOCAL = "revspec.local"
 
 
 def local(**kwargs):
-    """A dataclass field kept off the wire; it needs a default or default_factory."""
+    """A dataclass field kept off the wire."""
     return dataclasses.field(metadata={_LOCAL: True}, **kwargs)
 
 
@@ -53,33 +51,11 @@ def _encode(value):
     return value
 
 
-def _decode(tp, value):
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union:
-        if value is None:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _decode(inner, value)
-    if origin is dict:
-        key_tp, value_tp = args
-        return {_decode(key_tp, k): _decode(value_tp, v) for k, v in value.items()}
-    if origin in (tuple, list, frozenset):
-        return origin(_decode(args[0], v) for v in value)
-    if issubclass(tp, Report):
-        return tp.from_json_dict(value)
-    return tp(value)
-
-
 class Report:
-    """Base of the report dataclasses: one JSON codec driven by their fields."""
+    """Base of the report dataclasses: one JSON encoder driven by their fields."""
 
     def to_json_dict(self):
         return {f.name: _encode(getattr(self, f.name)) for f in _wire_fields(type(self))}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        hints = typing.get_type_hints(cls)
-        return cls(**{f.name: _decode(hints[f.name], data[f.name]) for f in _wire_fields(cls)})
 
 
 _SEP = "\x00"

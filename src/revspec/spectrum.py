@@ -57,7 +57,7 @@ class DistinctEigenvalue(Report):
     value: float
     modes: frozenset[int]
     multiplicity: int
-    members: tuple = local(default=())
+    members: tuple = local()
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,19 @@ class GlobalSpectrum(Report):
     wire.
     ``merge_tolerance`` is 10 times the worst error estimate among the
     retained mode values. It bounds the gap of every join and every entry's
-    reach, and is the reach of an entry that carries no members (one
-    decoded by from_json_dict).
+    reach.
     """
 
     entries: tuple[DistinctEigenvalue, ...]
     merge_tolerance: float
     truncation: float
-    per_mode_slices: dict = local(default_factory=dict, repr=False)
+    per_mode_slices: dict = local(repr=False)
 
     def reach(self, m):
         """How far entry m's value is taken to lie from the true eigenvalue:
         10 times the largest estimate among its members, the farthest a join
-        spans (merge_tolerance if it carries none)."""
-        return max((10.0 * mem[3] for mem in self.entries[m].members), default=self.merge_tolerance)
+        spans."""
+        return max(10.0 * mem[3] for mem in self.entries[m].members)
 
 
 @dataclass(frozen=True)

@@ -488,7 +488,6 @@ def test_validate_reports_unsettled_curvature_integral(capsys):
     assert [m for m in report.messages if "curvature integral did not settle" in m]
     payload = report.to_json_dict()
     assert payload["curvature_integral"] is None
-    assert type(report).from_json_dict(json.loads(json.dumps(payload))) == report
 
 
 def test_validation_report_serializes(canonical):

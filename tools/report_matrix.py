@@ -12,20 +12,23 @@ comparison prints the largest relative difference among its numbers and
 that number's field path, or a path where something other than a number
 differs.
 
-The matrix: canonical, paper-example and the profiles bench/profiles.py
-generates for seeds 1-3, each through validate, curvature, sl, spectrum,
-bounds, trace and verify at several depths, in both formats (550 cases;
-sl --count 32 shows the estimates of sizes past the first);
-then paper-example's spectrum under a loose --rel-tol; two dumbbells,
-whose tunnelling pairs lie apart at depth 4 but within their own error
-estimates at depth 6 (and at depth 30 on the wider neck), each pair still
-two eigenvalues of one mode; a near-round profile's verify, whose checks
-hold within about 1e-5 of equality, so that a change to the checks' slack
-that flips an outcome shows here; and the failure paths: an inadmissible
-profile, an --out path that cannot be written, a --rel-tol below the
-estimates' floor, and two profile files whose kind is not a string. The
-profiles are written to one fixed directory, so the paths the reports name
-are the same in every tree.
+The matrix, 576 cases: canonical, paper-example and the profiles
+bench/profiles.py generates for seeds 1-3, each through validate,
+curvature, sl, spectrum, bounds, trace and verify at several depths, in
+both formats (550 cases; sl --count 32 shows the estimates of sizes past
+the first); then paper-example's spectrum under a loose --rel-tol, and its
+sl --count 40 under --grid-max 64, whose values past the one basis size's
+leading half print Infinity as their estimates; two dumbbells, whose
+tunnelling pairs lie apart at depth 4 but within their own error estimates
+at depth 6 (and at depth 30 on the wider neck), each pair still two
+eigenvalues of one mode; a near-round profile's verify, whose checks hold
+within about 1e-5 of equality, so that a change to the checks' slack that
+flips an outcome shows here; the validate of a rational profile whose
+curvature integral does not settle (null, with a message); and the failure
+paths: an inadmissible profile, an --out path that cannot be written, a
+--rel-tol below the estimates' floor, and two profile files whose kind is
+not a string. The profiles are written to one fixed directory, so the
+paths the reports name are the same in every tree.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ DUMBBELL_WIDE = {"kind": "polynomial-factor", "params": {"coefficients": [0.3, 0
 #: its tightest checks, interlacing at k=1, j=0 and both bounds at m=1,
 #: hold with a relative margin of 1.2e-5.
 NEAR_ROUND = {"kind": "polynomial-factor", "params": {"coefficients": [0.99999, 0.0, 1e-5]}}
+#: f = (1 - x^2)(1 + (1 - x^2) / d), d = 1e-6 + (x - 0.3)^2: admissible
+#: endpoints, but a peak of height 1e6 on which the curvature integral does
+#: not settle, so validate prints it as null.
+UNSETTLED = {"kind": "rational", "params": {"numerator": [1.090001, -0.6, -1.090001, 0.6],
+                                            "denominator": [0.090001, -0.6, 1.0]}}
 #: q = 2 everywhere: the endpoint slopes are +-4, not +-2.
 INADMISSIBLE = {"kind": "polynomial-factor", "params": {"coefficients": [2.0]}}
 #: Profile files whose kind is a list and an object: load_profile rejects both.
@@ -99,7 +107,7 @@ def cases():
     """case name -> argv, in run order."""
     generated = _generated_profiles()
     paths = _write_profiles({**generated, **MALFORMED, "dumbbell": DUMBBELL, "dumbbell-wide": DUMBBELL_WIDE,
-                             "near-round": NEAR_ROUND, "inadmissible": INADMISSIBLE})
+                             "near-round": NEAR_ROUND, "unsettled": UNSETTLED, "inadmissible": INADMISSIBLE})
     out = {}
 
     def add(name, sub, own, formats=("json", "csv")):
@@ -113,11 +121,13 @@ def cases():
     for sub, own in (("validate", []), ("sl", ["--k", "0"]), ("verify", ["--m-max", "1"])):
         add("inadmissible", sub, own)
     add("paper-example", "spectrum", ["--m-max", "20", "--rel-tol", "1e-3"])
+    add("paper-example", "sl", ["--count", "40", "--grid-max", "64"])
     for sub in ("spectrum", "verify"):
         add("dumbbell", sub, ["--m-max", "4"])
     add("dumbbell", "spectrum", ["--m-max", "6"])
     add("dumbbell-wide", "spectrum", ["--m-max", "30"])
     add("near-round", "verify", ["--m-max", "6"])
+    add("unsettled", "validate", [])
     add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
     add("canonical", "sl", ["--rel-tol", "1e-11"], formats=("json",))
     for name in MALFORMED:
