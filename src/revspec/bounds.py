@@ -46,15 +46,16 @@ class BoundsRow(Report):
     """All applicable upper bounds for one eigenvalue index m.
 
     ``ray`` maps each tested trial exponent l to its bound; ``sharp`` is
-    ray[m] and ``rough`` is ray[1] by construction. ``neg_curv`` is present
-    only when int f >= 2. ``computed_lambda`` is filled when an assembled
-    spectrum is supplied, and must sit below every bound.
+    ray[m] and ``rough`` is ray[1] by construction. Only ``neg_curv`` and
+    ``computed_lambda`` can be None: ``neg_curv`` is present only when
+    int f >= 2, and ``computed_lambda`` is filled when an assembled spectrum
+    deep enough is supplied, and must sit below every bound.
     """
 
     m: int
-    sharp: Optional[float]
+    sharp: float
     ray: dict[int, float]
-    rough: Optional[float]
+    rough: float
     neg_curv: Optional[float]
     canonical: float
     computed_lambda: Optional[float]

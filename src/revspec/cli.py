@@ -33,17 +33,18 @@ from .profile import (
     resolve_profile,
     validate_profile,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .report import csv_text, json_text
 from .slsolver import DEFAULT_SOLVER, SolverConfig
 
 
 #: Tuning flags, each offered only by the subcommands that read it.
 _TUNING_FLAGS = {
-    "--rel-tol": dict(type=float, default=1e-6,
-                      help="solver relative eigenvalue tolerance (default 1e-6)"),
-    "--quad-tol": dict(type=float, default=1e-10,
-                       help="quadrature tolerance, relative to max(|integral|, 1) (default 1e-10)"),
+    "--rel-tol": dict(type=float, default=DEFAULT_SOLVER.rel_tol,
+                      help=f"solver relative eigenvalue tolerance (default {DEFAULT_SOLVER.rel_tol:g})"),
+    "--quad-tol": dict(type=float, default=DEFAULT_QUADRATURE.abs_tol,
+                       help="quadrature tolerance, relative to max(|integral|, 1) "
+                            f"(default {DEFAULT_QUADRATURE.abs_tol:g})"),
     "--grid-max": dict(type=int, default=DEFAULT_SOLVER.n_max,
                        help=f"solver basis-size cap (default {DEFAULT_SOLVER.n_max})"),
 }
@@ -164,14 +165,15 @@ def _cmd_trace(args, profile):
 
 
 def _solver_checks(args, profile):
-    """The spectrum verify assembles and every check read off it: the
-    paper's structural results, the bound table and the trace identities."""
+    """The one spectrum verify assembles, deep enough for --m-max and for
+    its interlacing check, and every check read off it: the paper's
+    structural results, the bound table and the trace identities."""
     cfg = _solver_config(args)
-    spec = spectrum_mod.assemble_spectrum(profile, args.m_max, cfg)
+    half = max(1, args.m_max // 2)
+    spec = spectrum_mod.assemble_spectrum(profile, max(args.m_max, 2 * half), cfg)
     checks = list(spectrum_mod.verify_multiplicity_bound(spec).checks)
     k_max = max(2, min(5, args.m_max + 1))
     checks.extend(spectrum_mod.verify_monotonicity(profile, k_max, cfg, spectrum=spec).checks)
-    half = max(1, args.m_max // 2)
     checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec).checks)
 
     quad = _quad_config(args)

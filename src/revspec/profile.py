@@ -42,11 +42,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ProfileError, QuadratureAccuracyError
+from .errors import DomainError, ProfileError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_gauss, gauss_jacobi_sqrt_weight
 from .report import Report
 
@@ -117,7 +117,7 @@ class ValidationReport(Report):
     endpoint_derivatives: tuple[float, ...]  # (f'(-1), f'(1))
     min_f_interior: float
     area: float  # 4*pi identically: the chart volume element is dx dtheta
-    curvature_integral: Optional[float]  # integral of K dx; 2 for admissible f, None if unsettled
+    curvature_integral: float  # integral of K dx = (f'(-1) - f'(1))/2; 2 for admissible f
     messages: list[str]
 
 
@@ -394,9 +394,9 @@ def validate_profile(p: MetricProfile) -> ValidationReport:
 
     Positivity is checked on a uniform grid of VALIDATION_GRID points and
     the endpoint values and slopes by ``endpoint_conditions``. The area
-    field is the exact chart area 4*pi. A curvature integral that does not
-    settle within the default quadrature tolerance is reported as None,
-    with a message, and fails the profile.
+    field is the exact chart area 4*pi, and the curvature integral is the
+    exact -1/2 int f'' dx = (f'(-1) - f'(1))/2 of the C^1 profile (Gauss-Bonnet
+    in the chart), read off the endpoint slopes.
     """
     interior = np.linspace(-1.0, 1.0, VALIDATION_GRID)[1:-1]
     fvals = np.asarray(p.f(interior), dtype=float)
@@ -409,19 +409,13 @@ def validate_profile(p: MetricProfile) -> ValidationReport:
     if min_f <= 0.0:
         messages.append(f"f is not positive on the open interval (min {min_f:.3e})")
     messages += endpoint_messages
-
-    try:
-        curv_integral = integrate_curvature_moment(p, 0, DEFAULT_QUADRATURE)
-    except QuadratureAccuracyError as exc:
-        curv_integral = None
-        messages.append(f"the curvature integral did not settle: {exc}")
     return ValidationReport(
         passed=not messages,
         endpoint_values=values,
         endpoint_derivatives=slopes,
         min_f_interior=min_f,
         area=4.0 * math.pi,
-        curvature_integral=curv_integral,
+        curvature_integral=(slopes[0] - slopes[1]) / 2,
         messages=messages,
     )
 

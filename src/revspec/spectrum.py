@@ -66,9 +66,7 @@ class GlobalSpectrum(Report):
 
     ``truncation`` is the ceiling, the first eigenvalue of mode m_target at
     the basis size where it left the spectrum's ladder.
-    ``per_mode_slices`` maps each solved k to its mode slice: every mode
-    that reaches below the ceiling, and the first one that does not (its
-    lowest eigenvalue, which stopped the enumeration, is solved anyway).
+    ``per_mode_slices`` maps each k = 0..m_target + 1 to its mode slice.
     Each slice holds every value of its mode up to the guard above the
     ceiling and one more (at least 8 up to mode m_target). It stays off the
     wire.
@@ -183,20 +181,17 @@ def assemble_spectrum(
     ceiling + max(1, 1e-3 * ceiling), and each mode must settle one value
     more than it holds at or below the guard. Modes up to m_target settle at
     least the 8 a ladder from N = 16 compares anyway, so that verify reads
-    its interlacing and monotonicity values from their slices; a higher mode
-    is there for its first value, which stops the enumeration, and settles
-    no more than it must. Ritz values are upper bounds
+    its interlacing and monotonicity values from their slices; mode
+    m_target + 1 is there for its first value, above which every higher
+    mode lies, and settles no more than it must. Ritz values are upper bounds
     (Courant-Fischer), so a guard read at a coarser size only covers more
     than the final one. The truncation is mode m_target's first value at
-    the size it left the ladder, and modes are kept up to the first
-    k > m_target whose first value clears the guard: by monotonicity no
-    lower mode k >= 1 clears it and no higher one reaches below it. If none
-    of the ladder's modes does, further modes run one ladder each until one
-    does. A mode's first Ritz value bounds its eigenvalue from above, so the
-    walk may read it before the mode's slice is checked; the slices are
-    checked in ascending k once the walk stops. Mode 0's first value enters
-    the merge as exactly 0.0: its stiffness row is exactly zero, the
-    constant eigenfunction's. Two
+    the size it left the ladder. No mode past m_target + 1 is solved: first
+    values increase in k, so each of its values lies above mode
+    m_target + 1's first value, and a cluster reaching it from at or below
+    the ceiling would hold both modes' first values, which the merge
+    refuses. Mode 0's first value enters the merge as exactly 0.0: its
+    stiffness row is exactly zero, the constant eigenfunction's. Two
     neighbouring sorted mode values join when they belong to different
     modes and lie within 10 times the larger of their own error estimates,
     so a loose value joins only its own neighbours, and one mode's values,
@@ -209,27 +204,18 @@ def assemble_spectrum(
     """
     if m_target < 0:
         raise DomainError("m_target must be >= 0")
-    slices = {}
     floor = _MIN_BASIS - _BASIS_MARGIN  # the values a ladder from _MIN_BASIS compares anyway
 
     def counts(latest):
-        guard = _guard((latest[m_target] if m_target in latest else slices[m_target].eigenvalues)[0])
+        guard = _guard(latest[m_target][0])
         return {k: max(1 + int((values <= guard).sum()), floor if k <= m_target else 1)
                 for k, values in latest.items()}
 
-    slices.update(_converge(p, range(m_target + 2), _MIN_BASIS, cfg, counts))
+    slices = _converge(p, range(m_target + 2), _MIN_BASIS, cfg, counts)
     ceiling = _converged(slices[m_target], cfg).eigenvalues[0]
     lam_hi = _guard(ceiling)
-
-    k = m_target + 1
-    while True:
-        if k not in slices:
-            slices.update(_converge(p, (k,), _MIN_BASIS, cfg, counts))
-        if slices[k].eigenvalues[0] > lam_hi:
-            break  # monotonicity: no higher mode reaches below the ceiling
-        k += 1
     members = sorted((0.0 if (slc.k, j) == (0, 1) else value, slc.k, j, err)  # (value, k, j, error)
-                     for slc in (_converged(slices[kk], cfg) for kk in range(k + 1))
+                     for slc in (_converged(slices[k], cfg) for k in range(m_target + 2))
                      for j, (value, err) in enumerate(zip(slc.eigenvalues, slc.error_estimates), start=1)
                      if value <= lam_hi)
     clusters = [[members[0]]]

@@ -91,12 +91,18 @@ def test_bounds_unconvergeable_moments_exit_3(steep, capsys):
 
 
 def test_validate_reports_unsettled_curvature_integral(steep, capsys):
+    # the curvature integral that quadrature does not settle on this profile
+    # is read off its endpoint slopes, so validate passes it; verify's bound
+    # table integrates the same curvature row, and that failure exits 3
     status, out, _ = run_capture(["validate", "--profile", steep], capsys)
     assert status == 0
     report = json.loads(out)
-    assert report["passed"] is False
-    assert report["curvature_integral"] is None
-    assert any("curvature integral did not settle" in m for m in report["messages"])
+    assert report["passed"] is True and report["messages"] == []
+    d = report["endpoint_derivatives"]
+    assert report["curvature_integral"] == (d[0] - d[1]) / 2
+    status, out, err = run_capture(["verify", "--profile", steep, "--m-max", "4"], capsys)
+    assert (status, out) == (3, "")
+    assert err.startswith("error: ")
 
 
 @pytest.fixture
@@ -308,9 +314,10 @@ def test_default_quad_tol_leaves_reports_unchanged(argv, capsys):
     assert explicit == default
 
 
-def test_verify_merge_tol_reaches_every_assembly(capsys, monkeypatch):
-    # at --m-max 1 the interlacing check needs depth 2 and assembles its own
-    # spectrum, with the same solver settings and merge rule
+def test_verify_assembles_one_spectrum(capsys, monkeypatch):
+    # at --m-max 1 the interlacing check needs depth 2, so verify assembles
+    # its one spectrum that deep, with the solver settings of its flags, and
+    # every check and the report read lambda_1 off it as the same float
     from revspec import spectrum as spectrum_mod
 
     assembled = []
@@ -321,9 +328,13 @@ def test_verify_merge_tol_reaches_every_assembly(capsys, monkeypatch):
         return assemble(p, m_target, cfg)
 
     monkeypatch.setattr(spectrum_mod, "assemble_spectrum", recording)
-    status, _, _ = run_capture(["verify", "--profile", "canonical", "--m-max", "1"], capsys)
+    status, out, _ = run_capture(["verify", "--profile", "canonical", "--m-max", "1"], capsys)
     assert status == 0
-    assert assembled == [(1, spectrum_mod.DEFAULT_SOLVER), (2, spectrum_mod.DEFAULT_SOLVER)]
+    assert assembled == [(2, spectrum_mod.DEFAULT_SOLVER)]
+    payload = json.loads(out)
+    lhs = {(c["name"], c["location"]): c["lhs"] for c in payload["checks"]}
+    assert lhs["interlacing", "k=1,j=0"] == lhs["sharp_bound", "m=1"] == payload["values"][1]
+    assert payload["multiplicities"] == [1, 3, 5]
 
 
 def test_verify_assembles_each_mode_once(capsys, monkeypatch):
@@ -347,13 +358,14 @@ def test_verify_assembles_each_mode_once(capsys, monkeypatch):
     assert status == 0
     # six mode slices (k = 0..5) from one stack, the spectrum's ladder, which
     # settles at its first assembly; three trace solves in another stack; each
-    # mode assembled once. One moment table each for validate and the bounds
-    # (the spectrum ceiling is a mode eigenvalue, so it needs none)
+    # mode assembled once. One moment table, the bounds': validate reads the
+    # curvature integral off the endpoint slopes, and the spectrum ceiling is
+    # a mode eigenvalue
     pairs = [pair for stack in assembled for pair in stack]
     assert assembled[0] == [(k, 32) for k in range(6)] and len(assembled) == 2
     assert sorted(pairs) == sorted(set(pairs)) == sorted(
         [(k, 32) for k in range(6)] + [(k, 70) for k in (1, 2, 3)])
-    assert len(tables) == 2
+    assert len(tables) == 1
 
     paper = revspec.builtin_profile("paper-example")
     checks = json.loads(out)["checks"]
@@ -440,7 +452,7 @@ def test_bounds_notes_only_numerical_assembly_failures(tmp_path, capsys):
 
 
 def test_tuning_flag_defaults_match_the_library():
-    # each default is written both in the parser and in the config classes
+    # the parser reads each default from the library's default configs
     from revspec.cli import build_parser
     from revspec.quadrature import DEFAULT_QUADRATURE
     from revspec.slsolver import DEFAULT_SOLVER
@@ -769,6 +781,9 @@ def test_bench_tracer_runs_commands(tmp_path, capsys):
         assert modules["cli"].run(["curvature", "--profile", "paper-example", "--count", "11"]) == 0
         paper = tracer.wrap_profile(modules["profile"].builtin_profile("paper-example"), "paper-example")
         rows = modules["bounds"].bounds_table(paper, 5, (2, 3))
+        # no command calls the moment functions: this call keeps their l/q
+        # binding traced
+        modules["profile"].integrate_curvature_moment(paper, 0)
     finally:
         tracer.uninstall()
     capsys.readouterr()

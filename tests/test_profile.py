@@ -475,19 +475,37 @@ def test_validate_paper_curvature_integral(paper):
     assert report.curvature_integral == pytest.approx(2.0, abs=1e-9)
 
 
-def test_validate_reports_unsettled_curvature_integral(capsys):
+def test_validate_reports_unsettled_curvature_integral(monkeypatch):
     # f = (1 - x^2)(1 + (1 - x^2) / d), d = 1e-6 + (x - 0.3)^2: admissible
-    # endpoints, but a peak of height 1e6 that the curvature integral does
-    # not settle on
+    # endpoints, but a peak of height 1e6 that quadrature of the curvature
+    # does not settle on. validate runs no quadrature: it reads the integral
+    # off the endpoint slopes, so the profile passes
     prof = build_profile(ProfileSpec("rational", {
         "numerator": [1.090001, -0.6, -1.090001, 0.6], "denominator": [0.090001, -0.6, 1.0]}))
+    with pytest.raises(QuadratureAccuracyError):
+        integrate_curvature_moment(prof, 0)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("validate_profile ran a quadrature")
+
+    monkeypatch.setattr(profile_module, "adaptive_gauss", no_quadrature)
     report = validate_profile(prof)
-    assert not report.passed
-    assert report.curvature_integral is None
-    assert report.endpoint_derivatives == pytest.approx((2.0, -2.0), abs=1e-9)
-    assert [m for m in report.messages if "curvature integral did not settle" in m]
-    payload = report.to_json_dict()
-    assert payload["curvature_integral"] is None
+    assert report.passed and report.messages == []
+    d = report.endpoint_derivatives
+    assert d == pytest.approx((2.0, -2.0), abs=1e-9)
+    assert report.curvature_integral == (d[0] - d[1]) / 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(generated_profiles())
+def test_curvature_integral_is_read_off_the_endpoint_slopes(p):
+    # Gauss-Bonnet in the chart: -1/2 int f'' dx = (f'(-1) - f'(1))/2 for a
+    # C^1 profile, bit for bit from the slopes, and within the quadrature
+    # contract of the integrated curvature row
+    report = validate_profile(p)
+    slope_lo, slope_hi = float(p.df(-1.0)), float(p.df(1.0))
+    assert report.curvature_integral == (slope_lo - slope_hi) / 2
+    assert abs(report.curvature_integral - integrate_curvature_moment(p, 0)) <= 2 * QUAD.abs_tol
 
 
 def test_validation_report_serializes(canonical):

@@ -284,16 +284,24 @@ def test_deep_stacked_modes_keep_the_stacks_slices(paper, monkeypatch):
     assert spec.merge_tolerance < 1e-5 * spec.truncation
 
 
-def test_modes_past_the_ladder_run_until_one_clears_the_guard(canonical, monkeypatch):
+def test_no_mode_past_the_ladder_is_solved(canonical, monkeypatch):
     # a guard of 2 * ceiling + 1 puts mode 4's first value (20) below it at
-    # depth 3 (ceiling 12), so the enumeration goes on past the ladder's
-    # modes 0..4 until mode 5 (first value 30) clears it; the entries at or
-    # below the ceiling are those of the usual guard
+    # depth 3 (ceiling 12); mode 5 (first value 30) is not solved all the
+    # same, since first values increase in k, and the entries at or below
+    # the ceiling are those of the usual guard
     plain = assemble_spectrum(canonical, 3)
+    ladders, converge = [], spectrum_mod._converge
+
+    def recording(p, ks, *args):
+        ladders.append(tuple(ks))
+        return converge(p, ks, *args)
+
+    monkeypatch.setattr(spectrum_mod, "_converge", recording)
     monkeypatch.setattr(spectrum_mod, "_guard", lambda ceiling: 2.0 * ceiling + 1.0)
     wide = assemble_spectrum(canonical, 3)
-    assert sorted(wide.per_mode_slices) == list(range(6))
-    assert wide.per_mode_slices[5].eigenvalues[0] == pytest.approx(30.0, rel=1e-12)
+    assert ladders == [tuple(range(5))]
+    assert sorted(wide.per_mode_slices) == list(range(5))
+    assert wide.per_mode_slices[4].eigenvalues[0] == pytest.approx(20.0, rel=1e-12)
     assert [(e.modes, e.multiplicity) for e in wide.entries] == [(e.modes, e.multiplicity) for e in plain.entries]
     assert_allclose([e.value for e in wide.entries], [e.value for e in plain.entries], rtol=1e-12, atol=1e-12)
 

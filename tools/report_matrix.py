@@ -12,7 +12,7 @@ comparison prints the largest relative difference among its numbers and
 that number's field path, or a path where something other than a number
 differs.
 
-The matrix, 576 cases: canonical, paper-example and the profiles
+The matrix, 578 cases: canonical, paper-example and the profiles
 bench/profiles.py generates for seeds 1-3, each through validate,
 curvature, sl, spectrum, bounds, trace and verify at several depths, in
 both formats (550 cases; sl --count 32 shows the estimates of sizes past
@@ -23,11 +23,12 @@ tunnelling pairs lie apart at depth 4 but within their own error estimates
 at depth 6 (and at depth 30 on the wider neck), each pair still two
 eigenvalues of one mode; a near-round profile's verify, whose checks hold
 within about 1e-5 of equality, so that a change to the checks' slack that
-flips an outcome shows here; the validate of a rational profile whose
-curvature integral does not settle (null, with a message); and the failure
-paths: an inadmissible profile, an --out path that cannot be written, a
---rel-tol below the estimates' floor, and two profile files whose kind is
-not a string. The profiles are written to one fixed directory, so the
+flips an outcome shows here; a rational profile on which quadrature of
+the curvature does not settle, whose validate reads the curvature integral
+off the endpoint slopes and passes, and whose verify exits 3 at its bound
+table; and the failure paths: an inadmissible profile, an --out path that
+cannot be written, a --rel-tol below the estimates' floor, and two profile
+files whose kind is not a string. The profiles are written to one fixed directory, so the
 paths the reports name are the same in every tree.
 """
 
@@ -59,8 +60,9 @@ DUMBBELL_WIDE = {"kind": "polynomial-factor", "params": {"coefficients": [0.3, 0
 #: hold with a relative margin of 1.2e-5.
 NEAR_ROUND = {"kind": "polynomial-factor", "params": {"coefficients": [0.99999, 0.0, 1e-5]}}
 #: f = (1 - x^2)(1 + (1 - x^2) / d), d = 1e-6 + (x - 0.3)^2: admissible
-#: endpoints, but a peak of height 1e6 on which the curvature integral does
-#: not settle, so validate prints it as null.
+#: endpoints, but a peak of height 1e6 on which no moment integral settles.
+#: validate reads the curvature integral off the endpoint slopes and passes;
+#: verify exits 3 at its bound table.
 UNSETTLED = {"kind": "rational", "params": {"numerator": [1.090001, -0.6, -1.090001, 0.6],
                                             "denominator": [0.090001, -0.6, 1.0]}}
 #: q = 2 everywhere: the endpoint slopes are +-4, not +-2.
@@ -128,6 +130,7 @@ def cases():
     add("dumbbell-wide", "spectrum", ["--m-max", "30"])
     add("near-round", "verify", ["--m-max", "6"])
     add("unsettled", "validate", [])
+    add("unsettled", "verify", ["--m-max", "4"])
     add("canonical", "sl", ["--out", str(PROFILE_DIR / "missing" / "report.json")], formats=("json",))
     add("canonical", "sl", ["--rel-tol", "1e-11"], formats=("json",))
     for name in MALFORMED:
