@@ -44,11 +44,9 @@ from .profile import (
 )
 from .quadrature import QuadratureConfig
 from .slsolver import (
-    EigenfunctionSamples,
     SLSpectrumSlice,
     SolverConfig,
     TraceReport,
-    eigenfunction,
     eigenvalues,
     first_eigenvalue,
     trace_check,
@@ -78,7 +76,6 @@ __all__ = [
     "DistinctEigenvalue",
     "DomainError",
     "ENDPOINT_TOL",
-    "EigenfunctionSamples",
     "GlobalSpectrum",
     "InapplicabilityError",
     "MetricProfile",
@@ -100,7 +97,6 @@ __all__ = [
     "canonical_comparison",
     "curvature_at",
     "curvature_sign_indicator",
-    "eigenfunction",
     "eigenvalues",
     "first_eigenvalue",
     "integrate_curvature_moment",

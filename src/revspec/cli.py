@@ -173,8 +173,8 @@ def _solver_checks(args, profile):
     spec = spectrum_mod.assemble_spectrum(profile, max(args.m_max, 2 * half), cfg)
     checks = list(spectrum_mod.verify_multiplicity_bound(spec).checks)
     k_max = max(2, min(5, args.m_max + 1))
-    checks.extend(spectrum_mod.verify_monotonicity(profile, k_max, cfg, spectrum=spec).checks)
-    checks.extend(spectrum_mod.verify_interlacing(profile, half, half, cfg, spectrum=spec).checks)
+    checks.extend(spectrum_mod.verify_monotonicity(spec, k_max).checks)
+    checks.extend(spectrum_mod.verify_interlacing(spec, profile, half, half, cfg).checks)
 
     quad = _quad_config(args)
     for row in bounds_mod.bounds_table(profile, args.m_max, (), quad, spec):

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ProfileError
+from .errors import DomainError, ProfileError, QuadratureAccuracyError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_gauss, gauss_jacobi_sqrt_weight
 from .report import Report
 
@@ -439,7 +439,10 @@ def moment_table(p: MetricProfile, l_max: int, q: QuadratureConfig = DEFAULT_QUA
     running product, so high ones underflow gracefully to 0 where f is
     small; the integrand is 0 where f <= 0 (roundoff right at the
     endpoints). The f^l rows and the f^l K rows are written into one
-    buffer, the stack of rows the quadrature integrates.
+    buffer, the stack of rows the quadrature integrates. An I[l] that is
+    not a positive normal float rests on powers f^l outside the float
+    range, with too few significant bits: QuadratureAccuracyError names
+    the first such l.
     """
     if l_max < 0:
         raise DomainError("moment exponent l must be >= 0")
@@ -455,7 +458,14 @@ def moment_table(p: MetricProfile, l_max: int, q: QuadratureConfig = DEFAULT_QUA
         return out
 
     table = adaptive_gauss(rows, p.breaks, q.abs_tol)
-    return table[: l_max + 1], table[l_max + 1:]
+    moments = table[: l_max + 1]
+    outside = np.flatnonzero(~(np.isfinite(moments) & (moments >= np.finfo(float).tiny)))
+    if outside.size:
+        l = int(outside[0])
+        raise QuadratureAccuracyError(
+            f"the powers f^l left the floating-point range at l={l}: the integral of f^{l} is "
+            f"{moments[l]:.3e}, not a positive normal float", best_estimate=table)
+    return moments, table[l_max + 1:]
 
 
 def integrate_moment(p: MetricProfile, l: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

@@ -72,21 +72,19 @@ modes through the same basis sizes, and after each size asks its caller how
 many values each mode must settle: ``eigenvalues`` runs one mode for a
 fixed count, ``spectrum.assemble_spectrum`` all the modes of a spectrum for
 counts read off the ceiling the ladder is still converging (spectrum module
-docstring). Two solves are outside it: ``trace_checks`` makes one stack at
-a fixed size, and ``eigenfunction`` makes one more assembly, at the size
-its ``eigenvalues`` ladder stopped at, for its vector. At each size every
-mode still open is assembled in one stack, on the rule of its largest k,
-which gives every smaller mode at least as many nodes per piece as its own
-rule, so a mode's values move by roundoff only against its lone assembly
-(under 1e-13 relative on the benchmark's profiles). A stack of M modes is
-one (M, s, s) array per stiffness block: q is evaluated once per size, the
-recurrence takes its N steps once per node block for all modes, each node
-block adds one batched rank update per block, and one eigensolve per block
-gives every mode's Ritz values, one more those of its leading half. Each
-mode is judged on its own and leaves the ladder once its slice is
-converged. Node blocks shrink to _BLOCK_NODES // M for M modes, so a
-stack's row buffer holds no more than a one-mode assembly's
-2 N _BLOCK_NODES doubles.
+docstring). One solve is outside it: ``trace_checks`` makes one stack at a
+fixed size. At each size every mode still open is assembled in one stack,
+on the rule of its largest k, which gives every smaller mode at least as
+many nodes per piece as its own rule, so a mode's values move by roundoff
+only against its lone assembly (under 1e-13 relative on the benchmark's
+profiles). A stack of M modes is one (M, s, s) array per stiffness block: q
+is evaluated once per size, the recurrence takes its N steps once per node
+block for all modes, each node block adds one batched rank update per
+block, and one eigensolve per block gives every mode's Ritz values, one
+more those of its leading half. Each mode is judged on its own and leaves
+the ladder once its slice is converged. Node blocks shrink to
+_BLOCK_NODES // M for M modes, so a stack's row buffer holds no more than
+a one-mode assembly's 2 N _BLOCK_NODES doubles.
 """
 
 from __future__ import annotations
@@ -122,8 +120,6 @@ _EXTRA_NODES = 24
 #: 2 N * _BLOCK_NODES entries, so assembly memory stays O(N^2). A stack of M
 #: modes takes blocks of _BLOCK_NODES // M nodes, so its rows hold no more.
 _BLOCK_NODES = 512
-#: Cells of the grid eigenfunctions are sampled on.
-_SAMPLE_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -184,19 +180,6 @@ class TraceReport(Report):
     target: float
     deviation: float
     remainder_estimate: float
-
-
-@dataclass(frozen=True)
-class EigenfunctionSamples:
-    """Samples of one mode eigenfunction on the ``grid_used``-cell sample
-    grid, with unit discrete L2 norm."""
-
-    k: int
-    j: int
-    x: tuple
-    values: tuple
-    eigenvalue: float
-    grid_used: int
 
 
 def _jacobi_rows(n, ks, x, scale):
@@ -337,24 +320,11 @@ def _leading(stack, n):
     return tuple(s[:, :m, :m] for s, m in zip(stack, _block_sizes(n, len(stack))))
 
 
-def _eig(stack, vectors=False):
+def _eig(stack):
     """Ritz values of each mode of a stack, ascending: one (M, n) array whose
     row i is the sorted union of mode i's block values (the mass matrix is
-    I), from one eigensolve per block. With ``vectors``, the pair of that
-    array and the (M, n, n) coefficient vectors in the full basis, each
-    block's scattered back to its rows, column c of mode i belonging to
-    value (i, c)."""
-    if not vectors:
-        return np.sort(np.concatenate([np.linalg.eigvalsh(s) for s in stack], axis=1), axis=1)
-    parts, modes, n = len(stack), len(stack[0]), sum(s.shape[-1] for s in stack)
-    values, vecs, col = np.empty((modes, n)), np.zeros((modes, n, n)), 0
-    for b, s in enumerate(stack):
-        v, u = np.linalg.eigh(s)
-        values[:, col:col + v.shape[1]] = v
-        vecs[:, b::parts, col:col + v.shape[1]] = u
-        col += v.shape[1]
-    order = np.argsort(values, axis=1, kind="stable")
-    return np.take_along_axis(values, order, 1), np.take_along_axis(vecs, order[:, None, :], 2)
+    I), from one eigensolve per block."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(s) for s in stack], axis=1), axis=1)
 
 
 def _converge(p: MetricProfile, ks, n: int, cfg: SolverConfig, counts):
@@ -526,33 +496,3 @@ def trace_check(
     """The reciprocal-eigenvalue identity of one mode: trace_checks on (k,)."""
     return trace_checks(p, (k,), terms, cfg, q)[0]
 
-
-def eigenfunction(p: MetricProfile, k: int, j: int, cfg: SolverConfig = DEFAULT_SOLVER) -> EigenfunctionSamples:
-    """Samples of the j-th eigenfunction of mode k on the 256-cell sample grid.
-
-    The Ritz vector comes from the size the ``eigenvalues`` ladder stops at,
-    assembled once more, so the vector is the ladder's own.
-    Samples are normalized to unit discrete L2 norm (sqrt(h * sum u_i^2) = 1)
-    with the sign fixed so the first nonzero sample from the left is positive.
-    """
-    k = abs(int(k))
-    if j < 1:
-        raise DomainError("eigenfunction index j must be >= 1")
-    slc = eigenvalues(p, k, j, cfg)
-    vecs = _eig(_stiffness(p, (k,), slc.grid_used), vectors=True)[1][0]
-    h = 2.0 / _SAMPLE_CELLS
-    nodes = -1.0 + h * (np.arange(_SAMPLE_CELLS) + 0.5)  # cell centers
-    rows = _jacobi_rows(slc.grid_used, (k,), nodes, (((1.0 - nodes) * (1.0 + nodes)) ** (0.5 * k))[None])[:, 0]
-    u = vecs[:, j - 1] @ rows
-    u = u / (math.sqrt(h) * float(np.linalg.norm(u)))
-    nz = np.flatnonzero(np.abs(u) > 1e-8 * float(np.max(np.abs(u))))
-    if nz.size and u[nz[0]] < 0.0:
-        u = -u
-    return EigenfunctionSamples(
-        k=k,
-        j=j,
-        x=tuple(float(v) for v in nodes),
-        values=tuple(float(v) for v in u),
-        eigenvalue=slc.eigenvalues[j - 1],
-        grid_used=_SAMPLE_CELLS,
-    )

@@ -18,7 +18,9 @@ below it (assemble_spectrum). Neighbouring values of two different modes
 that lie within ten times the larger of their own error estimates are
 identified as one distinct eigenvalue; two values of one mode never are,
 since each mode spectrum is simple. lambda_0 is 0 exactly: mode 0's first
-eigenfunction is the constant.
+eigenfunction is the constant. The verify checks read the spectrum they
+are handed and refuse one too shallow for their depth; interlacing solves
+only the modes whose slices hold too few values.
 """
 
 from __future__ import annotations
@@ -253,39 +255,31 @@ def assemble_spectrum(
 
 def verify_multiplicity_bound(s: GlobalSpectrum) -> VerificationReport:
     """Check multiplicity <= 2m + 1 for every assembled entry."""
-    checks = [
-        Check(
-            name="multiplicity_bound",
-            location=f"m={entry.m}",
-            lhs=float(entry.multiplicity),
-            rhs=float(2 * entry.m + 1),
-            passed=entry.multiplicity <= 2 * entry.m + 1,
-        )
-        for entry in s.entries
-    ]
-    return verification_report(checks)
+    return verification_report(
+        at_most("multiplicity_bound", f"m={entry.m}", float(entry.multiplicity), float(2 * entry.m + 1), 0.0)
+        for entry in s.entries)
 
 
 def verify_interlacing(
+    spectrum: GlobalSpectrum,
     p: MetricProfile,
     k_max: int,
     j_max: int,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    spectrum: Optional[GlobalSpectrum] = None,
 ) -> VerificationReport:
     """Check lambda_(k+j) <= lambda_k^(j+1) for 1 <= k <= k_max, 0 <= j <= j_max.
 
-    The distinct eigenvalues come from an assembled spectrum of depth
-    k_max + j_max (assembled here unless a deep enough one is supplied), and
-    so do the mode values wherever its slice of mode k holds j_max + 1 of
-    them; the other modes are solved here. The spectrum merges by
-    assemble_spectrum's rule. Each comparison allows the entry's reach plus
-    the mode value's own error estimate.
+    The distinct eigenvalues are read from ``spectrum``, which must reach
+    index k_max + j_max, and so are the mode values wherever its slice of
+    mode k holds j_max + 1 of them; any other mode is solved here, on p.
+    Each comparison allows the entry's reach plus the mode value's own error
+    estimate.
     """
     if k_max < 1 or j_max < 1:
         raise DomainError("k_max and j_max must be >= 1")
-    if spectrum is None or len(spectrum.entries) <= k_max + j_max:
-        spectrum = assemble_spectrum(p, k_max + j_max, cfg)
+    if len(spectrum.entries) <= k_max + j_max:
+        raise DomainError(f"interlacing to k_max + j_max = {k_max + j_max} needs a spectrum that reaches "
+                          f"that index; this one ends at m={len(spectrum.entries) - 1}")
     checks = []
     for k in range(1, k_max + 1):
         slc = spectrum.per_mode_slices.get(k)
@@ -297,23 +291,21 @@ def verify_interlacing(
     return verification_report(checks)
 
 
-def verify_monotonicity(
-    p: MetricProfile,
-    k_max: int,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    spectrum: Optional[GlobalSpectrum] = None,
-) -> VerificationReport:
+def verify_monotonicity(spectrum: GlobalSpectrum, k_max: int) -> VerificationReport:
     """Check that the first mode eigenvalue does not decrease over k = 1..k_max.
 
     The first eigenvalue of mode k and its error estimate are read from the
-    mode slices of ``spectrum`` where it holds one, and solved here
-    otherwise. Each check is ``at_most`` on the values of k and k + 1:
-    non-strict, with the sum of their two estimates as slack.
+    mode slices of ``spectrum``, which hold modes 0..m_target + 1, so k_max
+    may not pass m_target + 1. Each check is ``at_most`` on the values of k
+    and k + 1: non-strict, with the sum of their two estimates as slack.
     """
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
-    slices = spectrum.per_mode_slices if spectrum is not None else {}
-    firsts = [slices[k] if k in slices else eigenvalues(p, k, 1, cfg) for k in range(1, k_max + 1)]
+    slices = spectrum.per_mode_slices
+    if k_max > max(slices):
+        raise DomainError(f"monotonicity to k_max={k_max} needs mode slices the spectrum does not hold: "
+                          f"it holds modes 0..{max(slices)}")
+    firsts = [slices[k] for k in range(1, k_max + 1)]
     return verification_report(
         at_most("first_eigenvalue_monotonicity", f"k={k}->{k + 1}", a.eigenvalues[0], b.eigenvalues[0],
                 a.error_estimates[0] + b.error_estimates[0])

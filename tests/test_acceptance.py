@@ -166,8 +166,8 @@ def test_criterion_08_interlacing_and_monotonicity(bump, family_spectra, capsys)
     ok = True
     for c in FAMILY:
         prof = bump(c)
-        inter = verify_interlacing(prof, 5, 5, spectrum=family_spectra[c])
-        mono = verify_monotonicity(prof, 5)
+        inter = verify_interlacing(family_spectra[c], prof, 5, 5)
+        mono = verify_monotonicity(family_spectra[c], 5)
         ok = ok and inter.all_passed and mono.all_passed
     report(capsys, 8, ok, "lambda_(k+j) <= lambda_k^(j+1) and increasing first "
                           "eigenvalues across the family")

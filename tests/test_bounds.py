@@ -242,6 +242,20 @@ def test_bounds_table_raises_when_moments_cannot_converge():
         bounds_table(prof, 5, (1,), QUAD)
 
 
+def test_bounds_table_raises_when_a_moment_leaves_the_normal_floats():
+    # f stays below 0.28 on this dumbbell, so the integral of f^l shrinks
+    # geometrically: it is subnormal from l = 551, and every cell from there
+    # would rest on moments with fewer than 53 significant bits
+    from revspec import QuadratureAccuracyError
+
+    prof = dumbbell(0.1)
+    with pytest.raises(QuadratureAccuracyError, match="at l=551") as caught:
+        bounds_table(prof, 600)
+    assert len(caught.value.best_estimate) == 2 * 601
+    rows = bounds_table(prof, 500)
+    assert all(math.isfinite(row.sharp) and math.isfinite(row.rough) for row in rows)
+
+
 # ------------------------------------------------------------- rigidity
 
 _GAUSS = mp.calculus.quadrature.GaussLegendre(mp.mp)

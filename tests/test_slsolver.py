@@ -17,7 +17,6 @@ from revspec import (
     assemble_spectrum,
     build_profile,
     builtin_profile,
-    eigenfunction,
     eigenvalues,
     first_eigenvalue,
     trace_check,
@@ -649,91 +648,6 @@ def test_trace_remainder_estimate_bounds_the_deviation(canonical, paper, bump, s
     for prof in (bump(2.0), sampled_bump):
         for report in slsolver.trace_checks(prof, (1, 2, 3), terms):
             assert 0.0 < report.deviation <= report.remainder_estimate, report
-
-
-# ---------------------------------------------------------- eigenfunctions
-
-def test_eigenfunction_constant_mode(canonical):
-    ef = eigenfunction(canonical, 0, 1)
-    values = np.array(ef.values)
-    assert np.max(values) - np.min(values) <= 1e-8 * np.max(np.abs(values))
-    assert values[0] > 0  # sign convention
-
-
-def test_eigenfunction_rejects_index_zero(canonical):
-    with pytest.raises(DomainError, match="j must be >= 1"):
-        eigenfunction(canonical, 1, 0)
-
-
-def test_eigenfunction_k0_j2_proportional_to_x(canonical):
-    ef = eigenfunction(canonical, 0, 2)
-    x = np.array(ef.x)
-    u = np.array(ef.values)
-    ref = x / np.linalg.norm(x)
-    cos = abs(float(np.dot(u, ref))) / np.linalg.norm(u)
-    assert cos == pytest.approx(1.0, abs=1e-6)
-
-
-def test_eigenfunction_k1_j1_proportional_to_sqrt_f(canonical):
-    ef = eigenfunction(canonical, 1, 1)
-    x = np.array(ef.x)
-    u = np.array(ef.values)
-    ref = np.sqrt(1.0 - x * x)
-    cos = float(np.dot(u, ref)) / (np.linalg.norm(u) * np.linalg.norm(ref))
-    assert cos == pytest.approx(1.0, abs=1e-6)
-    assert u[len(u) // 2] > 0
-
-
-def test_eigenfunction_unit_discrete_norm(paper):
-    ef = eigenfunction(paper, 2, 1)
-    h = 2.0 / ef.grid_used
-    assert h * float(np.sum(np.square(ef.values))) == pytest.approx(1.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("k, j, shape", [
-    (0, 2, lambda x: x),
-    (0, 3, lambda x: 3.0 * x * x - 1.0),
-    (1, 1, lambda x: np.sqrt(1.0 - x * x)),
-    (1, 2, lambda x: x * np.sqrt(1.0 - x * x)),
-    (2, 1, lambda x: 1.0 - x * x),
-])
-def test_eigenfunction_round_sphere_closed_forms(canonical, k, j, shape):
-    """Mode k, index j of the round sphere is the Legendre function P_(k+j-1)^k."""
-    ef = eigenfunction(canonical, k, j)
-    x = np.array(ef.x)
-    ref = shape(x)
-    ref /= math.sqrt(2.0 / ef.grid_used * float(np.sum(ref * ref)))
-    if ref[0] < 0.0:  # the sign rule: first nonzero sample positive
-        ref = -ref
-    assert_allclose(ef.values, ref, rtol=0.0, atol=1e-10)
-    assert ef.eigenvalue == pytest.approx(sphere_mode_eigenvalue(k, j), rel=1e-12)
-
-
-def test_eigenfunction_norm_and_sign_rule(paper, sampled_bump):
-    for prof in (paper, sampled_bump):
-        for k, j in ((0, 1), (0, 4), (1, 2), (3, 3)):
-            ef = eigenfunction(prof, k, j)
-            u = np.array(ef.values)
-            assert 2.0 / ef.grid_used * float(np.sum(u * u)) == pytest.approx(1.0, rel=1e-12)
-            first = np.flatnonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0]
-            assert u[first] > 0.0, (k, j)
-
-
-def test_eigenfunction_assembles_only_its_final_size_again(paper, monkeypatch):
-    assembled = []
-    stiffness = slsolver._stiffness
-
-    def counting(p, ks, n):
-        assembled.append(n)
-        return stiffness(p, ks, n)
-
-    monkeypatch.setattr(slsolver, "_stiffness", counting)
-    slc = eigenvalues(paper, 2, 3)
-    ladder = list(assembled)
-    assembled.clear()
-    ef = eigenfunction(paper, 2, 3)
-    assert assembled == ladder + [slc.grid_used]  # the ladder, then its final size for the vectors
-    assert ef.eigenvalue == slc.eigenvalues[2]
 
 
 # ------------------------------------------------------------ serialization

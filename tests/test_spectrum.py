@@ -319,11 +319,32 @@ def test_m_target_negative_rejected(canonical):
         assemble_spectrum(canonical, -1)
 
 
-def test_verify_depths_rejected(canonical):
+def test_verify_depths_rejected(canonical, canonical_spectrum6):
     with pytest.raises(DomainError, match="k_max and j_max"):
-        verify_interlacing(canonical, 0, 1)
+        verify_interlacing(canonical_spectrum6, canonical, 0, 1)
     with pytest.raises(DomainError, match="k_max must be >= 2"):
-        verify_monotonicity(canonical, 1)
+        verify_monotonicity(canonical_spectrum6, 1)
+
+
+def test_verify_rejects_a_spectrum_too_shallow_for_its_depth(paper, monkeypatch):
+    # the checks read the spectrum they are handed: one that does not reach
+    # the requested depth raises, and nothing is assembled or solved instead
+    shallow = assemble_spectrum(paper, 2)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a verify check solved or assembled what its spectrum lacks")
+
+    for name in ("eigenvalues", "first_eigenvalue", "assemble_spectrum"):
+        monkeypatch.setattr(spectrum_mod, name, no_solve)
+    assert len(shallow.entries) == 4 and max(shallow.per_mode_slices) == 3
+    assert verify_monotonicity(shallow, 3).all_passed
+    with pytest.raises(DomainError, match="modes 0..3"):
+        verify_monotonicity(shallow, 4)
+    assert verify_interlacing(shallow, paper, 2, 1).all_passed
+    with pytest.raises(DomainError, match="ends at m=3"):
+        verify_interlacing(shallow, paper, 2, 2)
+    with pytest.raises(DomainError, match="ends at m=3"):
+        verify_interlacing(shallow, paper, 1, 3)
 
 
 def test_paper_multiplicity_bound(paper):
@@ -348,7 +369,7 @@ def test_bump_multiplicity_bound(bump):
 
 
 def test_interlacing_canonical_equalities(canonical, canonical_spectrum6):
-    report = verify_interlacing(canonical, 3, 3, spectrum=canonical_spectrum6)
+    report = verify_interlacing(canonical_spectrum6, canonical, 3, 3)
     assert report.all_passed
     # for the round sphere interlacing is equality: lambda_(k+j) = lambda_k^(j+1)
     for check in report.checks:
@@ -356,23 +377,24 @@ def test_interlacing_canonical_equalities(canonical, canonical_spectrum6):
 
 
 def test_interlacing_paper_first_case(paper, paper_spectrum6):
-    report = verify_interlacing(paper, 1, 1, spectrum=paper_spectrum6)
+    report = verify_interlacing(paper_spectrum6, paper, 1, 1)
     assert report.all_passed
     first = next(c for c in report.checks if c.location == "k=1,j=0")
     assert first.lhs <= first.rhs + 1e-6  # lambda_1 <= lambda_1^1
 
 
 def test_interlacing_bump(bump):
-    assert verify_interlacing(bump(2.0), 2, 2).all_passed
+    prof = bump(2.0)
+    assert verify_interlacing(assemble_spectrum(prof, 4), prof, 2, 2).all_passed
 
 
 def test_monotonicity_reports(canonical, paper, bump):
-    rep = verify_monotonicity(canonical, 5)
+    rep = verify_monotonicity(assemble_spectrum(canonical, 4), 5)
     assert rep.all_passed
     firsts = [c.lhs for c in rep.checks] + [rep.checks[-1].rhs]
     assert firsts == pytest.approx([2.0, 6.0, 12.0, 20.0, 30.0], rel=1e-5)
-    assert verify_monotonicity(paper, 5).all_passed
-    assert verify_monotonicity(bump(-0.5), 2).all_passed
+    assert verify_monotonicity(assemble_spectrum(paper, 4), 5).all_passed
+    assert verify_monotonicity(assemble_spectrum(bump(-0.5), 4), 2).all_passed
 
 
 def test_verify_reads_mode_slices_from_the_spectrum(paper, paper_spectrum6, monkeypatch):
@@ -380,26 +402,30 @@ def test_verify_reads_mode_slices_from_the_spectrum(paper, paper_spectrum6, monk
     # the slice that stopped the enumeration is kept as well
     top = max(slices)
     assert slices[top].eigenvalues[0] > paper_spectrum6.truncation
-    plain_mono = verify_monotonicity(paper, 5)
-    plain_inter = verify_interlacing(paper, 3, 3, spectrum=paper_spectrum6)
+    lone = [first_eigenvalue(paper, k) for k in range(1, 6)]
+    plain_inter = verify_interlacing(paper_spectrum6, paper, 3, 3)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a mode the spectrum covers was solved again")
 
     monkeypatch.setattr(spectrum_mod, "eigenvalues", no_solve)
     monkeypatch.setattr(spectrum_mod, "first_eigenvalue", no_solve)
-    mono = verify_monotonicity(paper, 5, spectrum=paper_spectrum6)
-    inter = verify_interlacing(paper, 3, 3, spectrum=paper_spectrum6)
-    for shared, plain in ((mono, plain_mono), (inter, plain_inter)):
-        assert shared.all_passed
-        assert [c.location for c in shared.checks] == [c.location for c in plain.checks]
-        for a, b in zip(shared.checks, plain.checks):
-            assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
-            assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
-    # modes beyond the spectrum's slices are solved
-    monkeypatch.undo()
-    deep = verify_monotonicity(paper, top + 2, spectrum=paper_spectrum6)
-    assert deep.all_passed and len(deep.checks) == top + 1
+    mono = verify_monotonicity(paper_spectrum6, 5)
+    inter = verify_interlacing(paper_spectrum6, paper, 3, 3)
+    assert mono.all_passed and inter.all_passed
+    # the slices' first values agree with lone solves of each mode
+    assert [c.location for c in mono.checks] == [f"k={k}->{k + 1}" for k in range(1, 5)]
+    assert [c.lhs for c in mono.checks] == pytest.approx(lone[:-1], rel=1e-12)
+    assert [c.rhs for c in mono.checks] == pytest.approx(lone[1:], rel=1e-12)
+    assert [c.location for c in inter.checks] == [c.location for c in plain_inter.checks]
+    for a, b in zip(inter.checks, plain_inter.checks):
+        assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
+        assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+    # every mode the slices hold is read; one beyond them is refused, not solved
+    deep = verify_monotonicity(paper_spectrum6, top)
+    assert deep.all_passed and len(deep.checks) == top - 1
+    with pytest.raises(DomainError, match=f"modes 0..{top}"):
+        verify_monotonicity(paper_spectrum6, top + 1)
 
 
 def test_interlacing_solves_a_mode_whose_slice_is_too_short(paper, paper_spectrum6, monkeypatch):
@@ -416,7 +442,7 @@ def test_interlacing_solves_a_mode_whose_slice_is_too_short(paper, paper_spectru
         return eigenvalues(p, k, count, cfg)
 
     monkeypatch.setattr(spectrum_mod, "eigenvalues", recording)
-    report = verify_interlacing(paper, 3, j_max, spectrum=short)
+    report = verify_interlacing(short, paper, 3, j_max)
     assert report.all_passed and solved == [(2, j_max + 1)]
     rhs = [c.rhs for c in report.checks if c.location.startswith("k=2,")]
     assert rhs == list(eigenvalues(paper, 2, j_max + 1).eigenvalues)

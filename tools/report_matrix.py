@@ -12,13 +12,15 @@ comparison prints the largest relative difference among its numbers and
 that number's field path, or a path where something other than a number
 differs.
 
-The matrix, 578 cases: canonical, paper-example and the profiles
+The matrix, 580 cases: canonical, paper-example and the profiles
 bench/profiles.py generates for seeds 1-3, each through validate,
 curvature, sl, spectrum, bounds, trace and verify at several depths, in
 both formats (550 cases; sl --count 32 shows the estimates of sizes past
-the first); then paper-example's spectrum under a loose --rel-tol, and its
+the first); then paper-example's spectrum under a loose --rel-tol, its
 sl --count 40 under --grid-max 64, whose values past the one basis size's
-leading half print Infinity as their estimates; two dumbbells, whose
+leading half print Infinity as their estimates, and its verify at depth
+16, whose interlacing solves modes 4-8 because their slices hold 8 values
+and the check needs 9; two dumbbells, whose
 tunnelling pairs lie apart at depth 4 but within their own error estimates
 at depth 6 (and at depth 30 on the wider neck), each pair still two
 eigenvalues of one mode; a near-round profile's verify, whose checks hold
@@ -124,6 +126,7 @@ def cases():
         add("inadmissible", sub, own)
     add("paper-example", "spectrum", ["--m-max", "20", "--rel-tol", "1e-3"])
     add("paper-example", "sl", ["--count", "40", "--grid-max", "64"])
+    add("paper-example", "verify", ["--m-max", "16"])
     for sub in ("spectrum", "verify"):
         add("dumbbell", sub, ["--m-max", "4"])
     add("dumbbell", "spectrum", ["--m-max", "6"])
