@@ -174,7 +174,7 @@ def _solver_checks(args, profile):
     checks = list(spectrum_mod.verify_multiplicity_bound(spec).checks)
     k_max = max(2, min(5, args.m_max + 1))
     checks.extend(spectrum_mod.verify_monotonicity(spec, k_max).checks)
-    checks.extend(spectrum_mod.verify_interlacing(spec, profile, half, half, cfg).checks)
+    checks.extend(spectrum_mod.verify_interlacing(spec, half, half).checks)
 
     quad = _quad_config(args)
     for row in bounds_mod.bounds_table(profile, args.m_max, (), quad, spec):

@@ -19,8 +19,8 @@ that lie within ten times the larger of their own error estimates are
 identified as one distinct eigenvalue; two values of one mode never are,
 since each mode spectrum is simple. lambda_0 is 0 exactly: mode 0's first
 eigenfunction is the constant. The verify checks read the spectrum they
-are handed and refuse one too shallow for their depth; interlacing solves
-only the modes whose slices hold too few values.
+are handed, refuse one too shallow for their depth and solve nothing: a
+short slice gives interlacing its last value for each value it lacks.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-# rough_bound, liouville_length and first_eigenvalue are not called here.
-# bench/tracing.py rebinds these names on this module, and its install fails
-# on a missing one.
+# rough_bound, liouville_length, eigenvalues and first_eigenvalue are not
+# called here: bench/tracing.py rebinds them, and fails on a missing one.
 from .bounds import rough_bound  # noqa: F401 (see above)
 from .errors import AssemblyError, DomainError
 from .profile import MetricProfile, liouville_length  # noqa: F401 (see above)
@@ -41,7 +40,7 @@ from .slsolver import (
     DEFAULT_SOLVER,
     SolverConfig,
     _converge,
-    eigenvalues,
+    eigenvalues,  # noqa: F401 (see above)
     first_eigenvalue,  # noqa: F401 (see above)
 )
 
@@ -182,10 +181,10 @@ def assemble_spectrum(
     m_target's current first Ritz value, the guard is
     ceiling + max(1, 1e-3 * ceiling), and each mode must settle one value
     more than it holds at or below the guard. Modes up to m_target settle at
-    least the 8 a ladder from N = 16 compares anyway, so that verify reads
-    its interlacing and monotonicity values from their slices; mode
-    m_target + 1 is there for its first value, above which every higher
-    mode lies, and settles no more than it must. Ritz values are upper bounds
+    least the 8 a ladder from N = 16 compares anyway, so that interlacing
+    compares with lambda_k^(j+1) itself for every j < 8; mode m_target + 1
+    is there for its first value, above which every higher mode lies, and
+    settles no more than it must. Ritz values are upper bounds
     (Courant-Fischer), so a guard read at a coarser size only covers more
     than the final one. The truncation is mode m_target's first value at
     the size it left the ladder. No mode past m_target + 1 is solved: first
@@ -260,34 +259,37 @@ def verify_multiplicity_bound(s: GlobalSpectrum) -> VerificationReport:
         for entry in s.entries)
 
 
-def verify_interlacing(
-    spectrum: GlobalSpectrum,
-    p: MetricProfile,
-    k_max: int,
-    j_max: int,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> VerificationReport:
+def _slices_to(spectrum, k_max, check):
+    """The spectrum's mode slices; DomainError if they stop before mode k_max."""
+    slices = spectrum.per_mode_slices
+    if k_max > max(slices):
+        raise DomainError(f"{check} to k_max={k_max} needs mode slices the spectrum does not hold: "
+                          f"it holds modes 0..{max(slices)}")
+    return slices
+
+
+def verify_interlacing(spectrum: GlobalSpectrum, k_max: int, j_max: int) -> VerificationReport:
     """Check lambda_(k+j) <= lambda_k^(j+1) for 1 <= k <= k_max, 0 <= j <= j_max.
 
-    The distinct eigenvalues are read from ``spectrum``, which must reach
-    index k_max + j_max, and so are the mode values wherever its slice of
-    mode k holds j_max + 1 of them; any other mode is solved here, on p.
-    Each comparison allows the entry's reach plus the mode value's own error
-    estimate.
+    Every value is read from ``spectrum``, which must reach index
+    k_max + j_max and hold mode k_max's slice. A slice short of value j + 1
+    gives its last: values increase, so it lies at or below lambda_k^(j+1)
+    within its estimate, and above the guard, past every entry up to
+    m_target. Each check allows the entry's reach plus that estimate.
     """
     if k_max < 1 or j_max < 1:
         raise DomainError("k_max and j_max must be >= 1")
     if len(spectrum.entries) <= k_max + j_max:
         raise DomainError(f"interlacing to k_max + j_max = {k_max + j_max} needs a spectrum that reaches "
                           f"that index; this one ends at m={len(spectrum.entries) - 1}")
+    slices = _slices_to(spectrum, k_max, "interlacing")
     checks = []
     for k in range(1, k_max + 1):
-        slc = spectrum.per_mode_slices.get(k)
-        if slc is None or len(slc.eigenvalues) <= j_max:
-            slc = eigenvalues(p, k, j_max + 1, cfg)
+        values, errors = slices[k].eigenvalues, slices[k].error_estimates
         for j in range(0, j_max + 1):
+            i = min(j, len(values) - 1)
             checks.append(at_most("interlacing", f"k={k},j={j}", spectrum.entries[k + j].value,
-                                  slc.eigenvalues[j], spectrum.reach(k + j) + slc.error_estimates[j]))
+                                  values[i], spectrum.reach(k + j) + errors[i]))
     return verification_report(checks)
 
 
@@ -301,10 +303,7 @@ def verify_monotonicity(spectrum: GlobalSpectrum, k_max: int) -> VerificationRep
     """
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
-    slices = spectrum.per_mode_slices
-    if k_max > max(slices):
-        raise DomainError(f"monotonicity to k_max={k_max} needs mode slices the spectrum does not hold: "
-                          f"it holds modes 0..{max(slices)}")
+    slices = _slices_to(spectrum, k_max, "monotonicity")
     firsts = [slices[k] for k in range(1, k_max + 1)]
     return verification_report(
         at_most("first_eigenvalue_monotonicity", f"k={k}->{k + 1}", a.eigenvalues[0], b.eigenvalues[0],

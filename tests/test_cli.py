@@ -383,6 +383,21 @@ def test_verify_assembles_each_mode_once(capsys, monkeypatch):
         assert check["rhs"] == pytest.approx(revspec.eigenvalues(paper, k, 3).eigenvalues[j], rel=1e-12)
 
 
+def test_deep_verify_solves_no_mode_outside_its_spectrum(capsys, monkeypatch):
+    # at --m-max 40 interlacing reads 21 values of modes 1..20, and modes
+    # 7-20 hold 11-20: those checks read each slice's last value, so no mode
+    # is solved outside the spectrum's ladder
+    from revspec import spectrum as spectrum_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved a mode outside its spectrum")
+
+    monkeypatch.setattr(spectrum_mod, "eigenvalues", no_solve)
+    monkeypatch.setattr(spectrum_mod, "first_eigenvalue", no_solve)
+    status, out, _ = run_capture(["verify", "--profile", "paper-example", "--m-max", "40"], capsys)
+    assert status == 0 and json.loads(out)["all_passed"] is True
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_capture(["frobnicate", "--profile", "canonical"], capsys)[0] == 2
 

@@ -226,6 +226,21 @@ def test_oracle_cross_check_on_paper_example(paper):
         assert_allclose(ours.eigenvalues, ref, rtol=5e-5)
 
 
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(generated_profiles())
+def test_generated_profiles_agree_with_the_fd_oracle(prof):
+    # the Galerkin values against the extrapolated finite-difference oracle,
+    # which shares no code with the solver; mode 1's Dirichlet difference
+    # scheme converges slowest
+    for k, rtol in ((0, 1e-6), (1, 1e-5), (2, 1e-6)):
+        ours = eigenvalues(prof, k, 4).eigenvalues
+        ref = oracle_mode_eigenvalues(prof.f, k, 4)
+        if k == 0:  # the constant's 0, which the oracle misses by its truncation error
+            assert ours[0] == 0.0 and abs(ref[0]) < 1e-6
+            ours, ref = ours[1:], ref[1:]
+        assert_allclose(ours, ref, rtol=rtol, err_msg=f"k={k}")
+
+
 # ---------------------------------------------------------------- assembly
 
 def _sampled(x, f):

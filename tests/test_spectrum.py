@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -321,7 +320,7 @@ def test_m_target_negative_rejected(canonical):
 
 def test_verify_depths_rejected(canonical, canonical_spectrum6):
     with pytest.raises(DomainError, match="k_max and j_max"):
-        verify_interlacing(canonical_spectrum6, canonical, 0, 1)
+        verify_interlacing(canonical_spectrum6, 0, 1)
     with pytest.raises(DomainError, match="k_max must be >= 2"):
         verify_monotonicity(canonical_spectrum6, 1)
 
@@ -340,11 +339,18 @@ def test_verify_rejects_a_spectrum_too_shallow_for_its_depth(paper, monkeypatch)
     assert verify_monotonicity(shallow, 3).all_passed
     with pytest.raises(DomainError, match="modes 0..3"):
         verify_monotonicity(shallow, 4)
-    assert verify_interlacing(shallow, paper, 2, 1).all_passed
+    assert verify_interlacing(shallow, 2, 1).all_passed
     with pytest.raises(DomainError, match="ends at m=3"):
-        verify_interlacing(shallow, paper, 2, 2)
+        verify_interlacing(shallow, 2, 2)
     with pytest.raises(DomainError, match="ends at m=3"):
-        verify_interlacing(shallow, paper, 1, 3)
+        verify_interlacing(shallow, 1, 3)
+    # a dumbbell's spectrum reaches far past its slices: interlacing refuses
+    # a mode beyond them as monotonicity does
+    wells = assemble_spectrum(dumbbell(0.1), 2)
+    assert len(wells.entries) > 6 and max(wells.per_mode_slices) == 3
+    assert verify_interlacing(wells, 3, 1).all_passed
+    with pytest.raises(DomainError, match="interlacing to k_max=4 needs mode slices .* modes 0..3"):
+        verify_interlacing(wells, 4, 1)
 
 
 def test_paper_multiplicity_bound(paper):
@@ -368,24 +374,23 @@ def test_bump_multiplicity_bound(bump):
     assert verify_multiplicity_bound(spec).all_passed
 
 
-def test_interlacing_canonical_equalities(canonical, canonical_spectrum6):
-    report = verify_interlacing(canonical_spectrum6, canonical, 3, 3)
+def test_interlacing_canonical_equalities(canonical_spectrum6):
+    report = verify_interlacing(canonical_spectrum6, 3, 3)
     assert report.all_passed
     # for the round sphere interlacing is equality: lambda_(k+j) = lambda_k^(j+1)
     for check in report.checks:
         assert check.lhs == pytest.approx(check.rhs, rel=1e-5)
 
 
-def test_interlacing_paper_first_case(paper, paper_spectrum6):
-    report = verify_interlacing(paper_spectrum6, paper, 1, 1)
+def test_interlacing_paper_first_case(paper_spectrum6):
+    report = verify_interlacing(paper_spectrum6, 1, 1)
     assert report.all_passed
     first = next(c for c in report.checks if c.location == "k=1,j=0")
     assert first.lhs <= first.rhs + 1e-6  # lambda_1 <= lambda_1^1
 
 
 def test_interlacing_bump(bump):
-    prof = bump(2.0)
-    assert verify_interlacing(assemble_spectrum(prof, 4), prof, 2, 2).all_passed
+    assert verify_interlacing(assemble_spectrum(bump(2.0), 4), 2, 2).all_passed
 
 
 def test_monotonicity_reports(canonical, paper, bump):
@@ -403,7 +408,7 @@ def test_verify_reads_mode_slices_from_the_spectrum(paper, paper_spectrum6, monk
     top = max(slices)
     assert slices[top].eigenvalues[0] > paper_spectrum6.truncation
     lone = [first_eigenvalue(paper, k) for k in range(1, 6)]
-    plain_inter = verify_interlacing(paper_spectrum6, paper, 3, 3)
+    plain_inter = verify_interlacing(paper_spectrum6, 3, 3)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a mode the spectrum covers was solved again")
@@ -411,7 +416,7 @@ def test_verify_reads_mode_slices_from_the_spectrum(paper, paper_spectrum6, monk
     monkeypatch.setattr(spectrum_mod, "eigenvalues", no_solve)
     monkeypatch.setattr(spectrum_mod, "first_eigenvalue", no_solve)
     mono = verify_monotonicity(paper_spectrum6, 5)
-    inter = verify_interlacing(paper_spectrum6, paper, 3, 3)
+    inter = verify_interlacing(paper_spectrum6, 3, 3)
     assert mono.all_passed and inter.all_passed
     # the slices' first values agree with lone solves of each mode
     assert [c.location for c in mono.checks] == [f"k={k}->{k + 1}" for k in range(1, 5)]
@@ -428,24 +433,45 @@ def test_verify_reads_mode_slices_from_the_spectrum(paper, paper_spectrum6, monk
         verify_monotonicity(paper_spectrum6, top + 1)
 
 
-def test_interlacing_solves_a_mode_whose_slice_is_too_short(paper, paper_spectrum6, monkeypatch):
-    # a slice holding fewer than j_max + 1 values is solved again, that mode alone
-    j_max = 3
-    slices = dict(paper_spectrum6.per_mode_slices)
-    slices[2] = dataclasses.replace(slices[2], eigenvalues=slices[2].eigenvalues[:j_max],
-                                    error_estimates=slices[2].error_estimates[:j_max])
-    short = dataclasses.replace(paper_spectrum6, per_mode_slices=slices)
-    solved = []
+def test_interlacing_reads_a_short_slice_by_its_last_value(paper, monkeypatch):
+    # at depth 16 the checks read 9 values of modes 1..8, and modes 4-8 hold
+    # 8: each check past a slice's end reads its last value, which lies above
+    # the guard, and nothing is solved again
+    spec = assemble_spectrum(paper, 16)
 
-    def recording(p, k, count, cfg):
-        solved.append((k, count))
-        return eigenvalues(p, k, count, cfg)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("interlacing solved a mode its spectrum holds")
 
-    monkeypatch.setattr(spectrum_mod, "eigenvalues", recording)
-    report = verify_interlacing(short, paper, 3, j_max)
-    assert report.all_passed and solved == [(2, j_max + 1)]
-    rhs = [c.rhs for c in report.checks if c.location.startswith("k=2,")]
-    assert rhs == list(eigenvalues(paper, 2, j_max + 1).eigenvalues)
+    for name in ("eigenvalues", "first_eigenvalue", "assemble_spectrum"):
+        monkeypatch.setattr(spectrum_mod, name, no_solve)
+    report = verify_interlacing(spec, 8, 8)
+    assert report.all_passed and len(report.checks) == 72
+    slices = spec.per_mode_slices
+    assert [k for k in range(1, 9) if len(slices[k].eigenvalues) <= 8] == [4, 5, 6, 7, 8]
+    for check in report.checks:
+        k, j = (int(part.split("=")[1]) for part in check.location.split(","))
+        values = slices[k].eigenvalues
+        assert check.lhs == spec.entries[k + j].value
+        assert check.rhs == values[min(j, len(values) - 1)]
+    assert all(slices[k].eigenvalues[-1] > spectrum_mod._guard(spec.truncation) for k in range(4, 9))
+
+
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(st.one_of(generated_profiles(), dumbbells))
+def test_a_short_slice_s_last_value_bounds_the_values_it_lacks(prof):
+    # interlacing at depth 20 reads 11 values of modes 1..10; where a slice
+    # holds fewer, its last value lies above the truncation, and a lone solve
+    # of each value it lacks lies no lower than it less its estimate
+    spec = assemble_spectrum(prof, 20)
+    assert verify_interlacing(spec, 10, 10).all_passed
+    for k in range(1, 11):
+        slc = spec.per_mode_slices[k]
+        held = len(slc.eigenvalues)
+        if held > 10:
+            continue
+        assert slc.eigenvalues[-1] > spec.truncation
+        lone = eigenvalues(prof, k, 11).eigenvalues
+        assert min(lone[held:]) >= slc.eigenvalues[-1] - slc.error_estimates[-1]
 
 
 def test_canonical_comparison_equality_counts_as_below(canonical_spectrum6):
@@ -480,6 +506,18 @@ def test_verify_passes_and_hersch_holds(prof):
         assert run(["verify", "--profile", str(path), "--m-max", "4", "--out", str(Path(tmp) / "r.json")]) == 0
     spec = assemble_spectrum(prof, 4)
     assert spec.entries[1].value <= 2.0 + spec.reach(1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.floats(-9.0, -2.0), st.sampled_from((-1.0, 1.0)))
+def test_verify_passes_near_the_round_sphere(exponent, sign):
+    # q = 1 + eps (1 - x^2): on the round sphere interlacing and the sharp
+    # bound hold with equality, so here they hold within about eps of it
+    eps = sign * 10.0 ** exponent
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profile.json"
+        path.write_text(json.dumps({"kind": "polynomial-factor", "params": {"coefficients": [1.0 + eps, 0.0, -eps]}}))
+        assert run(["verify", "--profile", str(path), "--m-max", "6", "--out", str(Path(tmp) / "r.json")]) == 0
 
 
 def test_truncation_covers_requested_depth(paper_spectrum6):

@@ -12,15 +12,16 @@ comparison prints the largest relative difference among its numbers and
 that number's field path, or a path where something other than a number
 differs.
 
-The matrix, 580 cases: canonical, paper-example and the profiles
+The matrix, 582 cases: canonical, paper-example and the profiles
 bench/profiles.py generates for seeds 1-3, each through validate,
 curvature, sl, spectrum, bounds, trace and verify at several depths, in
 both formats (550 cases; sl --count 32 shows the estimates of sizes past
 the first); then paper-example's spectrum under a loose --rel-tol, its
 sl --count 40 under --grid-max 64, whose values past the one basis size's
-leading half print Infinity as their estimates, and its verify at depth
-16, whose interlacing solves modes 4-8 because their slices hold 8 values
-and the check needs 9; two dumbbells, whose
+leading half print Infinity as their estimates, and its verify at depths
+16 and 40, whose interlacing reads the last value of the slices that hold
+fewer than it checks (modes 4-8 hold 8 of 9; modes 7-20 hold 11-20 of 21);
+two dumbbells, whose
 tunnelling pairs lie apart at depth 4 but within their own error estimates
 at depth 6 (and at depth 30 on the wider neck), each pair still two
 eigenvalues of one mode; a near-round profile's verify, whose checks hold
@@ -126,7 +127,8 @@ def cases():
         add("inadmissible", sub, own)
     add("paper-example", "spectrum", ["--m-max", "20", "--rel-tol", "1e-3"])
     add("paper-example", "sl", ["--count", "40", "--grid-max", "64"])
-    add("paper-example", "verify", ["--m-max", "16"])
+    for depth in ("16", "40"):
+        add("paper-example", "verify", ["--m-max", depth])
     for sub in ("spectrum", "verify"):
         add("dumbbell", sub, ["--m-max", "4"])
     add("dumbbell", "spectrum", ["--m-max", "6"])
