@@ -52,7 +52,6 @@ from .slsolver import (
     trace_check,
 )
 from .spectrum import (
-    CanonicalComparison,
     Check,
     DistinctEigenvalue,
     GlobalSpectrum,
@@ -62,6 +61,7 @@ from .spectrum import (
     verify_interlacing,
     verify_monotonicity,
     verify_multiplicity_bound,
+    verify_suite,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "AssemblyError",
     "BUILTIN_NAMES",
     "BoundsRow",
-    "CanonicalComparison",
     "Check",
     "CurvatureSignIndicator",
     "DistinctEigenvalue",
@@ -114,4 +113,5 @@ __all__ = [
     "verify_interlacing",
     "verify_monotonicity",
     "verify_multiplicity_bound",
+    "verify_suite",
 ]

@@ -2,7 +2,8 @@
 
 Subcommands mirror the library pipeline: profile validation, curvature
 tables, per-mode eigenvalue slices, global spectrum assembly, bound tables,
-reciprocal-sum trace checks, and a one-shot verification suite. Reports go
+reciprocal-sum trace checks, and the verification suite, which verify
+renders from ``spectrum.verify_suite`` after its admissibility gate. Reports go
 to stdout (or --out) as JSON or CSV and are byte-identical across runs for
 identical inputs. JSON text is ``report.json_text``, the text of
 ``json.dumps(payload, indent=2, sort_keys=True)`` from the C encoder.
@@ -164,44 +165,6 @@ def _cmd_trace(args, profile):
     return report.to_json_dict(), header, [record], 0
 
 
-def _solver_checks(args, profile):
-    """The one spectrum verify assembles, deep enough for --m-max and for
-    its interlacing check, and every check read off it: the paper's
-    structural results, the bound table and the trace identities."""
-    cfg = _solver_config(args)
-    half = max(1, args.m_max // 2)
-    spec = spectrum_mod.assemble_spectrum(profile, max(args.m_max, 2 * half), cfg)
-    checks = list(spectrum_mod.verify_multiplicity_bound(spec).checks)
-    k_max = max(2, min(5, args.m_max + 1))
-    checks.extend(spectrum_mod.verify_monotonicity(spec, k_max).checks)
-    checks.extend(spectrum_mod.verify_interlacing(spec, half, half).checks)
-
-    quad = _quad_config(args)
-    for row in bounds_mod.bounds_table(profile, args.m_max, (), quad, spec):
-        for name, bound in (("sharp_bound", row.sharp), ("rough_bound", row.rough)):
-            # a bound cell's error is its table's quadrature contract
-            checks.append(spectrum_mod.at_most(name, f"m={row.m}", row.computed_lambda, bound,
-                                               spec.reach(row.m) + quad.abs_tol * max(abs(bound), 1.0)))
-
-    # 50 terms, one stack at N = 70: the trigamma tail leaves a remainder of
-    # order terms^-3, and each identity must hold within its own estimate
-    for trace in slsolver.trace_checks(profile, range(1, min(3, args.m_max) + 1), 50, cfg, quad):
-        checks.append(spectrum_mod.Check(
-            name="trace_identity", location=f"k={trace.k}",
-            lhs=trace.partial_sum + trace.tail_estimate, rhs=trace.target,
-            passed=trace.deviation <= trace.remainder_estimate,
-        ))
-
-    comparison = spectrum_mod.canonical_comparison(spec)
-    witness = comparison.witnesses.get(1)
-    checks.append(spectrum_mod.Check(
-        name="canonical_witness", location="k=1",
-        lhs=float(-1 if witness is None else witness), rhs=1.0,
-        passed=witness is not None,
-    ))
-    return spec.entries, checks
-
-
 def _cmd_verify(args, profile):
     if args.m_max < 1:
         raise ProfileError("--m-max must be >= 1")
@@ -210,15 +173,14 @@ def _cmd_verify(args, profile):
         name="profile_admissible", location="-",
         lhs=float(report.passed), rhs=1.0, passed=report.passed,
     )]
+    for message in report.messages:
+        print(f"note: {message}", file=sys.stderr)
     # the solver's numbers assume an admissible profile: on any other the
     # suite is the failed admissibility check alone
     entries = ()
     if report.passed:
-        entries, solved = _solver_checks(args, profile)
-        checks.extend(solved)
-    else:
-        for message in report.messages:
-            print(f"note: {message}", file=sys.stderr)
+        spec, solved = spectrum_mod.verify_suite(profile, args.m_max, _solver_config(args), _quad_config(args))
+        checks, entries = checks + solved, spec.entries
 
     suite = spectrum_mod.verification_report(checks)
     payload = suite.to_json_dict()

@@ -441,8 +441,9 @@ def moment_table(p: MetricProfile, l_max: int, q: QuadratureConfig = DEFAULT_QUA
     endpoints). The f^l rows and the f^l K rows are written into one
     buffer, the stack of rows the quadrature integrates. An I[l] that is
     not a positive normal float rests on powers f^l outside the float
-    range, with too few significant bits: QuadratureAccuracyError names
-    the first such l.
+    range, with too few significant bits, and a row that overflows has no
+    integral: QuadratureAccuracyError names the first such l, an overflow
+    at the evaluation that meets it (with no best estimate).
     """
     if l_max < 0:
         raise DomainError("moment exponent l must be >= 0")
@@ -453,8 +454,15 @@ def moment_table(p: MetricProfile, l_max: int, q: QuadratureConfig = DEFAULT_QUA
         powers = out[: l_max + 1]
         powers[0] = fx > 0.0
         powers[1:] = np.maximum(fx, 0.0)
-        np.cumprod(powers, axis=0, out=powers)
-        np.multiply(powers, -0.5 * np.asarray(p.d2f(x), dtype=float), out=out[l_max + 1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod(powers, axis=0, out=powers)
+            np.multiply(powers, -0.5 * np.asarray(p.d2f(x), dtype=float), out=out[l_max + 1:])
+        # a row overflows only where f > 1, so one that does at l does at l_max
+        if not np.isfinite(out[[l_max, -1]]).all():
+            bad = ~np.isfinite(out).all(axis=1).reshape(2, l_max + 1)
+            l = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise QuadratureAccuracyError(f"the powers f^l left the floating-point range at l={l}: the "
+                                          f"integrand f^{l}{'' if bad[0, l] else ' K'} overflows", best_estimate=None)
         return out
 
     table = adaptive_gauss(rows, p.breaks, q.abs_tol)

@@ -21,6 +21,9 @@ since each mode spectrum is simple. lambda_0 is 0 exactly: mode 0's first
 eigenfunction is the constant. The verify checks read the spectrum they
 are handed, refuse one too shallow for their depth and solve nothing: a
 short slice gives interlacing its last value for each value it lacks.
+verify_suite is the suite of ``revspec verify``: it assembles the one
+spectrum deep enough for every check and builds the checks in order, so the
+depth, slice and slack rules of the suite are written here only.
 """
 
 from __future__ import annotations
@@ -28,11 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-# rough_bound, liouville_length, eigenvalues and first_eigenvalue are not
-# called here: bench/tracing.py rebinds them, and fails on a missing one.
+# bench/tracing.py rebinds names where they are looked up: verify_suite calls
+# bounds_table through its module, and the suite's builders by their names
+# here. rough_bound, liouville_length, eigenvalues and first_eigenvalue are
+# not called here: the tracer rebinds them too, and fails on a missing one.
+from . import bounds
 from .bounds import rough_bound  # noqa: F401 (see above)
 from .errors import AssemblyError, DomainError
 from .profile import MetricProfile, liouville_length  # noqa: F401 (see above)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .report import Report, local
 from .slsolver import (
     _BASIS_MARGIN,
@@ -42,6 +49,7 @@ from .slsolver import (
     _converge,
     eigenvalues,  # noqa: F401 (see above)
     first_eigenvalue,  # noqa: F401 (see above)
+    trace_checks,
 )
 
 
@@ -117,28 +125,6 @@ def at_most(name, location, lhs, rhs, slack):
     entry's reach (GlobalSpectrum.reach), a mode value's own estimate, a
     bound's quadrature tolerance."""
     return Check(name=name, location=location, lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
-
-
-@dataclass(frozen=True)
-class CanonicalRow(Report):
-    m: int
-    value: float
-    canonical_value: float
-    below_canonical: bool
-
-
-@dataclass(frozen=True)
-class CanonicalComparison(Report):
-    """Per-index comparison against the round-sphere values m(m+1).
-
-    ``witnesses`` maps each k to the smallest computed index m >= k whose
-    eigenvalue does not exceed m(m+1) (None if no computed index works);
-    every k is guaranteed a witness at some finite m, and for the profiles
-    treated here one shows up at small index.
-    """
-
-    rows: tuple[CanonicalRow, ...]
-    witnesses: dict[int, Optional[int]]
 
 
 def _converged(slc, cfg):
@@ -311,15 +297,55 @@ def verify_monotonicity(spectrum: GlobalSpectrum, k_max: int) -> VerificationRep
         for k, (a, b) in enumerate(zip(firsts, firsts[1:]), start=1))
 
 
-def canonical_comparison(s: GlobalSpectrum) -> CanonicalComparison:
-    """Compare each eigenvalue with m(m+1), allowing the entry's reach: the
-    round-sphere value is exact, so the entry's own error is all the slack."""
-    rows = []
-    for entry in s.entries:
-        canonical = float(entry.m * entry.m + entry.m)
-        below = entry.value <= canonical + s.reach(entry.m)
-        rows.append(CanonicalRow(m=entry.m, value=entry.value, canonical_value=canonical,
-                                 below_canonical=below))
-    witnesses = {k: next((row.m for row in rows[k:] if row.below_canonical), None)
-                 for k in range(1, len(rows))}
-    return CanonicalComparison(rows=tuple(rows), witnesses=witnesses)
+def canonical_comparison(s: GlobalSpectrum) -> dict[int, Optional[int]]:
+    """Map each k >= 1 to the smallest index m >= k with lambda_m <= m(m+1)
+    within the entry's reach (the round-sphere value is exact, so that is
+    all the slack), or to None if no computed index works. Every k has a
+    witness at some finite m; for the profiles treated here one shows up at
+    small index, and lambda_m lies at or below m(m+1) exactly when m is its
+    own witness."""
+    below = [entry.value <= entry.m * (entry.m + 1) + s.reach(entry.m) for entry in s.entries]
+    return {k: next((m for m in range(k, len(below)) if below[m]), None) for k in range(1, len(below))}
+
+
+def verify_suite(
+    p: MetricProfile,
+    m_max: int,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    quad: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> tuple[GlobalSpectrum, list]:
+    """The checks of ``revspec verify`` to depth m_max >= 1, and the one
+    spectrum they read: (spectrum, checks).
+
+    ``p`` must pass validate_profile: the solver's numbers assume the
+    endpoint conditions. The spectrum reaches index max(m_max, 2), deep
+    enough for interlacing at k, j <= max(1, m_max // 2). In order, the
+    checks are: multiplicity <= 2m + 1 for every entry; first mode values
+    nondecreasing over k = 1..min(5, m_max + 1); interlacing; lambda_m
+    below the sharp and the rough bound for m = 1..m_max, each allowing the
+    entry's reach plus the bound table's quadrature contract; the
+    reciprocal-sum identity at k = 1..min(3, m_max) with 50 terms, within
+    its own remainder estimate; and a k = 1 canonical witness. DomainError
+    for m_max < 1, before any solve.
+    """
+    if m_max < 1:
+        raise DomainError("m_max must be >= 1")
+    half = max(1, m_max // 2)
+    spec = assemble_spectrum(p, max(m_max, 2), cfg)
+    checks = list(verify_multiplicity_bound(spec).checks)
+    checks.extend(verify_monotonicity(spec, min(5, m_max + 1)).checks)
+    checks.extend(verify_interlacing(spec, half, half).checks)
+    for row in bounds.bounds_table(p, m_max, (), quad, spec):
+        for name, bound in (("sharp_bound", row.sharp), ("rough_bound", row.rough)):
+            checks.append(at_most(name, f"m={row.m}", row.computed_lambda, bound,
+                                  spec.reach(row.m) + quad.abs_tol * max(abs(bound), 1.0)))
+    # 50 terms, one stack at N = 70: the trigamma tail leaves a remainder of
+    # order terms^-3
+    for trace in trace_checks(p, range(1, min(3, m_max) + 1), 50, cfg, quad):
+        checks.append(Check(name="trace_identity", location=f"k={trace.k}",
+                            lhs=trace.partial_sum + trace.tail_estimate, rhs=trace.target,
+                            passed=trace.deviation <= trace.remainder_estimate))
+    witness = canonical_comparison(spec).get(1)
+    checks.append(Check(name="canonical_witness", location="k=1",
+                        lhs=float(-1 if witness is None else witness), rhs=1.0, passed=witness is not None))
+    return spec, checks

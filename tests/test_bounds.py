@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -254,6 +255,24 @@ def test_bounds_table_raises_when_a_moment_leaves_the_normal_floats():
     assert len(caught.value.best_estimate) == 2 * 601
     rows = bounds_table(prof, 500)
     assert all(math.isfinite(row.sharp) and math.isfinite(row.rough) for row in rows)
+
+
+def test_moment_table_names_the_power_that_overflows(paper, canonical):
+    # paper-example's f peaks at 2 and its K at 4, so f^l K overflows first,
+    # at l = 1022: the table stops at that evaluation, with no RuntimeWarning
+    # (the suite makes one an error), instead of integrating NaN
+    from revspec import QuadratureAccuracyError, moment_table
+
+    start = time.perf_counter()
+    with pytest.raises(QuadratureAccuracyError, match=r"at l=1022: the integrand f\^1022 K overflows"):
+        bounds_table(paper, 1100)
+    assert time.perf_counter() - start < 0.5
+    I, C = moment_table(canonical, 2000)
+    assert np.isfinite(I).all() and np.isfinite(C).all()
+    # the dumbbells' powers underflow instead, and keep their own error
+    for c, l in ((0.1, 551), (0.3, 686)):
+        with pytest.raises(QuadratureAccuracyError, match=f"at l={l}: the integral of f\\^{l} is"):
+            moment_table(dumbbell(c), 2000)
 
 
 # ------------------------------------------------------------- rigidity

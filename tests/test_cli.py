@@ -7,8 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import revspec
 from revspec.cli import run
@@ -171,6 +176,72 @@ def test_verify_fails_admissibility_without_solving(m_max, tmp_path, capsys, mon
     assert [(c["name"], c["passed"]) for c in payload["checks"]] == [("profile_admissible", False)]
     assert payload["values"] == [] and payload["multiplicities"] == []
     assert err.splitlines() == ["note: f'(-1) = 4, expected 2", "note: f'(1) = -4, expected -2"]
+
+
+@st.composite
+def endpoint_breaking_profiles(draw):
+    """A profile spec that breaks f(+-1) = 0 or f'(+-1) = +-2 at one end or
+    both, and the fragment of the message that names the broken condition:
+    a polynomial factor with q(+-1) != 1, a spline with a nonzero end
+    sample, or a rational f whose numerator keeps a nonzero end value or
+    leaves q(+-1) != 1."""
+    poly, w = np.polynomial.polynomial, np.array([1.0, 0.0, -1.0])
+    shift = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 0.5))
+    lo, hi = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))))
+    end = shift * np.array([(lo + hi) / 2.0, (hi - lo) / 2.0])  # shift at each broken end, 0 at the other
+    kind = draw(st.sampled_from(("polynomial-factor", "sampled", "rational")))
+    if kind == "polynomial-factor":
+        q = poly.polyadd(poly.polyadd([1.0], draw(st.floats(-0.2, 0.5)) * w), end)
+        return {"kind": kind, "params": {"coefficients": q.tolist()}}, "expected"
+    if kind == "sampled":
+        i = np.arange(draw(st.integers(5, 17)))
+        x = -np.cos(np.pi * i / i[-1])
+        f = (1.0 - x * x) * (1.0 + draw(st.floats(0.0, 0.5)) * (1.0 - x * x))
+        f[0], f[-1] = shift * lo, shift * hi
+        return {"kind": kind, "params": {"x": x.tolist(), "f": f.tolist()}}, "does not vanish"
+    den = [1.0, draw(st.floats(-0.2, 0.2)), draw(st.floats(0.2, 0.8))]
+    if draw(st.booleans()):
+        num, broken = poly.polyadd(poly.polymul(w, den), end), "does not vanish"
+    else:
+        num, broken = poly.polymul(w, poly.polyadd(den, end)), "expected"
+    return {"kind": kind, "params": {"numerator": num.tolist(), "denominator": den}}, broken
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(endpoint_breaking_profiles())
+def test_endpoint_breaking_profiles_reach_no_number(case):
+    # the commands whose numbers assume the endpoint conditions refuse the
+    # profile naming each broken one, and verify reports it as its only
+    # check; nothing is solved or integrated
+    from revspec import profile as profile_mod, slsolver, spectrum as spectrum_mod
+
+    spec, broken = case
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a profile that breaks an endpoint condition reached a solve")
+
+    def capture(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = run(argv)
+        return status, out.getvalue(), err.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "profile.json"
+        path.write_text(json.dumps(spec))
+        for module, name in ((slsolver, "_stiffness"), (spectrum_mod, "assemble_spectrum"),
+                             (profile_mod, "adaptive_gauss")):
+            patch.setattr(module, name, no_solve)
+        prof = revspec.load_profile(path)
+        conditions = revspec.profile.endpoint_conditions(prof)[2]
+        assert conditions and any(broken in message for message in conditions)
+        for cmd in ("sl", "spectrum", "bounds", "trace"):
+            assert capture([cmd, "--profile", str(path)]) == (
+                2, "", "error: profile is not admissible: " + "; ".join(conditions) + "\n"), cmd
+        status, out, err = capture(["verify", "--profile", str(path)])
+    assert status == 1
+    assert [(c["name"], c["passed"]) for c in json.loads(out)["checks"]] == [("profile_admissible", False)]
+    assert err.splitlines() == [f"note: {message}" for message in revspec.validate_profile(prof).messages]
 
 
 @pytest.mark.parametrize("cmd", ["spectrum", "verify"])
@@ -776,6 +847,25 @@ def test_bench_tracer_names_exist():
     for module_name, attr, _ in tracing._WRAPPED:
         module = importlib.import_module(f"revspec.{module_name}")
         assert hasattr(module, attr), f"revspec.{module_name}.{attr}"
+
+
+def test_bench_tracer_sees_verify_s_bound_table(capsys):
+    # verify's suite lives in the spectrum module; it calls the bound table
+    # and the assembly where the tracer rebinds them
+    import importlib
+
+    modules = {name: importlib.import_module(f"revspec.{name}")
+               for name in ("profile", "slsolver", "spectrum", "bounds", "cli")}
+    tracer = bench_module("tracing").Tracer(modules)
+    tracer.install()
+    try:
+        assert modules["cli"].run(["verify", "--profile", "canonical", "--m-max", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["bounds.cells"] > 0 and metrics["spectrum.assemble_calls"] == 1
+    assert metrics["spectrum.verify_s"] > 0
 
 
 def test_bench_tracer_runs_commands(tmp_path, capsys):

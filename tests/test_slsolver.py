@@ -25,7 +25,7 @@ from revspec import slsolver
 from revspec.cli import run
 
 from conftest import bench_module, generated_profiles
-from oracles import oracle_mode_eigenvalues, sphere_mode_eigenvalue
+from oracles import mode_counts_below, oracle_mode_eigenvalues, sphere_mode_eigenvalue
 
 _GENERATED = bench_module("profiles").generate  # the benchmark's profiles for a seed
 
@@ -284,6 +284,25 @@ def _profile(name, request):
     if name in _POLYNOMIALS:
         return build_profile(ProfileSpec("polynomial-factor", {"coefficients": _POLYNOMIALS[name]}))
     return builtin_profile(name)
+
+
+def test_sturm_count_matches_the_round_sphere():
+    # mode k of the round sphere holds l(l+1) for l >= k; mu = (l+1)^2 lies
+    # halfway between l(l+1) and (l+1)(l+2)
+    ks, mus = np.arange(12)[:, None], (np.arange(12)[None, :] + 1.0) ** 2
+    closed = sum((l * (l + 1) < mus) & (l >= ks) for l in range(13))
+    assert (mode_counts_below(lambda x: 1.0 - x * x, ks, mus) == closed).all()
+
+
+def test_sturm_count_brackets_the_rough_spline_s_lambda_2():
+    # lambda_2 is mode 0's second value (modes 0 and 1 hold lambda_0 and
+    # lambda_1): the count, independent of the Galerkin method, puts it in
+    # (2.4713190, 2.4713200), as does a solve at N = 256, whose value agrees
+    # with the N = 1024 one to 3e-12
+    prof = _rough_chebyshev(49)
+    counts = mode_counts_below(prof.f, np.arange(3)[:, None], [[2.4713190, 2.4713200]], rel=5e-8)
+    assert counts.tolist() == [[1, 2], [1, 1], [0, 0]]
+    assert 2.4713190 < slsolver._eig(slsolver._stiffness(prof, (0,), 256))[0, 1] < 2.4713200
 
 
 @functools.lru_cache(maxsize=None)

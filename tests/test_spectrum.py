@@ -14,17 +14,20 @@ from revspec import (
     SolverConfig,
     assemble_spectrum,
     build_profile,
+    builtin_profile,
     canonical_comparison,
     eigenvalues,
     first_eigenvalue,
     verify_interlacing,
     verify_monotonicity,
     verify_multiplicity_bound,
+    verify_suite,
 )
 from revspec import slsolver, spectrum as spectrum_mod
 from revspec.cli import run
 
 from conftest import bench_module, dumbbell, dumbbells, generated_profiles
+from oracles import mode_counts_below
 
 
 def test_canonical_assembly_values_and_multiplicities(canonical):
@@ -474,24 +477,73 @@ def test_a_short_slice_s_last_value_bounds_the_values_it_lacks(prof):
         assert min(lone[held:]) >= slc.eigenvalues[-1] - slc.error_estimates[-1]
 
 
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(generated_profiles())
+def test_multiplicities_agree_with_the_sturm_count(prof):
+    # an independent count confirms each entry's modes: they are the modes
+    # with one value between the midpoints to its neighbouring entries, and
+    # every other mode has none. The count resolves half the smallest gap,
+    # and it does not decrease in mu, so for each mode the midpoints around
+    # its own entries and the last midpoint decide every window. The top
+    # window reaches past the ceiling and is left out. (A dumbbell's
+    # tunnelling pairs lie closer than a second-order count can separate.)
+    spec = assemble_spectrum(prof, 20)
+    values = np.array([entry.value for entry in spec.entries])
+    mids = np.concatenate([[-1.0], 0.5 * (values[:-1] + values[1:])])  # window m is (mids[m], mids[m + 1])
+    last = len(values) - 1
+    want = {}  # (k, window edge) -> count of mode k's values below it
+    for k in range(len(spec.per_mode_slices)):
+        held = [entry.m for entry in spec.entries[:last] if k in entry.modes]
+        for i, m in enumerate(held):
+            want[k, m], want[k, m + 1] = i, i + 1
+        want[k, last] = len(held)
+    pairs = np.array(list(want))
+    counts = mode_counts_below(prof.f, pairs[:, 0], mids[pairs[:, 1]],
+                               rel=0.5 * np.min(np.diff(values) / values[1:]))
+    assert dict(zip(want, counts.tolist())) == want
+
+
 def test_canonical_comparison_equality_counts_as_below(canonical_spectrum6):
-    comp = canonical_comparison(canonical_spectrum6)
-    assert all(row.below_canonical for row in comp.rows)
-    for row in comp.rows:
-        assert row.canonical_value == row.m * (row.m + 1)
+    # lambda_m = m(m+1) within the reach: every m is its own witness
+    witnesses = canonical_comparison(canonical_spectrum6)
+    assert witnesses == {m: m for m in range(1, len(canonical_spectrum6.entries))}
 
 
 def test_paper_comparison_below_with_witnesses(paper_spectrum6):
-    comp = canonical_comparison(paper_spectrum6)
-    assert all(row.below_canonical for row in comp.rows if row.m >= 1)
-    for k, witness in comp.witnesses.items():
-        assert witness is not None and witness >= k
+    witnesses = canonical_comparison(paper_spectrum6)
+    assert witnesses == {m: m for m in range(1, len(paper_spectrum6.entries))}
 
 
 def test_bump_witness_exists(bump):
     spec = assemble_spectrum(bump(-0.5), 4)
-    comp = canonical_comparison(spec)
-    assert comp.witnesses[1] is not None
+    assert canonical_comparison(spec)[1] is not None
+
+
+@pytest.mark.parametrize("name", ["canonical", "paper-example"])
+def test_verify_suite_is_the_cli_suite(name, capsys):
+    # the library suite passes, in the order verify renders it after its
+    # admissibility check, and its checks read the spectrum it returns
+    spec, checks = verify_suite(builtin_profile(name), 4)
+    assert all(check.passed for check in checks)
+    names = [check.name for check in checks]
+    assert [n for i, n in enumerate(names) if names[i - 1 : i] != [n]] == [
+        "multiplicity_bound", "first_eigenvalue_monotonicity", "interlacing",
+        *["sharp_bound", "rough_bound"] * 4, "trace_identity", "canonical_witness"]
+    assert run(["verify", "--profile", name, "--m-max", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"][1:] == [check.to_json_dict() for check in checks]
+    assert payload["values"] == [entry.value for entry in spec.entries]
+    interlacing = next(c for c in checks if (c.name, c.location) == ("interlacing", "k=1,j=0"))
+    assert interlacing.lhs == spec.entries[1].value
+
+
+def test_verify_suite_refuses_depth_0_before_solving(canonical, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify_suite assembled a spectrum at depth 0")
+
+    monkeypatch.setattr(spectrum_mod, "assemble_spectrum", no_solve)
+    with pytest.raises(DomainError, match="m_max"):
+        verify_suite(canonical, 0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
